@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import GroundSetTooLargeError, TraceMismatchError
+from .errors import TraceMismatchError
 from .greedy import (
     REVERSE,
     REVERSE_AS_FORWARD,
@@ -31,8 +31,8 @@ from .greedy import (
 )
 from .matroids import Matroid
 from .setfunc import (
-    MAX_SCAN_N,
     SetFunction,
+    _check_scan_size,
     _clamp_ratio,
     _require_increasing,
     complement_values,
@@ -165,10 +165,7 @@ def strong_curvature_detail(
     1 / (1 - c) and reverse bound 1 - c.
     """
     _require_increasing(f)
-    if f.n > MAX_SCAN_N:
-        raise GroundSetTooLargeError(
-            f"strong-curvature scan is capped at n={MAX_SCAN_N}, got n={f.n}"
-        )
+    _check_scan_size(f)
     n = f.n
     vals = f.values
     worst: float | None = None

@@ -287,6 +287,10 @@ def instance_from_json(obj) -> Instance:
     for i, v in enumerate(values):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise SchemaError(f"instance.function: values[{i}] is not a number")
+    try:
+        function = SetFunction(n, values)
+    except ValueError as exc:
+        raise SchemaError(f"instance.function: {exc}") from exc
     spec = spec_from_json(_expect(obj, "matroid", dict, "instance"), "instance.matroid")
     cardinality = _expect(obj, "N", int, "instance")
     if cardinality < 1:
@@ -302,7 +306,7 @@ def instance_from_json(obj) -> Instance:
         raise InfeasibleInstanceError(
             f"instance '{inst_id}': matroid rank {matroid.rank_full} is below N={cardinality}"
         )
-    return Instance(inst_id, n, SetFunction(n, values), spec, cardinality, seed)
+    return Instance(inst_id, n, function, spec, cardinality, seed)
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -12,18 +12,24 @@ whose ratio and curvature swap roles.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 from dataclasses import dataclass
+from itertools import compress, cycle
+from operator import sub
 
 from .errors import GroundSetTooLargeError, NonMonotoneError, NotStrictlyIncreasingError
-from .subsets import elements
+from .subsets import elements, submasks
 
 _log = logging.getLogger(__name__)
 
 #: Explicit tables are capped at 2^20 values.
 MAX_TABLE_N = 20
-#: Exhaustive ratio scans enumerate ~3^n nested pairs, capped for desk-scale runs.
-MAX_SCAN_N = 12
+#: Exhaustive ratio scans cost n^2 * 2^n (gamma and alpha, through subset
+#: min/max transforms) and 3^n (the cumulative ratio, over disjoint pairs).
+MAX_SCAN_N = 16
+
+_INF = float("inf")
 
 
 class SetFunction:
@@ -32,20 +38,29 @@ class SetFunction:
     Evaluation is pure: the table is frozen at construction and every call
     returns the same float for the same mask. ``eval_count`` tracks oracle
     calls and may be bumped concurrently from threads sharing one instance.
+    Values must be finite: NaN and infinities raise ValueError.
     """
 
-    __slots__ = ("n", "values", "_eval_count", "_lock")
+    __slots__ = ("n", "values", "_eval_count", "_lock", "_monotone")
 
     def __init__(self, n: int, values) -> None:
         if not 1 <= n <= MAX_TABLE_N:
             raise ValueError(f"ground set size must be in 1..{MAX_TABLE_N}, got {n}")
-        vals = tuple(float(v) for v in values)
+        try:
+            vals = tuple(float(v) for v in values)
+        except OverflowError as exc:
+            raise ValueError(f"set-function values must be finite ({exc})") from exc
         if len(vals) != 1 << n:
             raise ValueError(f"need {1 << n} values for n={n}, got {len(vals)}")
+        # A finite sum proves every value finite; only an overflowing or
+        # non-finite sum needs the per-value pass.
+        if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
+            raise ValueError("set-function values must be finite (no NaN or infinity)")
         self.n = n
         self.values = vals
         self._eval_count = 0
         self._lock = threading.Lock()
+        self._monotone: MonotonicityReport | None = None
 
     @property
     def eval_count(self) -> int:
@@ -108,7 +123,16 @@ class MonotonicityReport:
 
 
 def check_monotone(f: SetFunction) -> MonotonicityReport:
-    """Scan every (S, j not in S) pair for negative or zero marginals."""
+    """Scan every (S, j not in S) pair for negative or zero marginals.
+
+    The table is immutable, so the report is computed once per function.
+    """
+    if f._monotone is None:
+        f._monotone = _scan_monotone(f)
+    return f._monotone
+
+
+def _scan_monotone(f: SetFunction) -> MonotonicityReport:
     vals = f.values
     n = f.n
     first_negative: tuple[int, int] | None = None
@@ -155,6 +179,14 @@ def _check_scan_size(f: SetFunction) -> None:
         )
 
 
+def _check_value_range(f: SetFunction) -> None:
+    # Every marginal of an increasing table lies in [0, f(V) - f(empty)], so a
+    # finite range keeps the ratios free of inf/inf, which is what makes the
+    # transforms below agree with the pair loops they replace.
+    if not math.isfinite(f.values[-1] - f.values[0]):
+        raise ValueError("value range f(V) - f(empty) overflows a float")
+
+
 def _clamp_ratio(value: float, what: str) -> float:
     # Must never fire on an increasing function: pairs with S == R anchor the
     # scan minimum at <= 1 and all marginals are nonnegative.
@@ -178,6 +210,71 @@ class RatioScan:
     alpha_witness: tuple[int, int, int] | None
 
 
+def _marginals(vals: tuple[float, ...], j: int) -> list[float]:
+    """f(S + j) - f(S) for every S avoiding j, in ascending order of S."""
+    half = 1 << j
+    without_j = [True] * half + [False] * half
+    return list(
+        map(sub, compress(vals, cycle(without_j[::-1])), compress(vals, cycle(without_j)))
+    )
+
+
+def _subset_fold(table: list[float], pick) -> list[float]:
+    """In place, replace each entry R by pick over the entries of all submasks of R.
+
+    ``table`` has 2^m entries. Each pass folds along the top index bit and
+    then perfect-shuffles, which rotates that bit to the bottom; after m
+    passes every bit is folded and the layout is back in place.
+    """
+    half = len(table) // 2
+    for _ in range(half.bit_length()):
+        low, high = table[:half], table[half:]
+        table[0::2] = low
+        table[1::2] = map(pick, high, low)
+    return table
+
+
+def _first_min(
+    first: tuple[float, int], ratios: list[float], j: int
+) -> tuple[float, int]:
+    """Fold the first minimum of element j's per-R ratios into (minimum, first R).
+
+    ``ratios`` is indexed like :func:`_marginals`; equal minima keep the smaller R.
+    """
+    low = min(ratios)
+    if low == _INF:
+        return first
+    index = ratios.index(low)
+    below = index & ((1 << j) - 1)
+    # Re-insert bit j, always clear in R, into the compressed index.
+    return min(first, (low, (index ^ below) << 1 | below))
+
+
+def _pairs_min(
+    vals: tuple[float, ...], n: int, big: int, curvature: bool
+) -> tuple[float | None, tuple[int, int, int] | None]:
+    """Minimum ratio over the triples with R = big and its first witness.
+
+    Triples are visited in (S submask-descending, j ascending) order; a
+    negative ``big`` means no R binds.
+    """
+    best: float | None = None
+    wit: tuple[int, int, int] | None = None
+    if big < 0:
+        return best, wit
+    outs = [(j, 1 << j, vals[big | 1 << j] - vals[big]) for j in range(n) if not big >> j & 1]
+    for small in submasks(big):
+        vsmall = vals[small]
+        for j, bit, d_big in outs:
+            d_small = vals[small | bit] - vsmall
+            num, den = (d_big, d_small) if curvature else (d_small, d_big)
+            if den > 0.0:
+                r = num / den
+                if best is None or r < best:
+                    best, wit = r, (small, big, j)
+    return best, wit
+
+
 def ratio_scan(f: SetFunction) -> RatioScan:
     """Exhaustively scan all S <= R <= V and j outside R.
 
@@ -186,39 +283,30 @@ def ratio_scan(f: SetFunction) -> RatioScan:
     zero impose no constraint and are skipped; a zero numerator against a
     positive denominator contributes the limiting value (0, i.e. alpha = 1).
     With no binding pair at all, gamma = 1 and alpha = 0.
+
+    For each j, subset min/max transforms of marg_j give, for every R, the
+    smallest and largest marg_j(S) over S <= R. Float division by a fixed
+    positive number is monotone, so the smallest gamma ratio at (R, j) is
+    (min over S of marg_j(S)) / marg_j(R) and the smallest alpha ratio is
+    marg_j(R) / (max over S of marg_j(S)), the very floats the pairs give.
+    That finds each minimum and the first R attaining it in O(n^2 * 2^n);
+    the pairs of that R alone are then scanned in witness order for the
+    exact triple.
     """
     _require_increasing(f)
     _check_scan_size(f)
+    _check_value_range(f)
     n = f.n
     vals = f.values
-    g_best: float | None = None
-    a_best: float | None = None
-    g_wit: tuple[int, int, int] | None = None
-    a_wit: tuple[int, int, int] | None = None
-    for big in range(1 << n):
-        outs = [
-            (j, 1 << j, vals[big | (1 << j)] - vals[big])
-            for j in range(n)
-            if not big >> j & 1
-        ]
-        if not outs:
-            continue
-        small = big
-        while True:
-            vsmall = vals[small]
-            for j, bit, d_big in outs:
-                d_small = vals[small | bit] - vsmall
-                if d_big > 0.0:
-                    r = d_small / d_big
-                    if g_best is None or r < g_best:
-                        g_best, g_wit = r, (small, big, j)
-                if d_small > 0.0:
-                    r = d_big / d_small
-                    if a_best is None or r < a_best:
-                        a_best, a_wit = r, (small, big, j)
-            if small == 0:
-                break
-            small = (small - 1) & big
+    g_first = a_first = (_INF, -1)
+    for j in range(n):
+        d = _marginals(vals, j)
+        low = _subset_fold(d[:], min)
+        high = _subset_fold(d[:], max)
+        g_first = _first_min(g_first, [m / x if x > 0.0 else _INF for m, x in zip(low, d)], j)
+        a_first = _first_min(a_first, [x / m if m > 0.0 else _INF for m, x in zip(high, d)], j)
+    g_best, g_wit = _pairs_min(vals, n, g_first[1], curvature=False)
+    a_best, a_wit = _pairs_min(vals, n, a_first[1], curvature=True)
     gamma = 1.0 if g_best is None else _clamp_ratio(g_best, "submodularity-ratio")
     alpha = 0.0 if a_best is None else 1.0 - _clamp_ratio(a_best, "curvature")
     return RatioScan(gamma, alpha, g_wit, a_wit)
@@ -239,34 +327,38 @@ def cumulative_ratio_detail(f: SetFunction) -> tuple[float, tuple[int, int] | No
 
     Minimizes sum of single-element marginals at S over elements of R \\ S
     against the set marginal of R at S, over all ordered pairs (S, R) with a
-    positive set marginal.
+    positive set marginal. Both depend on R only through R \\ S, so the scan
+    visits the 3^n pairs with R disjoint from S. The witness is the first
+    (S ascending, R ascending) pair attaining the minimum, and R is disjoint
+    from S.
     """
     _require_increasing(f)
     _check_scan_size(f)
-    n = f.n
+    _check_value_range(f)
     vals = f.values
-    size = 1 << n
+    full = (1 << f.n) - 1
     best: float | None = None
     wit: tuple[int, int] | None = None
-    for small in range(size):
+    for small in range(full + 1):
         base = vals[small]
-        marg = [
-            vals[small | (1 << j)] - base if not small >> j & 1 else 0.0
-            for j in range(n)
-        ]
-        for other in range(size):
-            denom = vals[small | other] - base
-            if denom <= 0.0:
-                continue
-            total = 0.0
-            rest = other & ~small
-            while rest:
-                low = rest & -rest
-                total += marg[low.bit_length() - 1]
-                rest ^= low
-            r = total / denom
-            if best is None or r < best:
-                best, wit = r, (small, other)
+        # S | R and the marginal sum for every R <= V \ S, in ascending R:
+        # each doubling adds the next element as the top bit, so every sum
+        # adds its marginals in ascending element order, one at a time.
+        unions = [small]
+        totals = [0.0]
+        rest = full ^ small
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            marg = vals[small | bit] - base
+            unions += [u | bit for u in unions]
+            totals += [t + marg for t in totals]
+        for union, total in zip(unions, totals):
+            denom = vals[union] - base
+            if denom > 0.0:
+                r = total / denom
+                if best is None or r < best:
+                    best, wit = r, (small, union ^ small)
     value = 1.0 if best is None else _clamp_ratio(best, "cumulative-ratio")
     return value, wit
 

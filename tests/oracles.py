@@ -1,8 +1,10 @@
 """Independent reference implementations used to derive expected values.
 
-Everything here works on frozensets via itertools, deliberately avoiding the
+The value oracles work on frozensets via itertools, deliberately avoiding the
 library's bitmask scans, so a disagreement points at a real bug rather than a
-shared mistake.
+shared mistake. The witness references at the end walk plain masks instead,
+because the witness order the library documents is an order on masks; they
+visit every pair directly, in that order, with no transform or shortcut.
 """
 
 import itertools
@@ -124,3 +126,55 @@ def naive_bases(is_independent, n):
         ):
             out.append(mask)
     return out
+
+
+def reference_ratio_scan(values, n):
+    """(gamma, alpha, gamma witness, alpha witness) by direct enumeration.
+
+    Visits every (S, R, j) with R ascending, S over the submasks of R
+    descending and j outside R ascending, and keeps the first triple that
+    attains each minimum; zero-denominator pairs are skipped.
+    """
+    g_best = a_best = g_wit = a_wit = None
+    for big in range(1 << n):
+        for small in range(big, -1, -1):
+            if small & ~big:
+                continue
+            for j in range(n):
+                if big >> j & 1:
+                    continue
+                d_small = values[small | 1 << j] - values[small]
+                d_big = values[big | 1 << j] - values[big]
+                if d_big > 0.0:
+                    r = d_small / d_big
+                    if g_best is None or r < g_best:
+                        g_best, g_wit = r, (small, big, j)
+                if d_small > 0.0:
+                    r = d_big / d_small
+                    if a_best is None or r < a_best:
+                        a_best, a_wit = r, (small, big, j)
+    gamma = 1.0 if g_best is None else g_best
+    alpha = 0.0 if a_best is None else 1.0 - a_best
+    return gamma, alpha, g_wit, a_wit
+
+
+def reference_cumulative_scan(values, n):
+    """(cumulative ratio, witness) over all ordered pairs (S, R) of masks.
+
+    S ascending, then R ascending, first minimum kept; each numerator adds
+    the singleton marginals of R \\ S in ascending element order.
+    """
+    best = wit = None
+    for small in range(1 << n):
+        for other in range(1 << n):
+            denom = values[small | other] - values[small]
+            if denom <= 0.0:
+                continue
+            total = 0.0
+            for j in range(n):
+                if other >> j & 1 and not small >> j & 1:
+                    total += values[small | 1 << j] - values[small]
+            r = total / denom
+            if best is None or r < best:
+                best, wit = r, (small, other)
+    return (1.0 if best is None else best), wit

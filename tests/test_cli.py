@@ -3,7 +3,8 @@ import json
 import pytest
 
 from matroid_greedy.cli import main
-from matroid_greedy.instances import canonical_t3, save_instance
+from matroid_greedy.instances import Instance, canonical_t3, gen_modular, save_instance
+from matroid_greedy.matroids import UniformSpec
 
 from conftest import GOLDEN_DIR
 
@@ -83,6 +84,24 @@ class TestRatios:
         assert payload["gamma_rg"] == 1.0 and payload["alpha_rg"] == 0.5
         assert payload["strong_c"] == 0.5
         assert payload["witnesses"]["gamma"] is not None
+
+    def test_n13_modular_within_scan_cap(self, capsys, tmp_path):
+        # n=13 was over the old scan cap of 12 and exited 5.
+        inst = Instance("mod13", 13, gen_modular(13, range(1, 14)), UniformSpec(3), 2)
+        path = tmp_path / "mod13.json"
+        save_instance(inst, path)
+        code, out, _ = run_cli(capsys, "ratios", "--instance", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["gamma"], payload["alpha"], payload["gamma_cumulative"]) == (1.0, 0.0, 1.0)
+
+    def test_nan_value_exits_2(self, capsys, tmp_path, t3_path):
+        obj = json.loads(open(t3_path).read())
+        obj["function"]["values"][1] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = run_cli(capsys, "ratios", "--instance", str(path))
+        assert code == 2 and out == "" and "finite" in err
 
     def test_non_monotone_exits_4(self, capsys, tmp_path, t3_path):
         obj = json.loads(open(t3_path).read())

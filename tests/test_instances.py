@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from matroid_greedy import (
@@ -170,6 +172,19 @@ class TestPersistence:
         obj = instance_to_json(canonical_t3())
         obj["function"]["values"] = obj["function"]["values"][:-1]
         with pytest.raises(SchemaError, match="values"):
+            instance_from_json(obj)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_value_is_schema_error(self, tmp_path, literal):
+        # Python's json accepts these literals; the loader must not.
+        obj = instance_to_json(canonical_t3())
+        obj["function"]["values"][1] = 1234.5
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(obj).replace("1234.5", literal), encoding="utf-8")
+        with pytest.raises(SchemaError, match="finite"):
+            load_instance(path)
+        obj["function"]["values"][1] = float(literal.replace("Infinity", "inf"))
+        with pytest.raises(SchemaError, match="finite"):
             instance_from_json(obj)
 
     def test_infeasible_cardinality(self):

@@ -1,3 +1,4 @@
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -18,6 +19,7 @@ from matroid_greedy import (
     submodularity_ratio,
 )
 from matroid_greedy.instances import gen_modular
+from matroid_greedy.setfunc import cumulative_ratio_detail
 
 from conftest import constant_function
 from oracles import (
@@ -26,6 +28,8 @@ from oracles import (
     naive_alpha,
     naive_gamma,
     naive_gamma_cumulative,
+    reference_cumulative_scan,
+    reference_ratio_scan,
 )
 
 TOL = 1e-9
@@ -50,6 +54,38 @@ def increasing_tables(draw, min_n=2, max_n=5):
     return SetFunction(n, values)
 
 
+@st.composite
+def tie_heavy_tables(draw, max_n=6):
+    """Increasing tables full of equal marginals: small-integer steps, modular, constant.
+
+    Zeros may carry either sign, so the tie-break must also pick the same
+    signed zero as the direct scan.
+    """
+    n = draw(st.integers(1, max_n))
+    size = 1 << n
+    kind = draw(st.sampled_from(["steps", "modular", "constant"]))
+    if kind == "steps":
+        steps = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+        values = [0] * size
+        for mask in range(1, size):
+            values[mask] = max(values[mask ^ 1 << j] for j in range(n) if mask >> j & 1)
+            values[mask] += steps[mask]
+    elif kind == "modular":
+        weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        values = [sum(w for j, w in enumerate(weights) if mask >> j & 1) for mask in range(size)]
+    else:
+        values = [draw(st.integers(-2, 2))] * size
+    negative_zero = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return SetFunction(
+        n, [-0.0 if v == 0 and neg else float(v) for v, neg in zip(values, negative_zero)]
+    )
+
+
+def same_float(a, b):
+    """Equal, including the sign of zero."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 class TestSetFunctionBasics:
     def test_table_validation(self):
         with pytest.raises(ValueError):
@@ -58,6 +94,19 @@ class TestSetFunctionBasics:
             SetFunction(0, [0.0])
         with pytest.raises(ValueError):
             SetFunction(21, [0.0] * (1 << 21))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+    def test_rejects_non_finite_values(self, bad):
+        # [0, NaN, 1, 2] used to pass every scan as a "perfect" function.
+        with pytest.raises(ValueError, match="finite"):
+            SetFunction(2, [0, bad, 1, 2])
+
+    def test_finite_values_with_overflowing_sum_accepted(self):
+        f = SetFunction(2, [0.0, 1e308, 1e308, 1.5e308])
+        assert f.values[3] == 1.5e308
+
+    def test_monotonicity_report_computed_once(self, t3_function):
+        assert check_monotone(t3_function) is check_monotone(t3_function)
 
     def test_evaluation_and_purity(self, t3_function):
         first = t3_function(5)
@@ -146,9 +195,15 @@ class TestRatios:
                 op(f)
 
     def test_scan_size_cap(self):
-        big = SetFunction(13, [0.0] + [1.0] * ((1 << 13) - 1))
+        big = SetFunction(17, [0.0] + [1.0] * ((1 << 17) - 1))
         with pytest.raises(GroundSetTooLargeError):
             submodularity_ratio(big)
+
+    def test_overflowing_value_range_rejected(self):
+        f = SetFunction(1, [-1e308, 1e308])
+        for op in (submodularity_ratio, cumulative_submodularity_ratio):
+            with pytest.raises(ValueError, match="overflows"):
+                op(f)
 
     def test_witnesses_attain_minima(self, t3_function):
         scan = ratio_scan(t3_function)
@@ -169,6 +224,19 @@ class TestRatios:
         assert submodularity_ratio(f) == naive_gamma(vals, f.n)
         assert curvature(f) == naive_alpha(vals, f.n)
         assert cumulative_submodularity_ratio(f) == naive_gamma_cumulative(vals, f.n)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tie_heavy_tables())
+    def test_values_and_witnesses_match_direct_scans(self, f):
+        vals = list(f.values)
+        scan = ratio_scan(f)
+        gamma, alpha, g_wit, a_wit = reference_ratio_scan(vals, f.n)
+        assert same_float(scan.gamma, gamma) and same_float(scan.alpha, alpha)
+        assert (scan.gamma_witness, scan.alpha_witness) == (g_wit, a_wit)
+        value, wit = cumulative_ratio_detail(f)
+        ref_value, ref_wit = reference_cumulative_scan(vals, f.n)
+        assert same_float(value, ref_value) and wit == ref_wit
+        assert wit is None or wit[0] & wit[1] == 0
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(increasing_tables())
