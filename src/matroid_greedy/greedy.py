@@ -1,11 +1,13 @@
 """Forward and reverse greedy over matroid bases, with full trace recording.
 
-The forward pass grows a base by repeatedly taking the cheapest still-feasible
-element; the reverse pass shrinks from the full ground set by removing the
-most expensive element whose removal keeps a full-cardinality base reachable.
-The reverse pass is also available as a forward pass on the reflected
-function over the dual of the truncated matroid; both produce identical
-traces under the shared smallest-id tie-breaking.
+One selection kernel runs all three passes. It toggles elements of a working
+set, best gain first, and never reconsiders a rejected element. The forward
+pass starts empty and inserts the cheapest still-feasible element; the
+reverse pass starts from the full ground set and removes the most expensive
+element whose removal keeps a full-cardinality base reachable. The reverse
+pass is also available as a forward pass on the reflected function over the
+dual of the truncated matroid, as in the paper's reduction; both produce
+identical traces under the shared smallest-id tie-breaking.
 
 Each run records every accepted step, every rejected candidate, and the
 intermediate sets, which is what the ordering-witness construction and the
@@ -15,6 +17,7 @@ ex-post ratio scans consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import GroundSetTooLargeError, InfeasibleError, WitnessFailureError
 from .matroids import MAX_BASE_ENUM_N, Matroid
@@ -82,7 +85,9 @@ class OptimumRecord:
     bases_examined: int
 
 
-def _check_feasible(matroid: Matroid, cardinality: int) -> None:
+def _check_inputs(f: SetFunction, matroid: Matroid, cardinality: int) -> None:
+    if f.n != matroid.n:
+        raise ValueError(f"function is on n={f.n} but matroid on n={matroid.n}")
     if cardinality < 0:
         raise InfeasibleError(f"target cardinality must be >= 0, got {cardinality}")
     if matroid.rank_full < cardinality:
@@ -91,91 +96,81 @@ def _check_feasible(matroid: Matroid, cardinality: int) -> None:
         )
 
 
-def forward_greedy(f: SetFunction, matroid: Matroid, cardinality: int) -> GreedyTrace:
-    """Grow a base of the given cardinality by repeated cheapest-feasible insertion.
+def _greedy_kernel(
+    n: int,
+    start: int,
+    moves: int,
+    gain: Callable[[int, int], float],
+    feasible: Callable[[int], bool],
+    largest: bool,
+) -> tuple[tuple[GreedyStep, ...], tuple[Rejection, ...], int]:
+    """Toggle ``moves`` elements of the working set, best gain first.
 
-    Each while-iteration takes the argmin marginal over all never-considered
-    elements (ties to the smallest id); an infeasible pick is recorded as a
-    rejection and the step counter does not advance. Guarantees assume an
-    increasing f, but the algorithm runs on any table.
+    Each while-iteration takes the smallest (with ``largest``, the largest)
+    ``gain(current, j)`` over all never-considered elements, ties to the
+    smallest id, and toggles it if ``feasible(current ^ bit)``: an insertion
+    when the pass starts empty, a removal when it starts full. An infeasible
+    pick is recorded as a rejection and never reconsidered.
     """
-    n = matroid.n
-    if f.n != n:
-        raise ValueError(f"function is on n={f.n} but matroid on n={n}")
-    _check_feasible(matroid, cardinality)
-    chosen_set = 0
+    current = start
     considered = 0
     t = 1
     steps: list[GreedyStep] = []
     rejected: list[Rejection] = []
-    f_initial = f(0)
-    while chosen_set.bit_count() < cardinality:
+    while t <= moves:
         best = -1
         best_val = 0.0
         for j in range(n):
             if considered >> j & 1:
                 continue
-            val = f.marginal(chosen_set, j)
-            if best < 0 or val < best_val:
+            val = gain(current, j)
+            if best < 0 or (val > best_val if largest else val < best_val):
                 best, best_val = j, val
         if best < 0:
             raise InfeasibleError("ran out of candidates before reaching the cardinality")
         bit = 1 << best
-        if not matroid.is_independent(chosen_set | bit):
-            considered |= bit
-            rejected.append(Rejection(t, best))
-        else:
-            chosen_set |= bit
-            considered |= bit
-            steps.append(GreedyStep(t, best, best_val, chosen_set))
+        considered |= bit
+        if feasible(current ^ bit):
+            current ^= bit
+            steps.append(GreedyStep(t, best, best_val, current))
             t += 1
-    return GreedyTrace(
-        FORWARD, n, tuple(steps), tuple(rejected), chosen_set, f_initial, f(chosen_set)
+        else:
+            rejected.append(Rejection(t, best))
+    return tuple(steps), tuple(rejected), current
+
+
+def forward_greedy(f: SetFunction, matroid: Matroid, cardinality: int) -> GreedyTrace:
+    """Grow a base of the given cardinality by repeated cheapest-feasible insertion.
+
+    The kernel starts empty, takes argmin marginals and keeps the set
+    independent. Guarantees assume an increasing f, but any table runs.
+    """
+    _check_inputs(f, matroid, cardinality)
+    f_initial = f(0)
+    steps, rejected, final = _greedy_kernel(
+        matroid.n, 0, cardinality, f.marginal, matroid.is_independent, largest=False
     )
+    return GreedyTrace(FORWARD, matroid.n, steps, rejected, final, f_initial, f(final))
 
 
 def reverse_greedy(f: SetFunction, matroid: Matroid, cardinality: int) -> GreedyTrace:
     """Shrink from the full set by repeated costliest-removable deletion.
 
-    Each while-iteration takes the argmax removal marginal over all
-    never-considered elements (ties to the smallest id); removal is feasible
-    iff the remaining set still has rank >= the target cardinality, and a
-    rejected element is never reconsidered.
+    The kernel starts full and takes argmax removal marginals; a removal is
+    feasible iff the remaining set keeps rank >= the target cardinality.
     """
+    _check_inputs(f, matroid, cardinality)
     n = matroid.n
-    if f.n != n:
-        raise ValueError(f"function is on n={f.n} but matroid on n={n}")
-    _check_feasible(matroid, cardinality)
     full = full_mask(n)
-    current = full
-    considered = 0
-    t = 1
-    steps: list[GreedyStep] = []
-    rejected: list[Rejection] = []
     f_initial = f(full)
-    while current.bit_count() > cardinality:
-        best = -1
-        best_val = 0.0
-        for j in range(n):
-            if considered >> j & 1:
-                continue
-            val = f.shifted_marginal(current, j)
-            if best < 0 or val > best_val:
-                best, best_val = j, val
-        if best < 0:
-            raise InfeasibleError("ran out of removal candidates above the cardinality")
-        bit = 1 << best
-        if matroid.rank(current & ~bit) < cardinality:
-            considered |= bit
-            rejected.append(Rejection(t, best))
-        else:
-            current &= ~bit
-            considered |= bit
-            steps.append(GreedyStep(t, best, best_val, current))
-            t += 1
-    return GreedyTrace(
-        REVERSE, n, tuple(steps), tuple(rejected), current, f_initial, f(current)
+
+    def keeps_rank(subset: int) -> bool:
+        return matroid.rank(subset) >= cardinality
+
+    steps, rejected, final = _greedy_kernel(
+        n, full, n - cardinality, f.shifted_marginal, keeps_rank, largest=True
     )
+    return GreedyTrace(REVERSE, n, steps, rejected, final, f_initial, f(final))
 
 
 def reverse_greedy_as_forward(f: SetFunction, matroid: Matroid, cardinality: int) -> GreedyTrace:
@@ -186,49 +181,18 @@ def reverse_greedy_as_forward(f: SetFunction, matroid: Matroid, cardinality: int
     The recorded sets are the primal complements, so the trace matches
     :func:`reverse_greedy` step for step, including rejections and marginals.
     """
+    _check_inputs(f, matroid, cardinality)
     n = matroid.n
-    if f.n != n:
-        raise ValueError(f"function is on n={f.n} but matroid on n={n}")
-    _check_feasible(matroid, cardinality)
     reflected = SetFunction(n, complement_values(f))
     dual = matroid.truncate(cardinality).dual()
-    target = n - cardinality
     full = full_mask(n)
-    removed = 0
-    considered = 0
-    t = 1
-    steps: list[GreedyStep] = []
-    rejected: list[Rejection] = []
-    while removed.bit_count() < target:
-        best = -1
-        best_val = 0.0
-        for j in range(n):
-            if considered >> j & 1:
-                continue
-            val = reflected.marginal(removed, j)
-            if best < 0 or val > best_val:
-                best, best_val = j, val
-        if best < 0:
-            raise InfeasibleError("ran out of candidates in the dual pass")
-        bit = 1 << best
-        if not dual.is_independent(removed | bit):
-            considered |= bit
-            rejected.append(Rejection(t, best))
-        else:
-            removed |= bit
-            considered |= bit
-            steps.append(GreedyStep(t, best, best_val, full ^ removed))
-            t += 1
-    final = full ^ removed
+    steps, rejected, removed = _greedy_kernel(
+        n, 0, n - cardinality, reflected.marginal, dual.is_independent, largest=True
+    )
+    steps = tuple(GreedyStep(s.t, s.chosen, s.marginal, full ^ s.set_after) for s in steps)
     # -reflected(0) = f(V) and -reflected(removed) = f(final), bit for bit.
     return GreedyTrace(
-        REVERSE_AS_FORWARD,
-        n,
-        tuple(steps),
-        tuple(rejected),
-        final,
-        -reflected(0),
-        -reflected(removed),
+        REVERSE_AS_FORWARD, n, steps, rejected, full ^ removed, -reflected(0), -reflected(removed)
     )
 
 

@@ -34,7 +34,9 @@ from .setfunc import (
     SetFunction,
     _check_scan_size,
     _clamp_ratio,
+    _marginals,
     _require_increasing,
+    _subset_at,
     complement_values,
     cumulative_ratio_detail,
     ratio_scan,
@@ -166,27 +168,19 @@ def strong_curvature_detail(
     """
     _require_increasing(f)
     _check_scan_size(f)
-    n = f.n
     vals = f.values
     worst: float | None = None
     witness: tuple[int, int, int] | None = None
-    for j in range(n):
-        bit = 1 << j
-        lo = INF
-        hi = 0.0
-        lo_at = hi_at = 0
-        for subset in range(1 << n):
-            if subset & bit:
-                continue
-            d = vals[subset | bit] - vals[subset]
-            if d < lo:
-                lo, lo_at = d, subset
-            if d > hi:
-                hi, hi_at = d, subset
+    for j in range(f.n):
+        # min/max and list.index all keep the first extreme in ascending S.
+        d = _marginals(vals, j)
+        hi = max(d)
         if hi > 0.0:
+            lo = min(d)
             ratio = lo / hi
             if worst is None or ratio < worst:
-                worst, witness = ratio, (j, hi_at, lo_at)
+                worst = ratio
+                witness = (j, _subset_at(d.index(hi), j), _subset_at(d.index(lo), j))
     c = 0.0 if worst is None else 1.0 - _clamp_ratio(worst, "strong-curvature")
     fwd = INF if c == 1.0 else 1.0 / (1.0 - c)
     return c, fwd, 1.0 - c, witness

@@ -33,6 +33,13 @@ from .matroids import (
 )
 from .setfunc import MAX_TABLE_N, SetFunction
 
+#: Bounded-marginal generator, and so the random suites.
+MAX_BOUNDED_N = 12
+#: Adversarial max-plus generator.
+MAX_EXPLICIT_RANDOM_N = 10
+#: Dual/truncate wrappers per spec; each dual level multiplies the oracle cost.
+MAX_SPEC_DEPTH = 4
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -74,8 +81,10 @@ def gen_bounded_marginal(n: int, lo: float, hi: float, seed: int) -> SetFunction
     """
     if not 0 < lo <= hi:
         raise ValueError(f"need 0 < lo <= hi, got lo={lo}, hi={hi}")
-    if n > 12:
-        raise GroundSetTooLargeError(f"bounded-marginal generator capped at n=12, got {n}")
+    if n > MAX_BOUNDED_N:
+        raise GroundSetTooLargeError(
+            f"bounded-marginal generator capped at n={MAX_BOUNDED_N}, got {n}"
+        )
     rng = random.Random(seed)
     mid = (lo + hi) / 2.0
     half = (hi - lo) / 2.0
@@ -91,8 +100,10 @@ def gen_explicit_random(n: int, seed: int) -> SetFunction:
     f(empty) = 0 and f(S) = max over j in S of f(S - j), plus a fresh uniform
     increment from (0, 1] per subset, so every marginal is positive.
     """
-    if n > 10:
-        raise GroundSetTooLargeError(f"explicit-random generator capped at n=10, got {n}")
+    if n > MAX_EXPLICIT_RANDOM_N:
+        raise GroundSetTooLargeError(
+            f"explicit-random generator capped at n={MAX_EXPLICIT_RANDOM_N}, got {n}"
+        )
     rng = random.Random(seed)
     values = [0.0] * (1 << n)
     for mask in range(1, 1 << n):
@@ -141,7 +152,7 @@ def random_matroid_spec(n: int, rng: random.Random) -> MatroidSpec:
 def random_instance(n: int, rng: random.Random, instance_id: str) -> Instance:
     """One random feasible instance: seeded function, matroid, and cardinality."""
     fn_seed = rng.randrange(1 << 31)
-    if n <= 10 and rng.random() < 0.5:
+    if n <= MAX_EXPLICIT_RANDOM_N and rng.random() < 0.5:
         f = gen_explicit_random(n, fn_seed)
     else:
         f = gen_bounded_marginal(n, 1.0, rng.uniform(1.5, 3.0), fn_seed)
@@ -155,9 +166,9 @@ def random_suite(count: int, n_min: int, n_max: int, seed: int) -> list[Instance
     """Deterministic list of random instances shared by the verification suites."""
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    if n_max > 12:
+    if n_max > MAX_BOUNDED_N:
         raise GroundSetTooLargeError(
-            f"verification suite is capped at n=12, got n_max={n_max}"
+            f"verification suite is capped at n={MAX_BOUNDED_N}, got n_max={n_max}"
         )
     rng = random.Random(seed)
     return [
@@ -220,6 +231,11 @@ def _expect(obj: dict, field: str, kinds, where: str):
 
 
 def spec_from_json(obj, where: str = "matroid") -> MatroidSpec:
+    """Parse a matroid spec, nesting at most MAX_SPEC_DEPTH dual/truncate wrappers."""
+    return _spec_from_json(obj, where, 0)
+
+
+def _spec_from_json(obj, where: str, depth: int) -> MatroidSpec:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
     kind = _expect(obj, "kind", str, where)
@@ -248,13 +264,13 @@ def spec_from_json(obj, where: str = "matroid") -> MatroidSpec:
             return ExplicitSpec(frozenset(int(m) for m in masks))
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{where}: malformed mask list ({exc})") from exc
-    if kind == "dual":
-        return DualSpec(spec_from_json(_expect(obj, "of", dict, where), f"{where}.of"))
-    if kind == "truncate":
-        return TruncateSpec(
-            spec_from_json(_expect(obj, "of", dict, where), f"{where}.of"),
-            _expect(obj, "q", int, where),
-        )
+    if kind in ("dual", "truncate"):
+        if depth == MAX_SPEC_DEPTH:
+            raise SchemaError(f"{where}: more than {MAX_SPEC_DEPTH} nested dual/truncate wrappers")
+        inner = _spec_from_json(_expect(obj, "of", dict, where), f"{where}.of", depth + 1)
+        if kind == "dual":
+            return DualSpec(inner)
+        return TruncateSpec(inner, _expect(obj, "q", int, where))
     raise SchemaError(f"{where}: unknown matroid kind '{kind}'")
 
 
@@ -325,4 +341,6 @@ def load_instance(path) -> Instance:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: JSON nests too deeply to parse") from exc
     return instance_from_json(obj)

@@ -157,64 +157,50 @@ class AxiomReport:
         return self.nonempty_ok and self.hereditary_ok and self.exchange_ok
 
 
-def check_axioms(matroid: Matroid) -> AxiomReport:
-    """Exhaustively test nonemptiness, heredity, and exchange on all subsets."""
-    if matroid.n > MAX_AXIOM_N:
-        raise GroundSetTooLargeError(
-            f"axiom check is capped at n={MAX_AXIOM_N}, got n={matroid.n}"
-        )
-    size = 1 << matroid.n
-    indep = [matroid.is_independent(s) for s in range(size)]
-    nonempty = indep[0]
+def _axiom_scan(
+    family: frozenset[int],
+) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
+    """First hereditary and first exchange violation of a family of masks.
 
-    hereditary = True
+    Returns (superset, missing subset) for heredity, with supersets ascending
+    and their submasks descending, and (smaller, larger) for exchange, with
+    both sets ascending; None where the axiom holds.
+    """
+    members = sorted(family)
     h_wit: tuple[int, int] | None = None
-    for big in range(1, size):
-        if not indep[big]:
-            continue
-        sub = (big - 1) & big
-        while True:
-            if not indep[sub]:
-                hereditary = False
+    for big in members:
+        sub = big
+        while sub:
+            sub = (sub - 1) & big
+            if sub not in family:
                 h_wit = (big, sub)
                 break
-            if sub == 0:
-                break
-            sub = (sub - 1) & big
-        if not hereditary:
+        if h_wit is not None:
             break
 
-    exchange = True
-    e_wit: tuple[int, int] | None = None
-    counts = [s.bit_count() for s in range(size)]
-    members = [s for s in range(size) if indep[s]]
-    for s1 in members:
-        c1 = counts[s1]
-        for s2 in members:
-            if counts[s2] <= c1:
+    counts = [m.bit_count() for m in members]
+    for s1, c1 in zip(members, counts):
+        for s2, c2 in zip(members, counts):
+            if c2 <= c1:
                 continue
             rest = s2 & ~s1
-            found = False
             while rest:
                 low = rest & -rest
                 rest ^= low
-                if indep[s1 | low]:
-                    found = True
+                if s1 | low in family:
                     break
-            if not found:
-                exchange = False
-                e_wit = (s1, s2)
-                break
-        if not exchange:
-            break
+            else:
+                return h_wit, (s1, s2)
+    return h_wit, None
 
-    if not hereditary:
-        witness = h_wit
-    elif not exchange:
-        witness = e_wit
-    else:
-        witness = None
-    return AxiomReport(nonempty, hereditary, exchange, witness)
+
+def check_axioms(matroid: Matroid) -> AxiomReport:
+    """Exhaustively test nonemptiness, heredity, and exchange on all subsets."""
+    if matroid.n > MAX_AXIOM_N:
+        raise GroundSetTooLargeError(f"axiom check is capped at n={MAX_AXIOM_N}, got n={matroid.n}")
+    family = frozenset(s for s in range(1 << matroid.n) if matroid.is_independent(s))
+    h_wit, e_wit = _axiom_scan(family)
+    return AxiomReport(0 in family, h_wit is None, e_wit is None, h_wit or e_wit)
 
 
 def _validate_partition(spec: PartitionSpec, n: int) -> list[tuple[int, int]]:
@@ -292,38 +278,17 @@ def _validate_explicit(spec: ExplicitSpec, n: int) -> None:
             raise InvalidSpecError(f"independent-set mask {m} out of range for n={n}")
     if 0 not in fam:
         raise InvalidSpecError("explicit family must contain the empty set")
-    for big in sorted(fam):
-        if big == 0:
-            continue
-        sub = (big - 1) & big
-        while True:
-            if sub not in fam:
-                raise InvalidSpecError(
-                    f"hereditary violation: subset {elements(sub)} of "
-                    f"{elements(big)} is missing"
-                )
-            if sub == 0:
-                break
-            sub = (sub - 1) & big
-    members = sorted(fam)
-    for s1 in members:
-        c1 = s1.bit_count()
-        for s2 in members:
-            if s2.bit_count() <= c1:
-                continue
-            rest = s2 & ~s1
-            found = False
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if s1 | low in fam:
-                    found = True
-                    break
-            if not found:
-                raise InvalidSpecError(
-                    f"exchange violation: no element of {elements(s2)} "
-                    f"extends {elements(s1)}"
-                )
+    h_wit, e_wit = _axiom_scan(fam)
+    if h_wit is not None:
+        big, sub = h_wit
+        raise InvalidSpecError(
+            f"hereditary violation: subset {elements(sub)} of {elements(big)} is missing"
+        )
+    if e_wit is not None:
+        small, large = e_wit
+        raise InvalidSpecError(
+            f"exchange violation: no element of {elements(large)} extends {elements(small)}"
+        )
 
 
 def build_matroid(spec: MatroidSpec, n: int) -> Matroid:

@@ -219,6 +219,12 @@ def _marginals(vals: tuple[float, ...], j: int) -> list[float]:
     )
 
 
+def _subset_at(index: int, j: int) -> int:
+    """Mask at ``index`` in :func:`_marginals` order: bit j, always clear, re-inserted."""
+    below = index & ((1 << j) - 1)
+    return (index ^ below) << 1 | below
+
+
 def _subset_fold(table: list[float], pick) -> list[float]:
     """In place, replace each entry R by pick over the entries of all submasks of R.
 
@@ -244,10 +250,7 @@ def _first_min(
     low = min(ratios)
     if low == _INF:
         return first
-    index = ratios.index(low)
-    below = index & ((1 << j) - 1)
-    # Re-insert bit j, always clear in R, into the compressed index.
-    return min(first, (low, (index ^ below) << 1 | below))
+    return min(first, (low, _subset_at(ratios.index(low), j)))
 
 
 def _pairs_min(

@@ -56,3 +56,14 @@ def random_modular_instances(count, seed, n_min=3, n_max=7):
 
 def constant_function(n, level=1.0):
     return SetFunction(n, [level] * (1 << n))
+
+
+def trace_payload(trace):
+    """Trace content without the algorithm label, in the shape of the reference."""
+    return (
+        [(s.t, s.chosen, s.marginal, s.set_after) for s in trace.steps],
+        [(r.before_step, r.element) for r in trace.rejected],
+        trace.final_set,
+        trace.f_initial,
+        trace.f_final,
+    )

@@ -178,3 +178,37 @@ def reference_cumulative_scan(values, n):
             if best is None or r < best:
                 best, wit = r, (small, other)
     return (1.0 if best is None else best), wit
+
+
+def reference_reverse_greedy(values, matroid, cardinality):
+    """Reverse greedy by the direct shrink-from-V loop, reading only values and rank.
+
+    Repeatedly takes the largest removal marginal f(S) - f(S - j) over the
+    never-considered elements, ties to the smallest id, and removes it iff
+    rank(S - j) >= cardinality; a rejected element is never reconsidered.
+    Returns (steps, rejected, final set, f(V), f(final set)) with steps as
+    (t, element, marginal, set after) and rejections as (step, element).
+    """
+    n = len(values).bit_length() - 1
+    current = (1 << n) - 1
+    considered = 0
+    t = 1
+    steps = []
+    rejected = []
+    while current.bit_count() > cardinality:
+        best = best_val = None
+        for j in range(n):
+            if considered >> j & 1:
+                continue
+            val = values[current] - values[current & ~(1 << j)]
+            if best is None or val > best_val:
+                best, best_val = j, val
+        bit = 1 << best
+        considered |= bit
+        if matroid.rank(current & ~bit) < cardinality:
+            rejected.append((t, best))
+        else:
+            current &= ~bit
+            steps.append((t, best, best_val, current))
+            t += 1
+    return steps, rejected, current, values[-1], values[current]

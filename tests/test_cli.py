@@ -66,6 +66,33 @@ class TestRun:
         assert code == 3 and err != ""
 
 
+def nested_t3(tmp_path, kind, depth):
+    """The T3 instance file with its uniform spec wrapped ``depth`` times."""
+    wrap = {"dual": '{"kind": "dual", "of": ', "truncate": '{"kind": "truncate", "q": 2, "of": '}
+    spec = wrap[kind] * depth + '{"kind": "uniform", "rank": 2}' + "}" * depth
+    path = tmp_path / f"{kind}{depth}.json"
+    path.write_text(
+        '{"id": "T3", "n": 3, "function": {"kind": "explicit", '
+        '"values": [0, 2, 1, 3, 1, 3, 3, 4]}, "matroid": %s, "N": 2, "seed": null}' % spec,
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+class TestSpecNesting:
+    @pytest.mark.parametrize("kind,depth", [("dual", 5), ("truncate", 5000)])
+    def test_past_cap_exits_2(self, capsys, tmp_path, kind, depth):
+        code, out, err = run_cli(capsys, "run", "--instance", nested_t3(tmp_path, kind, depth))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_at_cap_matches_bare_spec(self, capsys, tmp_path, t3_path):
+        argv = ("ratios", "--greedy-variants", "--instance")
+        code, out, _ = run_cli(capsys, *argv, nested_t3(tmp_path, "dual", 4))
+        assert code == 0
+        assert json.loads(out) == json.loads(run_cli(capsys, *argv, t3_path)[1])
+
+
 class TestRatios:
     def test_base_fields(self, capsys, t3_path):
         code, out, _ = run_cli(capsys, "ratios", "--instance", t3_path)

@@ -16,15 +16,11 @@ from matroid_greedy import (
 )
 from matroid_greedy.instances import gen_modular, random_suite
 
-from conftest import random_modular_instances
+from conftest import random_modular_instances, trace_payload
+from oracles import reference_reverse_greedy
 
 PART_SPLIT = PartitionSpec([[0], [1, 2]], [1, 1])
 PART_PAIRS = PartitionSpec([[0, 1], [2, 3]], [1, 1])
-
-
-def trace_payload(trace):
-    """Trace content without the algorithm label, for equivalence checks."""
-    return (trace.steps, trace.rejected, trace.final_set, trace.f_initial, trace.f_final)
 
 
 class TestForwardGreedy:
@@ -89,10 +85,12 @@ class TestReverseGreedy:
 
 class TestReverseAsForward:
     def test_t3_matches_reverse(self, t3_function, t3_matroid):
+        expected = reference_reverse_greedy(t3_function.values, t3_matroid, 2)
         direct = reverse_greedy(t3_function, t3_matroid, 2)
         reformulated = reverse_greedy_as_forward(t3_function, t3_matroid, 2)
         assert reformulated.algorithm == "reverse_as_forward"
-        assert trace_payload(reformulated) == trace_payload(direct)
+        assert trace_payload(direct) == expected
+        assert trace_payload(reformulated) == expected
 
     def test_modular(self, modular123):
         trace = reverse_greedy_as_forward(modular123, build_matroid(UniformSpec(2), 3), 2)
@@ -101,9 +99,11 @@ class TestReverseAsForward:
     def test_equivalence_on_random_instances(self):
         for inst in random_suite(40, 4, 8, seed=1234):
             matroid = inst.matroid()
+            expected = reference_reverse_greedy(inst.function.values, matroid, inst.cardinality)
             direct = reverse_greedy(inst.function, matroid, inst.cardinality)
             reformulated = reverse_greedy_as_forward(inst.function, matroid, inst.cardinality)
-            assert trace_payload(reformulated) == trace_payload(direct), inst.id
+            assert trace_payload(direct) == expected, inst.id
+            assert trace_payload(reformulated) == expected, inst.id
 
 
 class TestTraceInvariants:

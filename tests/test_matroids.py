@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroid_greedy import (
     DualSpec,
@@ -14,10 +15,11 @@ from matroid_greedy import (
     UniformSpec,
     build_matroid,
     check_axioms,
+    elements,
     full_mask,
     mask_of,
 )
-from matroid_greedy.instances import random_matroid_spec
+from matroid_greedy.instances import MAX_SPEC_DEPTH, random_matroid_spec
 
 from oracles import naive_bases, naive_rank
 
@@ -227,3 +229,44 @@ class TestRandomSpecs:
         for m in sample_matroids():
             bases = m.enumerate_bases()
             assert bases and all(b.bit_count() == m.rank_full for b in bases)
+
+
+@st.composite
+def wrapped_specs(draw, max_n=7):
+    """(n, spec): a random base kind under up to MAX_SPEC_DEPTH dual/truncate wrappers."""
+    n = draw(st.integers(1, max_n))
+    spec = random_matroid_spec(n, random.Random(draw(st.integers(0, 2**32))))
+    for q in draw(st.lists(st.none() | st.integers(0, n), max_size=MAX_SPEC_DEPTH)):
+        spec = DualSpec(spec) if q is None else TruncateSpec(spec, q)
+    return n, spec
+
+
+class TestProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(wrapped_specs(), st.data())
+    def test_oracles_axioms_and_explicit_copy(self, n_spec, data):
+        n, spec = n_spec
+        m = build_matroid(spec, n)
+        indep = [m.is_independent(s) for s in range(1 << n)]
+        for subset in range(1 << n):
+            assert m.rank(subset) == naive_rank(indep.__getitem__, subset, n)
+        bases = m.enumerate_bases()
+        assert bases == naive_bases(indep.__getitem__, n)
+        assert check_axioms(m).all_ok
+
+        family = frozenset(s for s in range(1 << n) if indep[s])
+        assert build_matroid(ExplicitSpec(family), n).enumerate_bases() == bases
+
+        # Dropping a member under some other member breaks heredity; the
+        # build error names the witness the axiom check finds.
+        droppable = sorted(
+            s for s in family if s and any(t != s and t & s == s for t in family)
+        )
+        if droppable:
+            broken = family - {data.draw(st.sampled_from(droppable))}
+            report = check_axioms(Matroid(n, ExplicitSpec(broken), broken.__contains__))
+            assert not report.hereditary_ok
+            big, sub = report.witness
+            with pytest.raises(InvalidSpecError) as info:
+                build_matroid(ExplicitSpec(broken), n)
+            assert f"subset {elements(sub)} of {elements(big)} is missing" in str(info.value)
