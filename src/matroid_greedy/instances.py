@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
@@ -51,9 +51,13 @@ class Instance:
     matroid_spec: MatroidSpec
     cardinality: int
     seed: int | None = None
+    _matroid: Matroid | None = field(default=None, init=False, repr=False, compare=False)
 
     def matroid(self) -> Matroid:
-        return build_matroid(self.matroid_spec, self.n)
+        """The matroid of ``matroid_spec``, built and validated on the first call only."""
+        if self._matroid is None:
+            object.__setattr__(self, "_matroid", build_matroid(self.matroid_spec, self.n))
+        return self._matroid
 
 
 def gen_modular(n: int, weights) -> SetFunction:
@@ -300,9 +304,12 @@ def instance_from_json(obj) -> Instance:
         raise SchemaError(
             f"instance.function: need {1 << n} values for n={n}, got {len(values)}"
         )
-    for i, v in enumerate(values):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SchemaError(f"instance.function: values[{i}] is not a number")
+    # Plain JSON numbers pass at once; only another type (a bool, a string,
+    # a subclass) needs the per-value pass that names the offending index.
+    if not set(map(type, values)) <= {int, float}:
+        for i, v in enumerate(values):
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise SchemaError(f"instance.function: values[{i}] is not a number")
     try:
         function = SetFunction(n, values)
     except ValueError as exc:
@@ -314,15 +321,16 @@ def instance_from_json(obj) -> Instance:
     seed = obj.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise SchemaError("instance: seed must be an int or null")
+    inst = Instance(inst_id, n, function, spec, cardinality, seed)
     try:
-        matroid = build_matroid(spec, n)
+        matroid = inst.matroid()
     except InvalidSpecError as exc:
         raise SchemaError(f"instance.matroid: {exc}") from exc
     if matroid.truncate(cardinality).rank_full < cardinality:
         raise InfeasibleInstanceError(
             f"instance '{inst_id}': matroid rank {matroid.rank_full} is below N={cardinality}"
         )
-    return Instance(inst_id, n, function, spec, cardinality, seed)
+    return inst
 
 
 def save_instance(inst: Instance, path) -> None:

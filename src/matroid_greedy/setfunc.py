@@ -16,7 +16,7 @@ import math
 import threading
 from dataclasses import dataclass
 from itertools import compress, cycle
-from operator import sub
+from operator import neg, sub
 
 from .errors import GroundSetTooLargeError, NonMonotoneError, NotStrictlyIncreasingError
 from .subsets import elements, submasks
@@ -47,7 +47,7 @@ class SetFunction:
         if not 1 <= n <= MAX_TABLE_N:
             raise ValueError(f"ground set size must be in 1..{MAX_TABLE_N}, got {n}")
         try:
-            vals = tuple(float(v) for v in values)
+            vals = tuple(map(float, values))
         except OverflowError as exc:
             raise ValueError(f"set-function values must be finite ({exc})") from exc
         if len(vals) != 1 << n:
@@ -125,7 +125,12 @@ class MonotonicityReport:
 def check_monotone(f: SetFunction) -> MonotonicityReport:
     """Scan every (S, j not in S) pair for negative or zero marginals.
 
-    The table is immutable, so the report is computed once per function.
+    The scan takes one element j at a time: the builtin ``min`` over all of
+    j's marginals settles whether j has an offending pair, and only then is
+    the first offending S found and mapped back to its mask. The smallest
+    (S, j) tuple over all elements is the witness, which is the first
+    offending pair in mask-then-element order. The table is immutable, so
+    the report is computed once per function.
     """
     if f._monotone is None:
         f._monotone = _scan_monotone(f)
@@ -134,32 +139,22 @@ def check_monotone(f: SetFunction) -> MonotonicityReport:
 
 def _scan_monotone(f: SetFunction) -> MonotonicityReport:
     vals = f.values
-    n = f.n
-    first_negative: tuple[int, int] | None = None
-    first_flat: tuple[int, int] | None = None
-    for subset in range(len(vals)):
-        base = vals[subset]
-        for j in range(n):
-            if subset >> j & 1:
-                continue
-            d = vals[subset | 1 << j] - base
-            if d <= 0.0:
-                if first_flat is None:
-                    first_flat = (subset, j)
-                if d < 0.0:
-                    first_negative = (subset, j)
-                    break
-        if first_negative is not None:
-            break
-    increasing = first_negative is None
-    strictly = first_flat is None
-    if not increasing:
-        witness = first_negative
-    elif not strictly:
-        witness = first_flat
-    else:
-        witness = None
-    return MonotonicityReport(increasing, strictly, witness)
+    flat: list[tuple[int, int]] = []
+    negative: list[tuple[int, int]] = []
+    for j in range(f.n):
+        d = _marginals(vals, j)
+        low = min(d)
+        if low <= 0.0:
+            first = next(i for i, x in enumerate(d) if x <= 0.0)
+            flat.append((_subset_at(first, j), j))
+            if low < 0.0:
+                first = next(i for i, x in enumerate(d) if x < 0.0)
+                negative.append((_subset_at(first, j), j))
+    if negative:
+        return MonotonicityReport(False, False, min(negative))
+    if flat:
+        return MonotonicityReport(True, False, min(flat))
+    return MonotonicityReport(True, True, None)
 
 
 def _require_increasing(f: SetFunction) -> None:
@@ -225,18 +220,24 @@ def _subset_at(index: int, j: int) -> int:
     return (index ^ below) << 1 | below
 
 
-def _subset_fold(table: list[float], pick) -> list[float]:
-    """In place, replace each entry R by pick over the entries of all submasks of R.
+def _subset_fold(table: list[float], largest: bool) -> list[float]:
+    """In place, replace each entry R by the min (or max) over all submasks of R.
 
     ``table`` has 2^m entries. Each pass folds along the top index bit and
     then perfect-shuffles, which rotates that bit to the bottom; after m
-    passes every bit is folded and the layout is back in place.
+    passes every bit is folded and the layout is back in place. Each fold
+    keeps the tie rule of ``min(hi, lo)`` / ``max(hi, lo)``: the entry with
+    the bit set wins unless the one without it is strictly smaller (larger),
+    so equal zeros keep the sign the builtins would pick.
     """
     half = len(table) // 2
     for _ in range(half.bit_length()):
         low, high = table[:half], table[half:]
         table[0::2] = low
-        table[1::2] = map(pick, high, low)
+        if largest:
+            table[1::2] = [lo if lo > hi else hi for lo, hi in zip(low, high)]
+        else:
+            table[1::2] = [lo if lo < hi else hi for lo, hi in zip(low, high)]
     return table
 
 
@@ -304,8 +305,8 @@ def ratio_scan(f: SetFunction) -> RatioScan:
     g_first = a_first = (_INF, -1)
     for j in range(n):
         d = _marginals(vals, j)
-        low = _subset_fold(d[:], min)
-        high = _subset_fold(d[:], max)
+        low = _subset_fold(d[:], largest=False)
+        high = _subset_fold(d[:], largest=True)
         g_first = _first_min(g_first, [m / x if x > 0.0 else _INF for m, x in zip(low, d)], j)
         a_first = _first_min(a_first, [x / m if m > 0.0 else _INF for m, x in zip(high, d)], j)
     g_best, g_wit = _pairs_min(vals, n, g_first[1], curvature=False)
@@ -391,28 +392,20 @@ def marginal_bounds_estimate(f: SetFunction) -> tuple[MarginalBounds, float, flo
             "marginal bounds need a strictly increasing function "
             f"(witness: {report.witness})"
         )
-    vals = f.values
-    n = f.n
-    lo = float("inf")
-    hi = float("-inf")
-    for subset in range(len(vals)):
-        base = vals[subset]
-        for j in range(n):
-            if subset >> j & 1:
-                continue
-            d = vals[subset | 1 << j] - base
-            if d < lo:
-                lo = d
-            if d > hi:
-                hi = d
+    # Every marginal is positive, so the builtins meet no signed-zero ties.
+    lo, hi = _INF, -_INF
+    for j in range(f.n):
+        d = _marginals(f.values, j)
+        lo = min(lo, min(d))
+        hi = max(hi, max(d))
     ratio = lo / hi
     return MarginalBounds(lo, hi), ratio, 1.0 - ratio
 
 
 def complement_values(f: SetFunction) -> list[float]:
     """Table of S -> -f(V \\ S); no monotonicity requirement."""
-    top = len(f.values) - 1
-    return [-f.values[top ^ mask] for mask in range(len(f.values))]
+    # V \ S is top ^ S == top - S, so the reflected table is the reversed one.
+    return list(map(neg, reversed(f.values)))
 
 
 def complement_function(f: SetFunction) -> SetFunction:

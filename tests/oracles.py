@@ -212,3 +212,47 @@ def reference_reverse_greedy(values, matroid, cardinality):
             steps.append((t, best, best_val, current))
             t += 1
     return steps, rejected, current, values[-1], values[current]
+
+
+def reference_monotone(values, n):
+    """(increasing, strictly increasing, witness) by the direct (S, j) loop.
+
+    Visits S ascending, then j outside S ascending; the witness is the first
+    pair with a negative marginal, else the first with a zero marginal
+    (of either sign), else None.
+    """
+    first_flat = first_negative = None
+    for small in range(1 << n):
+        for j in range(n):
+            if small >> j & 1:
+                continue
+            d = values[small | 1 << j] - values[small]
+            if d <= 0.0 and first_flat is None:
+                first_flat = (small, j)
+            if d < 0.0 and first_negative is None:
+                first_negative = (small, j)
+    if first_negative is not None:
+        return False, False, first_negative
+    return True, first_flat is None, first_flat
+
+
+def reference_subset_fold(table, largest):
+    """Min (or max) of ``table`` over the submasks of each index, by direct enumeration.
+
+    Of two submasks with equal entries, the one holding their lowest
+    differing bit wins; only the sign of a zero tells such ties apart.
+    """
+    m = len(table).bit_length() - 1
+
+    def low_bits_first(mask):
+        return int(f"{mask:0{m}b}"[::-1], 2)
+
+    out = []
+    for big in range(len(table)):
+        subs = [small for small in range(big + 1) if not small & ~big]
+        if largest:
+            best = max(subs, key=lambda s: (table[s], low_bits_first(s)))
+        else:
+            best = min(subs, key=lambda s: (table[s], -low_bits_first(s)))
+        out.append(table[best])
+    return out

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from matroid_greedy import matroids
 from matroid_greedy.cli import main
 from matroid_greedy.instances import Instance, canonical_t3, gen_modular, save_instance
-from matroid_greedy.matroids import UniformSpec
+from matroid_greedy.matroids import ExplicitSpec, UniformSpec
 
 from conftest import GOLDEN_DIR
 
@@ -91,6 +92,29 @@ class TestSpecNesting:
         code, out, _ = run_cli(capsys, *argv, nested_t3(tmp_path, "dual", 4))
         assert code == 0
         assert json.loads(out) == json.loads(run_cli(capsys, *argv, t3_path)[1])
+
+
+class TestExplicitFamily:
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--algo", "both"], ["ratios", "--greedy-variants", "--strong"], ["verify"]],
+    )
+    def test_validated_once_per_command(self, capsys, tmp_path, monkeypatch, argv):
+        family = frozenset(m for m in range(16) if m.bit_count() <= 2)
+        path = tmp_path / "explicit.json"
+        f = gen_modular(4, [1, 2, 3, 4])
+        save_instance(Instance("E4", 4, f, ExplicitSpec(family), 2), path)
+        scanned = []
+        scan = matroids._axiom_scan
+
+        def counting_scan(fam):
+            scanned.append(fam)
+            return scan(fam)
+
+        monkeypatch.setattr(matroids, "_axiom_scan", counting_scan)
+        code, _, err = run_cli(capsys, argv[0], "--instance", str(path), *argv[1:])
+        assert code == 0 and err == ""
+        assert scanned == [family]
 
 
 class TestRatios:

@@ -168,6 +168,29 @@ class TestPersistence:
         inst = canonical_t3()
         assert instance_from_json(instance_to_json(inst)) == inst
 
+    def test_built_matroid_kept_out_of_identity(self):
+        inst = canonical_t3()
+        loaded = instance_from_json(instance_to_json(inst))
+        assert loaded.matroid() is loaded.matroid()
+        assert loaded == inst and hash(loaded) == hash(inst)
+        assert repr(loaded) == repr(inst)
+        assert instance_to_json(loaded) == instance_to_json(inst)
+
+    @pytest.mark.parametrize("bad", [True, "1", None, [1.0]])
+    def test_non_number_value_named_by_index(self, bad):
+        obj = instance_to_json(canonical_t3())
+        obj["function"]["values"][5] = bad
+        with pytest.raises(SchemaError, match=r"values\[5\] is not a number"):
+            instance_from_json(obj)
+
+    def test_number_subclass_value_accepted(self):
+        class Real(float):
+            pass
+
+        obj = instance_to_json(canonical_t3())
+        obj["function"]["values"][5] = Real(3.0)
+        assert instance_from_json(obj).function.values == canonical_t3().function.values
+
     def test_wrong_value_count(self):
         obj = instance_to_json(canonical_t3())
         obj["function"]["values"] = obj["function"]["values"][:-1]

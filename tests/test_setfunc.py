@@ -1,4 +1,5 @@
 import math
+import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -19,7 +20,7 @@ from matroid_greedy import (
     submodularity_ratio,
 )
 from matroid_greedy.instances import gen_modular
-from matroid_greedy.setfunc import cumulative_ratio_detail
+from matroid_greedy.setfunc import _subset_fold, cumulative_ratio_detail
 
 from conftest import constant_function
 from oracles import (
@@ -29,7 +30,9 @@ from oracles import (
     naive_gamma,
     naive_gamma_cumulative,
     reference_cumulative_scan,
+    reference_monotone,
     reference_ratio_scan,
+    reference_subset_fold,
 )
 
 TOL = 1e-9
@@ -75,7 +78,21 @@ def tie_heavy_tables(draw, max_n=6):
         values = [sum(w for j, w in enumerate(weights) if mask >> j & 1) for mask in range(size)]
     else:
         values = [draw(st.integers(-2, 2))] * size
-    negative_zero = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return with_signed_zeros(draw, n, values)
+
+
+@st.composite
+def small_int_tables(draw, max_n=6):
+    """Arbitrary tables of small integers, mostly non-monotone, zeros of either sign."""
+    n = draw(st.integers(1, max_n))
+    size = 1 << n
+    values = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    return with_signed_zeros(draw, n, values)
+
+
+def with_signed_zeros(draw, n, values):
+    """Float table of ``values`` whose zeros each draw a sign."""
+    negative_zero = draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
     return SetFunction(
         n, [-0.0 if v == 0 and neg else float(v) for v, neg in zip(values, negative_zero)]
     )
@@ -165,6 +182,24 @@ class TestMonotonicity:
         report = check_monotone(constant_function(3))
         assert report.increasing and not report.strictly_increasing
         assert report.witness == (0, 0)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.one_of(tie_heavy_tables(), small_int_tables()))
+    def test_matches_direct_scan(self, f):
+        report = check_monotone(f)
+        expected = reference_monotone(list(f.values), f.n)
+        assert (report.increasing, report.strictly_increasing, report.witness) == expected
+
+
+class TestSubsetFold:
+    @pytest.mark.parametrize("largest", [False, True])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_direct_submask_fold_with_zero_signs(self, largest, seed):
+        rng = random.Random(seed)
+        table = [rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -1.0]) for _ in range(1 << seed % 7)]
+        got = _subset_fold(table[:], largest)
+        expected = reference_subset_fold(table, largest)
+        assert len(got) == len(expected) and all(map(same_float, got, expected))
 
 
 class TestRatios:
