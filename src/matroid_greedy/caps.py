@@ -1,0 +1,30 @@
+"""Size caps of the exhaustive operations, one table by cost class.
+
+Past its cap an operation raises GroundSetTooLargeError (CLI exit 5) before
+doing any work.
+"""
+
+from __future__ import annotations
+
+from .errors import GroundSetTooLargeError
+
+#: Value tables (2^n floats), which SetFunction enforces, and so every scan in
+#: the n·2^n and n²·2^n classes: monotonicity, ratio_scan, strong curvature,
+#: both greedy-restricted ratio scans, base enumeration and brute force.
+MAX_TABLE_N = 20
+#: The cumulative submodularity ratio: 3^n disjoint (S, R) pairs.
+MAX_CUMULATIVE_N = 16
+#: The axiom check: all pairs of independent sets, up to 4^n.
+MAX_AXIOM_N = 10
+#: The bounded-marginal generator and the random suites: a verify per instance.
+MAX_BOUNDED_N = 12
+#: The adversarial max-plus generator: n·2^n.
+MAX_EXPLICIT_RANDOM_N = 10
+#: Dual/truncate wrappers per spec, a depth (SchemaError past it): each dual
+#: level multiplies the oracle cost by about n.
+MAX_SPEC_DEPTH = 4
+
+
+def check_size(n: int, cap: int, what: str) -> None:
+    if n > cap:
+        raise GroundSetTooLargeError(f"{what} is capped at n={cap}, got n={n}")

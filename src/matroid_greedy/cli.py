@@ -244,7 +244,9 @@ def cmd_gen(args) -> int:
     cardinality = args.cardinality if args.cardinality is not None else rank
     inst_id = args.id or f"{args.kind}-n{args.n}-s{args.seed}"
     inst = Instance(inst_id, args.n, f, UniformSpec(rank), cardinality, seed=args.seed)
-    if inst.matroid().truncate(cardinality).rank_full < cardinality:
+    if cardinality < 0:
+        raise InvalidSpecError(f"truncation bound must be >= 0, got {cardinality}")
+    if inst.matroid().rank_full < cardinality:
         raise ValueError(f"cardinality {cardinality} exceeds the matroid rank {rank}")
     if args.out:
         save_instance(inst, args.out)

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import GroundSetTooLargeError, InfeasibleError, WitnessFailureError
-from .matroids import MAX_BASE_ENUM_N, Matroid
+from .errors import InfeasibleError, WitnessFailureError
+from .matroids import Matroid
 from .setfunc import SetFunction, complement_values
 from .subsets import elements, full_mask
 
@@ -290,10 +290,6 @@ def brute_force_optimum(
     n = matroid.n
     if f.n != n:
         raise ValueError(f"function is on n={f.n} but matroid on n={n}")
-    if n > MAX_BASE_ENUM_N:
-        raise GroundSetTooLargeError(
-            f"brute force is capped at n={MAX_BASE_ENUM_N}, got n={n}"
-        )
     truncated = matroid.truncate(cardinality)
     if truncated.rank_full < cardinality:
         raise InfeasibleError(

@@ -32,7 +32,6 @@ from .greedy import (
 from .matroids import Matroid
 from .setfunc import (
     SetFunction,
-    _check_scan_size,
     _clamp_ratio,
     _marginals,
     _require_increasing,
@@ -167,7 +166,6 @@ def strong_curvature_detail(
     1 / (1 - c) and reverse bound 1 - c.
     """
     _require_increasing(f)
-    _check_scan_size(f)
     vals = f.values
     worst: float | None = None
     witness: tuple[int, int, int] | None = None
@@ -461,8 +459,10 @@ def analyze_ratios(
     The greedy-restricted fields need the matroid and cardinality; the
     reverse pair is computed ex post from a fresh reverse-as-forward run.
     """
-    scan = ratio_scan(f)
+    # The cumulative scan has the tighter cap, so an oversized table fails
+    # before the ratio scan runs.
     cumulative, cum_wit = cumulative_ratio_detail(f)
+    scan = ratio_scan(f)
     witnesses: dict[str, object] = {
         "gamma": scan.gamma_witness,
         "alpha": scan.alpha_witness,

@@ -14,12 +14,8 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import (
-    GroundSetTooLargeError,
-    InfeasibleInstanceError,
-    InvalidSpecError,
-    SchemaError,
-)
+from .caps import MAX_BOUNDED_N, MAX_EXPLICIT_RANDOM_N, MAX_SPEC_DEPTH, MAX_TABLE_N, check_size
+from .errors import InfeasibleInstanceError, InvalidSpecError, SchemaError
 from .matroids import (
     DualSpec,
     ExplicitSpec,
@@ -31,14 +27,7 @@ from .matroids import (
     UniformSpec,
     build_matroid,
 )
-from .setfunc import MAX_TABLE_N, SetFunction
-
-#: Bounded-marginal generator, and so the random suites.
-MAX_BOUNDED_N = 12
-#: Adversarial max-plus generator.
-MAX_EXPLICIT_RANDOM_N = 10
-#: Dual/truncate wrappers per spec; each dual level multiplies the oracle cost.
-MAX_SPEC_DEPTH = 4
+from .setfunc import SetFunction
 
 
 @dataclass(frozen=True)
@@ -85,10 +74,7 @@ def gen_bounded_marginal(n: int, lo: float, hi: float, seed: int) -> SetFunction
     """
     if not 0 < lo <= hi:
         raise ValueError(f"need 0 < lo <= hi, got lo={lo}, hi={hi}")
-    if n > MAX_BOUNDED_N:
-        raise GroundSetTooLargeError(
-            f"bounded-marginal generator capped at n={MAX_BOUNDED_N}, got {n}"
-        )
+    check_size(n, MAX_BOUNDED_N, "bounded-marginal generator")
     rng = random.Random(seed)
     mid = (lo + hi) / 2.0
     half = (hi - lo) / 2.0
@@ -104,10 +90,7 @@ def gen_explicit_random(n: int, seed: int) -> SetFunction:
     f(empty) = 0 and f(S) = max over j in S of f(S - j), plus a fresh uniform
     increment from (0, 1] per subset, so every marginal is positive.
     """
-    if n > MAX_EXPLICIT_RANDOM_N:
-        raise GroundSetTooLargeError(
-            f"explicit-random generator capped at n={MAX_EXPLICIT_RANDOM_N}, got {n}"
-        )
+    check_size(n, MAX_EXPLICIT_RANDOM_N, "explicit-random generator")
     rng = random.Random(seed)
     values = [0.0] * (1 << n)
     for mask in range(1, 1 << n):
@@ -170,10 +153,7 @@ def random_suite(count: int, n_min: int, n_max: int, seed: int) -> list[Instance
     """Deterministic list of random instances shared by the verification suites."""
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    if n_max > MAX_BOUNDED_N:
-        raise GroundSetTooLargeError(
-            f"verification suite is capped at n={MAX_BOUNDED_N}, got n_max={n_max}"
-        )
+    check_size(n_max, MAX_BOUNDED_N, "verification suite")
     rng = random.Random(seed)
     return [
         random_instance(rng.randint(n_min, n_max), rng, f"rnd-{seed}-{i:03d}")
@@ -234,6 +214,18 @@ def _expect(obj: dict, field: str, kinds, where: str):
     return value
 
 
+def _ints(items, where: str, what: str, length: int | None = None) -> tuple[int, ...]:
+    """A JSON list of ints as a tuple, each item held to the rule of :func:`_expect`."""
+    if not isinstance(items, list):
+        raise SchemaError(f"{where}: {what} must be a list")
+    if length is not None and len(items) != length:
+        raise SchemaError(f"{where}: {what} must have {length} items, got {len(items)}")
+    for i, x in enumerate(items):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise SchemaError(f"{where}: {what}[{i}] has wrong type {type(x).__name__}")
+    return tuple(items)
+
+
 def spec_from_json(obj, where: str = "matroid") -> MatroidSpec:
     """Parse a matroid spec, nesting at most MAX_SPEC_DEPTH dual/truncate wrappers."""
     return _spec_from_json(obj, where, 0)
@@ -248,26 +240,19 @@ def _spec_from_json(obj, where: str, depth: int) -> MatroidSpec:
     if kind == "partition":
         blocks = _expect(obj, "blocks", list, where)
         capacities = _expect(obj, "capacities", list, where)
-        try:
-            return PartitionSpec(
-                tuple(tuple(int(e) for e in block) for block in blocks),
-                tuple(int(c) for c in capacities),
-            )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}: malformed partition fields ({exc})") from exc
+        return PartitionSpec(
+            tuple(_ints(b, where, f"blocks[{i}]") for i, b in enumerate(blocks)),
+            _ints(capacities, where, "capacities"),
+        )
     if kind == "graphic":
         vertices = _expect(obj, "vertices", int, where)
         edges = _expect(obj, "edges", list, where)
-        try:
-            return GraphicSpec(vertices, tuple((int(u), int(v)) for u, v in edges))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}: malformed edge list ({exc})") from exc
+        return GraphicSpec(
+            vertices, tuple(_ints(e, where, f"edges[{i}]", 2) for i, e in enumerate(edges))
+        )
     if kind == "explicit":
         masks = _expect(obj, "independent", list, where)
-        try:
-            return ExplicitSpec(frozenset(int(m) for m in masks))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}: malformed mask list ({exc})") from exc
+        return ExplicitSpec(frozenset(_ints(masks, where, "independent")))
     if kind in ("dual", "truncate"):
         if depth == MAX_SPEC_DEPTH:
             raise SchemaError(f"{where}: more than {MAX_SPEC_DEPTH} nested dual/truncate wrappers")
@@ -326,7 +311,7 @@ def instance_from_json(obj) -> Instance:
         matroid = inst.matroid()
     except InvalidSpecError as exc:
         raise SchemaError(f"instance.matroid: {exc}") from exc
-    if matroid.truncate(cardinality).rank_full < cardinality:
+    if matroid.rank_full < cardinality:
         raise InfeasibleInstanceError(
             f"instance '{inst_id}': matroid rank {matroid.rank_full} is below N={cardinality}"
         )

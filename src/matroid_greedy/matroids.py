@@ -12,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .errors import GroundSetTooLargeError, InvalidSpecError
+from .caps import MAX_AXIOM_N, MAX_TABLE_N, check_size
+from .errors import InvalidSpecError
 from .subsets import elements, full_mask
-
-#: Base enumeration walks all 2^n masks.
-MAX_BASE_ENUM_N = 16
-#: Axiom checking walks all pairs of independent sets.
-MAX_AXIOM_N = 10
 
 
 @dataclass(frozen=True)
@@ -101,10 +97,7 @@ class Matroid:
 
     def enumerate_bases(self) -> list[int]:
         """All independent sets of full rank, in ascending mask order."""
-        if self.n > MAX_BASE_ENUM_N:
-            raise GroundSetTooLargeError(
-                f"base enumeration is capped at n={MAX_BASE_ENUM_N}, got n={self.n}"
-            )
+        check_size(self.n, MAX_TABLE_N, "base enumeration")
         r = self.rank_full
         test = self._test
         return [m for m in range(1 << self.n) if m.bit_count() == r and test(m)]
@@ -196,8 +189,7 @@ def _axiom_scan(
 
 def check_axioms(matroid: Matroid) -> AxiomReport:
     """Exhaustively test nonemptiness, heredity, and exchange on all subsets."""
-    if matroid.n > MAX_AXIOM_N:
-        raise GroundSetTooLargeError(f"axiom check is capped at n={MAX_AXIOM_N}, got n={matroid.n}")
+    check_size(matroid.n, MAX_AXIOM_N, "axiom check")
     family = frozenset(s for s in range(1 << matroid.n) if matroid.is_independent(s))
     h_wit, e_wit = _axiom_scan(family)
     return AxiomReport(0 in family, h_wit is None, e_wit is None, h_wit or e_wit)
@@ -244,11 +236,14 @@ def _validate_graphic(spec: GraphicSpec, n: int) -> None:
 
 
 def _graphic_test(spec: GraphicSpec) -> Callable[[int], bool]:
-    edges = spec.edges
-    vertices = spec.vertices
+    # Union-find runs over the at most 2n endpoints the edges touch, numbered
+    # once here, so a test costs nothing per declared but isolated vertex.
+    slot: dict[int, int] = {}
+    edges = [(slot.setdefault(u, len(slot)), slot.setdefault(v, len(slot))) for u, v in spec.edges]
+    slots = len(slot)
 
     def test(subset: int) -> bool:
-        parent = list(range(vertices))
+        parent = list(range(slots))
 
         def find(x: int) -> int:
             while parent[x] != x:

@@ -18,16 +18,11 @@ from dataclasses import dataclass
 from itertools import compress, cycle
 from operator import neg, sub
 
-from .errors import GroundSetTooLargeError, NonMonotoneError, NotStrictlyIncreasingError
+from .caps import MAX_CUMULATIVE_N, MAX_TABLE_N, check_size
+from .errors import NonMonotoneError, NotStrictlyIncreasingError
 from .subsets import elements, submasks
 
 _log = logging.getLogger(__name__)
-
-#: Explicit tables are capped at 2^20 values.
-MAX_TABLE_N = 20
-#: Exhaustive ratio scans cost n^2 * 2^n (gamma and alpha, through subset
-#: min/max transforms) and 3^n (the cumulative ratio, over disjoint pairs).
-MAX_SCAN_N = 16
 
 _INF = float("inf")
 
@@ -167,13 +162,6 @@ def _require_increasing(f: SetFunction) -> None:
         )
 
 
-def _check_scan_size(f: SetFunction) -> None:
-    if f.n > MAX_SCAN_N:
-        raise GroundSetTooLargeError(
-            f"exhaustive ratio scan is capped at n={MAX_SCAN_N}, got n={f.n}"
-        )
-
-
 def _check_value_range(f: SetFunction) -> None:
     # Every marginal of an increasing table lies in [0, f(V) - f(empty)], so a
     # finite range keeps the ratios free of inf/inf, which is what makes the
@@ -298,7 +286,6 @@ def ratio_scan(f: SetFunction) -> RatioScan:
     exact triple.
     """
     _require_increasing(f)
-    _check_scan_size(f)
     _check_value_range(f)
     n = f.n
     vals = f.values
@@ -337,7 +324,7 @@ def cumulative_ratio_detail(f: SetFunction) -> tuple[float, tuple[int, int] | No
     from S.
     """
     _require_increasing(f)
-    _check_scan_size(f)
+    check_size(f.n, MAX_CUMULATIVE_N, "cumulative ratio scan")
     _check_value_range(f)
     vals = f.values
     full = (1 << f.n) - 1

@@ -1,11 +1,13 @@
 import json
+import random
 
 import pytest
 
-from matroid_greedy import matroids
+from matroid_greedy import guarantees, matroids
 from matroid_greedy.cli import main
 from matroid_greedy.instances import Instance, canonical_t3, gen_modular, save_instance
 from matroid_greedy.matroids import ExplicitSpec, UniformSpec
+from matroid_greedy.setfunc import SetFunction
 
 from conftest import GOLDEN_DIR
 
@@ -14,6 +16,16 @@ from conftest import GOLDEN_DIR
 def t3_path(tmp_path):
     path = tmp_path / "t3.json"
     save_instance(canonical_t3(), path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def n17_path(tmp_path_factory):
+    """A strictly increasing, non-modular n=17 instance: above the cumulative cap only."""
+    rng = random.Random(17)
+    values = [1.5 * m.bit_count() + rng.uniform(0.0, 0.25) if m else 0.0 for m in range(1 << 17)]
+    path = tmp_path_factory.mktemp("n17") / "n17.json"
+    save_instance(Instance("n17", 17, SetFunction(17, values), UniformSpec(3), 3), path)
     return str(path)
 
 
@@ -67,17 +79,22 @@ class TestRun:
         assert code == 3 and err != ""
 
 
-def nested_t3(tmp_path, kind, depth):
-    """The T3 instance file with its uniform spec wrapped ``depth`` times."""
-    wrap = {"dual": '{"kind": "dual", "of": ', "truncate": '{"kind": "truncate", "q": 2, "of": '}
-    spec = wrap[kind] * depth + '{"kind": "uniform", "rank": 2}' + "}" * depth
-    path = tmp_path / f"{kind}{depth}.json"
+def t3_with_spec(tmp_path, spec, name="spec"):
+    """The T3 instance file with the matroid spec given as JSON text."""
+    path = tmp_path / f"{name}.json"
     path.write_text(
         '{"id": "T3", "n": 3, "function": {"kind": "explicit", '
         '"values": [0, 2, 1, 3, 1, 3, 3, 4]}, "matroid": %s, "N": 2, "seed": null}' % spec,
         encoding="utf-8",
     )
     return str(path)
+
+
+def nested_t3(tmp_path, kind, depth):
+    """The T3 instance file with its uniform spec wrapped ``depth`` times."""
+    wrap = {"dual": '{"kind": "dual", "of": ', "truncate": '{"kind": "truncate", "q": 2, "of": '}
+    spec = wrap[kind] * depth + '{"kind": "uniform", "rank": 2}' + "}" * depth
+    return t3_with_spec(tmp_path, spec, f"{kind}{depth}")
 
 
 class TestSpecNesting:
@@ -92,6 +109,40 @@ class TestSpecNesting:
         code, out, _ = run_cli(capsys, *argv, nested_t3(tmp_path, "dual", 4))
         assert code == 0
         assert json.loads(out) == json.loads(run_cli(capsys, *argv, t3_path)[1])
+
+
+T3_SPECS = {
+    "partition": '{"kind": "partition", "blocks": [[0, 1], [2]], "capacities": [1, 1]}',
+    "graphic": '{"kind": "graphic", "vertices": 3, "edges": [[0, 1], [1, 2], [1, 2]]}',
+    "explicit": '{"kind": "explicit", "independent": [0, 1, 2, 3, 4, 5, 6]}',
+}
+
+
+class TestSpecIntegers:
+    """Spec numbers are JSON ints: no float or bool is coerced into one."""
+
+    @pytest.mark.parametrize(
+        "kind,old,new",
+        [
+            pytest.param("partition", "[1, 1]}", "[1.5, 1]}", id="capacity-float"),
+            pytest.param("partition", "[1, 1]}", "[true, 1]}", id="capacity-bool"),
+            pytest.param("partition", "[[0, 1], [2]]", "[[false, true], [2]]", id="block-bool"),
+            pytest.param("partition", "[[0, 1], [2]]", "[[0, 1], 2]", id="block-not-list"),
+            pytest.param("graphic", "[1, 2]]", "[true, 2]]", id="endpoint-bool"),
+            pytest.param("graphic", "[1, 2]]", "[1.0, 2]]", id="endpoint-float"),
+            pytest.param("graphic", "[1, 2]]", "[1, 2, 0]]", id="edge-three-ends"),
+            pytest.param("explicit", "[0, 1, 2,", "[0, 1.0, 2,", id="mask-float"),
+            pytest.param("explicit", "[0, 1, 2,", "[false, 1, 2,", id="mask-bool"),
+        ],
+    )
+    def test_coercible_values_exit_2(self, capsys, tmp_path, kind, old, new):
+        plain = T3_SPECS[kind]
+        assert run_cli(capsys, "run", "--instance", t3_with_spec(tmp_path, plain))[0] == 0
+        spec = plain.replace(old, new)
+        assert spec != plain
+        code, out, err = run_cli(capsys, "run", "--instance", t3_with_spec(tmp_path, spec))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.count("error:") == 1
 
 
 class TestExplicitFamily:
@@ -146,6 +197,15 @@ class TestRatios:
         payload = json.loads(out)
         assert (payload["gamma"], payload["alpha"], payload["gamma_cumulative"]) == (1.0, 0.0, 1.0)
 
+    def test_n17_exits_5_before_any_scan(self, capsys, n17_path, monkeypatch):
+        def no_ratio_scan(f):
+            raise AssertionError("ratio_scan ran before the cumulative cap")
+
+        monkeypatch.setattr(guarantees, "ratio_scan", no_ratio_scan)
+        code, out, err = run_cli(capsys, "ratios", "--instance", n17_path)
+        assert code == 5 and out == ""
+        assert err == "error: cumulative ratio scan is capped at n=16, got n=17\n"
+
     def test_nan_value_exits_2(self, capsys, tmp_path, t3_path):
         obj = json.loads(open(t3_path).read())
         obj["function"]["values"][1] = float("nan")
@@ -185,6 +245,16 @@ class TestVerify:
             capsys, "verify", "--random", "--count", "1", "--n-max", "30"
         )
         assert code == 5 and err != ""
+
+    def test_n17_instance_within_table_cap(self, capsys, n17_path):
+        # Above the cumulative cap, but the ratio scan and brute force run to the table cap.
+        code, out, err = run_cli(capsys, "verify", "--instance", n17_path)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert (payload["checks"], payload["passed"]) == (2, 2)
+        (record,) = payload["records"]
+        assert record["n"] == 17 and 0.0 < record["gamma"] <= 1.0 and 0.0 <= record["alpha"] < 1.0
+        assert record["forward"]["satisfied"] and record["reverse"]["satisfied"]
 
     def test_needs_source(self, capsys):
         code, _, err = run_cli(capsys, "verify")
@@ -265,6 +335,17 @@ class TestGen:
             capsys, "gen", "--kind", "bounded", "--n", "4", "--lo", "0", "--hi", "1"
         )
         assert code == 2 and err != ""
+
+    @pytest.mark.parametrize(
+        "cardinality,message",
+        [("3", "cardinality 3 exceeds the matroid rank 2"), ("-1", "truncation bound must be >= 0")],
+    )
+    def test_cardinality_outside_rank_exits_2(self, capsys, cardinality, message):
+        code, out, err = run_cli(
+            capsys, "gen", "--kind", "modular", "--n", "3", "--weights", "1,2,3",
+            "--rank", "2", "--cardinality", cardinality,
+        )
+        assert code == 2 and out == "" and err.startswith(f"error: {message}")
 
     def test_explicit_kind(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--kind", "explicit", "--n", "4", "--seed", "2")

@@ -1,10 +1,8 @@
 import pytest
 
 from matroid_greedy import (
-    GroundSetTooLargeError,
     InfeasibleError,
     PartitionSpec,
-    SetFunction,
     UniformSpec,
     brute_force_optimum,
     build_matroid,
@@ -200,12 +198,14 @@ class TestBruteForce:
     def test_errors(self, t3_function, t3_matroid):
         with pytest.raises(InfeasibleError):
             brute_force_optimum(t3_function, t3_matroid, 3)
-        big_f = SetFunction(17, [0.0] + [1.0] * ((1 << 17) - 1))
-        big_m = build_matroid(UniformSpec(1), 17)
-        with pytest.raises(GroundSetTooLargeError):
-            brute_force_optimum(big_f, big_m, 1)
         with pytest.raises(ValueError):
             brute_force_optimum(t3_function, t3_matroid, 2, "best")
+
+    def test_n17_within_table_cap(self):
+        # Brute force is bounded by the table cap of 20, not by the cumulative cap of 16.
+        f = gen_modular(17, range(17, 0, -1))
+        record = brute_force_optimum(f, build_matroid(UniformSpec(1), 17), 1)
+        assert (record.optimum_set, record.optimum_value, record.bases_examined) == (1 << 16, 1.0, 17)
 
     def test_modular_optimality_of_both_passes(self):
         for f, matroid, cardinality in random_modular_instances(25, seed=31337):

@@ -103,6 +103,10 @@ class TestStrongCurvature:
         c, fwd, rev = strong_curvature(gen_modular(3, [2, 2, 2]))
         assert (c, fwd, rev) == (0.0, 1.0, 1.0)
 
+    def test_modular_above_the_cumulative_cap(self):
+        c, fwd, rev = strong_curvature(gen_modular(17, range(1, 18)))
+        assert (c, fwd, rev) == (0.0, 1.0, 1.0)
+
     def test_t3(self, t3_function):
         c, fwd, rev = strong_curvature(t3_function)
         assert (c, fwd, rev) == (0.5, 2.0, 0.5)

@@ -82,6 +82,30 @@ class TestBuild:
             build_matroid(GraphicSpec(3, [(0, 1)]), 2)
 
 
+class TestGraphicRelabeling:
+    """Union-find runs over the touched endpoints only, whatever ``vertices`` says."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(99_999, 7), (7, 50_000), (50_000, 99_999), (3, 99_998), (3, 3), (7, 99_999)],
+            [(10, 20), (20, 30), (30, 40), (40, 10), (10, 30), (20, 40), (90_000, 90_001)],
+        ],
+    )
+    def test_matches_compact_copy(self, edges):
+        labels = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
+        n = len(edges)
+        sparse = build_matroid(GraphicSpec(100_000, edges), n)
+        compact = build_matroid(GraphicSpec(len(labels), [(labels[u], labels[v]) for u, v in edges]), n)
+        assert sparse.rank_full == compact.rank_full
+        assert sparse.enumerate_bases() == compact.enumerate_bases()
+        assert [sparse.rank(m) for m in range(1 << n)] == [compact.rank(m) for m in range(1 << n)]
+
+    def test_endpoints_still_checked_against_vertices(self):
+        with pytest.raises(InvalidSpecError, match="missing vertex"):
+            build_matroid(GraphicSpec(100_000, [(0, 100_000)]), 1)
+
+
 class TestIndependence:
     def test_uniform_cap(self):
         m = build_matroid(UniformSpec(2), 3)
@@ -145,8 +169,9 @@ class TestBases:
             assert m.enumerate_bases() == naive_bases(m.is_independent, m.n)
 
     def test_size_cap(self):
-        m = build_matroid(UniformSpec(1), 17)
-        with pytest.raises(GroundSetTooLargeError):
+        # A matroid can be built at any n; enumeration stops at the table cap.
+        m = build_matroid(UniformSpec(1), 21)
+        with pytest.raises(GroundSetTooLargeError, match="base enumeration"):
             m.enumerate_bases()
 
 

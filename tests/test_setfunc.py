@@ -230,9 +230,10 @@ class TestRatios:
                 op(f)
 
     def test_scan_size_cap(self):
+        # Only the 3^n cumulative scan is capped below the table cap of 20.
         big = SetFunction(17, [0.0] + [1.0] * ((1 << 17) - 1))
-        with pytest.raises(GroundSetTooLargeError):
-            submodularity_ratio(big)
+        with pytest.raises(GroundSetTooLargeError, match="cumulative ratio scan is capped at n=16"):
+            cumulative_submodularity_ratio(big)
 
     def test_overflowing_value_range_rejected(self):
         f = SetFunction(1, [-1e308, 1e308])
