@@ -20,8 +20,8 @@ MAX_AXIOM_N = 10
 MAX_BOUNDED_N = 12
 #: The adversarial max-plus generator: n·2^n.
 MAX_EXPLICIT_RANDOM_N = 10
-#: Dual/truncate wrappers per spec, a depth (SchemaError past it): each dual
-#: level multiplies the oracle cost by about n.
+#: Dual/truncate wrappers per spec (SchemaError past it): a guard on recursion
+#: in the spec parser, the builder and the nested rank maps.
 MAX_SPEC_DEPTH = 4
 
 

@@ -1,10 +1,12 @@
-"""Matroid independence oracles built from declarative specs.
+"""Matroid rank oracles built from declarative specs.
 
 Supported kinds: uniform (cardinality cap), partition (per-block caps),
 graphic (forests of a multigraph, one element per edge), explicit (a
 validated list of independent-set masks), plus dual and truncation wrappers
-that compose with every other kind. Rank is computed by greedy augmentation,
-which the exchange axiom makes order-independent.
+that compose with every other kind. A matroid holds one oracle, its rank
+function, and a set is independent when its rank equals its size. Each leaf
+kind computes its rank directly; the wrappers map the inner rank, so a call
+at any wrapper depth makes one leaf rank call.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class PartitionSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
-        object.__setattr__(self, "capacities", tuple(int(c) for c in self.capacities))
+        object.__setattr__(self, "capacities", tuple(self.capacities))
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ class GraphicSpec:
     edges: tuple[tuple[int, int], ...]  # element i is edges[i]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        object.__setattr__(self, "edges", tuple((u, v) for u, v in self.edges))
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,8 @@ class ExplicitSpec:
     independent: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "independent", frozenset(int(m) for m in self.independent))
+        # A rebuilt copy, never an alias: its order picks the mask an error names.
+        object.__setattr__(self, "independent", frozenset(m for m in self.independent))
 
 
 @dataclass(frozen=True)
@@ -64,69 +67,46 @@ MatroidSpec = Union[UniformSpec, PartitionSpec, GraphicSpec, ExplicitSpec, DualS
 
 
 class Matroid:
-    """Independence oracle over the ground set {0..n-1}.
+    """Rank oracle over the ground set {0..n-1}.
 
     Instances are immutable and freely shareable across threads; the graphic
     union-find scratch state is per call.
     """
 
-    __slots__ = ("n", "spec", "_test", "rank_full")
+    __slots__ = ("n", "spec", "_rank", "rank_full")
 
-    def __init__(self, n: int, spec: MatroidSpec, test: Callable[[int], bool]) -> None:
+    def __init__(self, n: int, spec: MatroidSpec, rank: Callable[[int], int]) -> None:
         self.n = n
         self.spec = spec
-        self._test = test
-        self.rank_full = self.rank(full_mask(n))
+        self._rank = rank
+        self.rank_full = rank(full_mask(n))
 
     def is_independent(self, subset: int) -> bool:
-        return self._test(subset)
+        return self._rank(subset) == subset.bit_count()
 
     def rank(self, subset: int) -> int:
-        """Size of a maximal independent subset, by greedy augmentation over ascending elements."""
-        test = self._test
-        picked = 0
-        count = 0
-        rest = subset
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if test(picked | low):
-                picked |= low
-                count += 1
-        return count
+        """Size of a maximal independent subset."""
+        return self._rank(subset)
 
     def enumerate_bases(self) -> list[int]:
         """All independent sets of full rank, in ascending mask order."""
         check_size(self.n, MAX_TABLE_N, "base enumeration")
         r = self.rank_full
-        test = self._test
-        return [m for m in range(1 << self.n) if m.bit_count() == r and test(m)]
+        rank = self._rank
+        return [m for m in range(1 << self.n) if m.bit_count() == r and rank(m) == r]
 
     def dual(self) -> "Matroid":
-        """Matroid whose independent sets avoid some base of this one.
-
-        Implemented through the rank identity (a set is dual-independent iff
-        removing it keeps the primal rank), so no base list is materialized.
-        """
-        inner = self
-        full = full_mask(self.n)
-        target = self.rank_full
-
-        def test(subset: int, _inner: "Matroid" = inner, _full: int = full, _target: int = target) -> bool:
-            return _inner.rank(_full & ~subset) == _target
-
-        return Matroid(self.n, DualSpec(self.spec), test)
+        """Matroid whose bases are the complements of this one's: r*(S) = |S| + r(V∖S) − r(V)."""
+        inner, full, r = self._rank, full_mask(self.n), self.rank_full
+        return Matroid(self.n, DualSpec(self.spec), lambda s: s.bit_count() + inner(full ^ s) - r)
 
     def truncate(self, q: int) -> "Matroid":
-        """Intersection with the cardinality-q uniform matroid."""
+        """Intersection with the cardinality-q uniform matroid: ranks capped at q."""
+        _check_int(q, "truncation bound")
         if q < 0:
             raise InvalidSpecError(f"truncation bound must be >= 0, got {q}")
-        inner_test = self._test
-
-        def test(subset: int, _q: int = q, _t: Callable[[int], bool] = inner_test) -> bool:
-            return subset.bit_count() <= _q and _t(subset)
-
-        return Matroid(self.n, TruncateSpec(self.spec, q), test)
+        inner = self._rank
+        return Matroid(self.n, TruncateSpec(self.spec, q), lambda s: min(q, inner(s)))
 
     def __repr__(self) -> str:
         return f"Matroid(n={self.n}, rank={self.rank_full}, spec={self.spec!r})"
@@ -195,6 +175,12 @@ def check_axioms(matroid: Matroid) -> AxiomReport:
     return AxiomReport(0 in family, h_wit is None, e_wit is None, h_wit or e_wit)
 
 
+def _check_int(value: object, field: str) -> None:
+    """Spec numbers are ints: a float or a bool is rejected, never coerced."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidSpecError(f"{field} must be an int, got {type(value).__name__}")
+
+
 def _validate_partition(spec: PartitionSpec, n: int) -> list[tuple[int, int]]:
     if len(spec.blocks) != len(spec.capacities):
         raise InvalidSpecError(
@@ -203,10 +189,12 @@ def _validate_partition(spec: PartitionSpec, n: int) -> list[tuple[int, int]]:
     seen = 0
     pairs = []
     for block, cap in zip(spec.blocks, spec.capacities):
+        _check_int(cap, "block capacity")
         if cap < 0:
             raise InvalidSpecError(f"block capacity must be >= 0, got {cap}")
         mask = 0
         for e in block:
+            _check_int(e, "block element")
             if not 0 <= e < n:
                 raise InvalidSpecError(f"block element {e} out of range for n={n}")
             mask |= 1 << e
@@ -224,6 +212,7 @@ def _validate_partition(spec: PartitionSpec, n: int) -> list[tuple[int, int]]:
 
 
 def _validate_graphic(spec: GraphicSpec, n: int) -> None:
+    _check_int(spec.vertices, "graph vertices")
     if spec.vertices < 1:
         raise InvalidSpecError(f"graph needs at least one vertex, got {spec.vertices}")
     if len(spec.edges) != n:
@@ -231,18 +220,20 @@ def _validate_graphic(spec: GraphicSpec, n: int) -> None:
             f"graphic spec has {len(spec.edges)} edges but ground set size is {n}"
         )
     for i, (u, v) in enumerate(spec.edges):
+        _check_int(u, f"edge {i} endpoint")
+        _check_int(v, f"edge {i} endpoint")
         if not (0 <= u < spec.vertices and 0 <= v < spec.vertices):
             raise InvalidSpecError(f"edge {i} = ({u}, {v}) references a missing vertex")
 
 
-def _graphic_test(spec: GraphicSpec) -> Callable[[int], bool]:
+def _graphic_rank(spec: GraphicSpec) -> Callable[[int], int]:
     # Union-find runs over the at most 2n endpoints the edges touch, numbered
-    # once here, so a test costs nothing per declared but isolated vertex.
+    # once here, so a call costs nothing per declared but isolated vertex.
     slot: dict[int, int] = {}
     edges = [(slot.setdefault(u, len(slot)), slot.setdefault(v, len(slot))) for u, v in spec.edges]
     slots = len(slot)
 
-    def test(subset: int) -> bool:
+    def rank(subset: int) -> int:
         parent = list(range(slots))
 
         def find(x: int) -> int:
@@ -251,24 +242,26 @@ def _graphic_test(spec: GraphicSpec) -> Callable[[int], bool]:
                 x = parent[x]
             return x
 
+        merges = 0
         rest = subset
         while rest:
             low = rest & -rest
             rest ^= low
             u, v = edges[low.bit_length() - 1]
             ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+            if ru != rv:
+                parent[ru] = rv
+                merges += 1
+        return merges
 
-    return test
+    return rank
 
 
 def _validate_explicit(spec: ExplicitSpec, n: int) -> None:
     fam = spec.independent
     limit = 1 << n
     for m in fam:
+        _check_int(m, "independent-set mask")
         if not 0 <= m < limit:
             raise InvalidSpecError(f"independent-set mask {m} out of range for n={n}")
     if 0 not in fam:
@@ -286,8 +279,25 @@ def _validate_explicit(spec: ExplicitSpec, n: int) -> None:
         )
 
 
+def _explicit_rank(family: frozenset[int]) -> Callable[[int], int]:
+    def rank(subset: int) -> int:
+        # Greedy augmentation, ascending; exchange makes the count order-free.
+        picked = 0
+        count = 0
+        rest = subset
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if picked | low in family:
+                picked |= low
+                count += 1
+        return count
+
+    return rank
+
+
 def build_matroid(spec: MatroidSpec, n: int) -> Matroid:
-    """Construct the independence oracle for a spec, validating it eagerly.
+    """Construct the rank oracle for a spec, validating it eagerly.
 
     Uniform/partition/graphic kinds are correct by construction; explicit
     families are checked against all three axioms here and reject bad input
@@ -297,26 +307,28 @@ def build_matroid(spec: MatroidSpec, n: int) -> Matroid:
     if not 1 <= n:
         raise InvalidSpecError(f"ground set size must be positive, got {n}")
     if isinstance(spec, UniformSpec):
-        if spec.rank < 0:
-            raise InvalidSpecError(f"uniform rank must be >= 0, got {spec.rank}")
         k = spec.rank
-        return Matroid(n, spec, lambda m, _k=k: m.bit_count() <= _k)
+        _check_int(k, "uniform rank")
+        if k < 0:
+            raise InvalidSpecError(f"uniform rank must be >= 0, got {k}")
+        return Matroid(n, spec, lambda m: min(k, m.bit_count()))
     if isinstance(spec, PartitionSpec):
         pairs = _validate_partition(spec, n)
 
-        def test(m: int, _pairs=tuple(pairs)) -> bool:
-            for mask, cap in _pairs:
-                if (m & mask).bit_count() > cap:
-                    return False
-            return True
+        def rank(m: int) -> int:
+            total = 0
+            for mask, cap in pairs:
+                count = (m & mask).bit_count()
+                total += count if count < cap else cap
+            return total
 
-        return Matroid(n, spec, test)
+        return Matroid(n, spec, rank)
     if isinstance(spec, GraphicSpec):
         _validate_graphic(spec, n)
-        return Matroid(n, spec, _graphic_test(spec))
+        return Matroid(n, spec, _graphic_rank(spec))
     if isinstance(spec, ExplicitSpec):
         _validate_explicit(spec, n)
-        return Matroid(n, spec, spec.independent.__contains__)
+        return Matroid(n, spec, _explicit_rank(spec.independent))
     if isinstance(spec, DualSpec):
         return build_matroid(spec.of, n).dual()
     if isinstance(spec, TruncateSpec):

@@ -9,6 +9,15 @@ visit every pair directly, in that order, with no transform or shortcut.
 
 import itertools
 
+from matroid_greedy.matroids import (
+    DualSpec,
+    ExplicitSpec,
+    GraphicSpec,
+    PartitionSpec,
+    TruncateSpec,
+    UniformSpec,
+)
+
 
 def powerset(universe):
     items = sorted(universe)
@@ -126,6 +135,56 @@ def naive_bases(is_independent, n):
         ):
             out.append(mask)
     return out
+
+
+def _acyclic(edges):
+    """Whether a list of (u, v) edges is a forest: a component search per edge.
+
+    An edge closes a cycle iff its endpoints already share a component of the
+    edges before it; a self-loop always does.
+    """
+    adjacent = {}
+    for u, v in edges:
+        seen, stack = {u}, [u]
+        while stack:
+            for w in adjacent.get(stack.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if v in seen:
+            return False
+        adjacent.setdefault(u, []).append(v)
+        adjacent.setdefault(v, []).append(u)
+    return True
+
+
+def reference_independent(spec, n):
+    """The independent sets of a spec over {0..n-1}, as a set of frozensets.
+
+    Each kind follows its definition, with no library oracle: a size cap, a
+    count per block, acyclicity, membership; a truncation caps the size of
+    inner independent sets, and a dual set avoids some maximal inner one.
+    """
+    subsets = list(powerset(range(n)))
+    if isinstance(spec, UniformSpec):
+        return {s for s in subsets if len(s) <= spec.rank}
+    if isinstance(spec, PartitionSpec):
+        return {
+            s
+            for s in subsets
+            if all(len(s & set(b)) <= cap for b, cap in zip(spec.blocks, spec.capacities))
+        }
+    if isinstance(spec, GraphicSpec):
+        return {s for s in subsets if _acyclic([spec.edges[e] for e in sorted(s)])}
+    if isinstance(spec, ExplicitSpec):
+        return {s for s in subsets if sum(1 << e for e in s) in spec.independent}
+    inner = reference_independent(spec.of, n)
+    if isinstance(spec, TruncateSpec):
+        return {s for s in inner if len(s) <= spec.q}
+    if isinstance(spec, DualSpec):
+        maximal = [b for b in inner if not any(b < other for other in inner)]
+        return {s for s in subsets if any(s.isdisjoint(b) for b in maximal)}
+    raise ValueError(f"unknown spec {spec!r}")
 
 
 def reference_ratio_scan(values, n):

@@ -1,11 +1,21 @@
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroid_greedy import guarantees, matroids
 from matroid_greedy.cli import main
-from matroid_greedy.instances import Instance, canonical_t3, gen_modular, save_instance
+from matroid_greedy.caps import MAX_SPEC_DEPTH
+from matroid_greedy.instances import (
+    Instance,
+    canonical_t3,
+    gen_modular,
+    instance_to_json,
+    save_instance,
+)
 from matroid_greedy.matroids import ExplicitSpec, UniformSpec
 from matroid_greedy.setfunc import SetFunction
 
@@ -143,6 +153,88 @@ class TestSpecIntegers:
         code, out, err = run_cli(capsys, "run", "--instance", t3_with_spec(tmp_path, spec))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.count("error:") == 1
+
+
+#: JSON leaves for mutations: spec-like numbers, including the floats and
+#: bools the loader must refuse, huge and non-finite numbers, and short strings.
+FUZZ_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 8)
+    | st.sampled_from([1.5, 1.0, 0.0, -0.0, 2**70, float("nan"), float("inf")])
+    | st.text("akx", max_size=3)
+)
+FUZZ_VALUES = st.recursive(
+    FUZZ_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("akx", max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def fuzz_paths(node, path=()):
+    """Every path into a JSON document, visiting at most three items of a list."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node[:3]) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from fuzz_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_t3(draw):
+    """The T3 file under a random spec kind, wrapper chain and up to three mutations."""
+    doc = instance_to_json(canonical_t3())
+    kind = draw(st.sampled_from(["uniform", *T3_SPECS]))
+    if kind != "uniform":
+        doc["matroid"] = json.loads(T3_SPECS[kind])
+    for _ in range(draw(st.integers(0, MAX_SPEC_DEPTH + 2))):
+        if draw(st.booleans()):
+            doc["matroid"] = {"kind": "dual", "of": doc["matroid"]}
+        else:
+            q = draw(st.integers(0, 3) | st.sampled_from([1.5, True, -1]))
+            doc["matroid"] = {"kind": "truncate", "of": doc["matroid"], "q": q}
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["replace", "delete", "resize", "table"]))
+        if op == "table":
+            n = draw(st.integers(1, 6))
+            doc["n"] = n
+            size = (1 << n) + draw(st.sampled_from([0, 0, -1, 1]))
+            doc["function"] = {"kind": "explicit", "values": [m.bit_count() for m in range(size)]}
+            continue
+        path = draw(st.sampled_from(list(fuzz_paths(doc))[1:]))
+        *head, last = path
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        if op == "replace":
+            parent[last] = draw(FUZZ_VALUES)
+        elif op == "delete":
+            del parent[last]
+        elif isinstance(parent[last], list):
+            parent[last] = parent[last][: draw(st.integers(0, 2))] or parent[last] * 2
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestLoaderFuzz:
+    """Whatever a file holds, ``run`` ends with a documented exit code and one error line."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mutated_t3())
+    def test_run_exits_cleanly(self, fuzz_dir, doc):
+        path = fuzz_dir / "mutated.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--instance", str(path)])
+        text = err.getvalue()
+        assert code in (0, 2, 3, 4, 5), text
+        assert sum(line.startswith("error:") for line in text.splitlines()) <= 1
+        assert "Traceback" not in text
+        assert (code == 0) == (text == "")
 
 
 class TestExplicitFamily:

@@ -21,7 +21,7 @@ from matroid_greedy import (
 )
 from matroid_greedy.instances import MAX_SPEC_DEPTH, random_matroid_spec
 
-from oracles import naive_bases, naive_rank
+from oracles import naive_bases, naive_rank, reference_independent
 
 TRIANGLE = GraphicSpec(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -40,6 +40,15 @@ def sample_matroids(n_cap=6):
     out += [m.truncate(1) for m in base]
     out += [m.dual().dual() for m in base[:2]]
     return [m for m in out if m.n <= n_cap]
+
+
+def family_matroid(n, family):
+    """A Matroid whose independent sets are exactly ``family``, a matroid or not.
+
+    Its rank is |S| on members and -1 elsewhere, so ``is_independent`` is
+    membership; only the axiom check reads it.
+    """
+    return Matroid(n, ExplicitSpec(family), lambda s: s.bit_count() if s in family else -1)
 
 
 class TestBuild:
@@ -126,6 +135,23 @@ class TestIndependence:
         assert m.is_independent(mask_of([0]))
         assert not m.is_independent(mask_of([0, 1]))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            UniformSpec(0),
+            PartitionSpec([[0, 3], [1], [2, 4]], [0, 1, 2]),
+            GraphicSpec(3, [(0, 1), (1, 1), (1, 2), (0, 2), (2, 0)]),
+            DualSpec(GraphicSpec(2, [(0, 0), (0, 1), (1, 0), (1, 1), (0, 1)])),
+            TruncateSpec(DualSpec(PartitionSpec([[0, 1, 2], [3, 4]], [2, 0])), 2),
+        ],
+    )
+    def test_matches_reference(self, spec):
+        m = build_matroid(spec, 5)
+        reference = reference_independent(spec, 5)
+        assert [m.is_independent(s) for s in range(32)] == [
+            frozenset(elements(s)) in reference for s in range(32)
+        ]
+
 
 class TestRank:
     def test_examples(self):
@@ -209,25 +235,89 @@ class TestDualAndTruncate:
         assert m.rank_full == 2
 
 
+class TestWrapperCost:
+    """A wrapper maps the inner rank: one leaf rank call per oracle call at any depth."""
+
+    def test_one_leaf_call_per_oracle_call(self):
+        calls = []
+
+        def leaf(subset):
+            calls.append(subset)
+            return min(3, subset.bit_count())
+
+        n = 8
+        m = Matroid(n, UniformSpec(3), leaf).dual().truncate(4).dual().truncate(3)
+        for subset in range(1 << n):
+            for oracle in (m.is_independent, m.rank):
+                calls.clear()
+                oracle(subset)
+                assert len(calls) == 1
+
+    def test_deep_dual_chain_at_n16(self):
+        # 16 edges on 9 vertices: a spanning tree plus 8 chords, the shape of
+        # the benchmark's graphic instances. A 4-deep chain once took minutes.
+        rng = random.Random(2)
+        edges = [(rng.randrange(i), i) for i in range(1, 9)]
+        edges += [tuple(rng.sample(range(9), 2)) for _ in range(8)]
+        m = build_matroid(GraphicSpec(9, edges), 16)
+        bases = m.enumerate_bases()
+        chain = m
+        for depth in range(1, MAX_SPEC_DEPTH + 1):
+            chain = chain.dual()
+            expected = sorted(full_mask(16) ^ b for b in bases) if depth % 2 else bases
+            assert chain.enumerate_bases() == expected
+
+
+class TestSpecIntegers:
+    """Spec numbers must be ints: a float or a bool is rejected, never coerced."""
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
+    @pytest.mark.parametrize(
+        "make,field",
+        [
+            (lambda x: UniformSpec(x), "uniform rank"),
+            (lambda x: TruncateSpec(UniformSpec(2), x), "truncation bound"),
+            (lambda x: PartitionSpec([[0, 1]], [x]), "block capacity"),
+            (lambda x: PartitionSpec([[0, x]], [1]), "block element"),
+            (lambda x: GraphicSpec(x, [(0, 0), (0, 0)]), "graph vertices"),
+            (lambda x: GraphicSpec(2, [(0, 1), (x, 0)]), "edge 1 endpoint"),
+            (lambda x: ExplicitSpec(frozenset([0, x])), "independent-set mask"),
+        ],
+    )
+    def test_build_rejects(self, make, field, bad):
+        with pytest.raises(InvalidSpecError, match=f"{field} must be an int, got {type(bad).__name__}"):
+            build_matroid(make(bad), 2)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, False])
+    def test_truncate_rejects(self, bad):
+        with pytest.raises(InvalidSpecError, match="truncation bound must be an int"):
+            build_matroid(UniformSpec(2), 2).truncate(bad)
+
+    def test_constructors_keep_values(self):
+        assert PartitionSpec([[0, 1]], [1.5]).capacities == (1.5,)
+        assert GraphicSpec(2, [(True, 1.5)]).edges == ((True, 1.5),)
+        assert {type(m) for m in ExplicitSpec([0, 1.0]).independent} == {int, float}
+
+
 class TestAxioms:
     def test_uniform_passes(self):
         report = check_axioms(build_matroid(UniformSpec(2), 3))
         assert report.all_ok and report.witness is None
 
     def test_rank_one_family_passes(self):
-        m = Matroid(2, ExplicitSpec(frozenset([0, 1, 2])), frozenset([0, 1, 2]).__contains__)
+        m = family_matroid(2, frozenset([0, 1, 2]))
         assert check_axioms(m).all_ok
 
     def test_exchange_violation_witness(self):
         family = frozenset([0, 1, 2, 3, 4])
-        m = Matroid(3, ExplicitSpec(family), family.__contains__)
+        m = family_matroid(3, family)
         report = check_axioms(m)
         assert report.nonempty_ok and report.hereditary_ok and not report.exchange_ok
         assert report.witness == (4, 3)  # ({2}, {0,1})
 
     def test_hereditary_violation_witness(self):
         family = frozenset([0, 1, 3])
-        m = Matroid(2, ExplicitSpec(family), family.__contains__)
+        m = family_matroid(2, family)
         report = check_axioms(m)
         assert not report.hereditary_ok
         assert report.witness == (3, 2)
@@ -258,9 +348,15 @@ class TestRandomSpecs:
 
 @st.composite
 def wrapped_specs(draw, max_n=7):
-    """(n, spec): a random base kind under up to MAX_SPEC_DEPTH dual/truncate wrappers."""
+    """(n, spec): a random base kind under up to MAX_SPEC_DEPTH dual/truncate wrappers.
+
+    The base is sometimes an explicit copy of a random spec, its family taken
+    from the reference.
+    """
     n = draw(st.integers(1, max_n))
     spec = random_matroid_spec(n, random.Random(draw(st.integers(0, 2**32))))
+    if draw(st.booleans()):
+        spec = ExplicitSpec(frozenset(mask_of(s) for s in reference_independent(spec, n)))
     for q in draw(st.lists(st.none() | st.integers(0, n), max_size=MAX_SPEC_DEPTH)):
         spec = DualSpec(spec) if q is None else TruncateSpec(spec, q)
     return n, spec
@@ -272,7 +368,9 @@ class TestProperties:
     def test_oracles_axioms_and_explicit_copy(self, n_spec, data):
         n, spec = n_spec
         m = build_matroid(spec, n)
+        reference = reference_independent(spec, n)
         indep = [m.is_independent(s) for s in range(1 << n)]
+        assert indep == [frozenset(elements(s)) in reference for s in range(1 << n)]
         for subset in range(1 << n):
             assert m.rank(subset) == naive_rank(indep.__getitem__, subset, n)
         bases = m.enumerate_bases()
@@ -289,7 +387,7 @@ class TestProperties:
         )
         if droppable:
             broken = family - {data.draw(st.sampled_from(droppable))}
-            report = check_axioms(Matroid(n, ExplicitSpec(broken), broken.__contains__))
+            report = check_axioms(family_matroid(n, broken))
             assert not report.hereditary_ok
             big, sub = report.witness
             with pytest.raises(InvalidSpecError) as info:
