@@ -22,7 +22,7 @@ from .errors import (
     NotStrictlyIncreasingError,
     SchemaError,
 )
-from .greedy import GreedyTrace, forward_greedy, reverse_greedy
+from .greedy import GreedyTrace, brute_force_optimum, forward_greedy, reverse_greedy
 from .guarantees import (
     DEFAULT_TOLERANCE,
     RegionGrid,
@@ -151,6 +151,7 @@ def cmd_ratios(args) -> int:
 def _verify_one(inst: Instance, tolerance: float) -> dict:
     scan = ratio_scan(inst.function)
     matroid = inst.matroid()
+    optimum = brute_force_optimum(inst.function, matroid, inst.cardinality, "min")
     fwd = verify_forward(
         inst.function,
         matroid,
@@ -158,6 +159,7 @@ def _verify_one(inst: Instance, tolerance: float) -> dict:
         instance_id=inst.id,
         tolerance=tolerance,
         ratios=(scan.gamma, scan.alpha),
+        optimum=optimum,
     )
     rev = verify_reverse(
         inst.function,
@@ -166,6 +168,7 @@ def _verify_one(inst: Instance, tolerance: float) -> dict:
         instance_id=inst.id,
         tolerance=tolerance,
         ratios=(scan.gamma, scan.alpha),
+        optimum=optimum,
     )
     def record(r):
         return {

@@ -24,6 +24,7 @@ from .greedy import (
     REVERSE,
     REVERSE_AS_FORWARD,
     GreedyTrace,
+    OptimumRecord,
     brute_force_optimum,
     forward_greedy,
     reverse_greedy,
@@ -333,17 +334,19 @@ def verify_forward(
     instance_id: str = "",
     tolerance: float = DEFAULT_TOLERANCE,
     ratios: tuple[float, float] | None = None,
+    optimum: OptimumRecord | None = None,
 ) -> VerificationRecord:
     """Run the forward pass and check its achieved ratio against the bound.
 
     The achieved ratio references the empty set; when the optimum equals the
     empty-set value the ratio is 1 if the greedy matched it and +inf
     otherwise. ``ratios`` may carry a precomputed (gamma, alpha) pair to skip
-    the exhaustive scan.
+    the exhaustive scan, and ``optimum`` the minimizing brute-force record to
+    skip the base enumeration.
     """
     gamma, alpha = ratios if ratios is not None else _scan_pair(f)
     trace = forward_greedy(f, matroid, cardinality)
-    opt = brute_force_optimum(f, matroid, cardinality, "min")
+    opt = optimum if optimum is not None else brute_force_optimum(f, matroid, cardinality, "min")
     numerator = trace.f_final - trace.f_initial
     denominator = opt.optimum_value - trace.f_initial
     if denominator == 0.0:
@@ -374,15 +377,18 @@ def verify_reverse(
     instance_id: str = "",
     tolerance: float = DEFAULT_TOLERANCE,
     ratios: tuple[float, float] | None = None,
+    optimum: OptimumRecord | None = None,
 ) -> VerificationRecord:
     """Run the reverse pass and check its achieved ratio against the bound.
 
     The achieved ratio references the full set; when the optimum equals the
     full-set value the ratio is 1 if the greedy matched it and 0 otherwise.
+    ``ratios`` and ``optimum`` skip the scan and the enumeration, as in
+    ``verify_forward``.
     """
     gamma, alpha = ratios if ratios is not None else _scan_pair(f)
     trace = reverse_greedy(f, matroid, cardinality)
-    opt = brute_force_optimum(f, matroid, cardinality, "min")
+    opt = optimum if optimum is not None else brute_force_optimum(f, matroid, cardinality, "min")
     numerator = trace.f_initial - trace.f_final
     denominator = trace.f_initial - opt.optimum_value
     if denominator == 0.0:

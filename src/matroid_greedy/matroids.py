@@ -12,6 +12,7 @@ at any wrapper depth makes one leaf rank call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Callable, Union
 
 from .caps import MAX_AXIOM_N, MAX_TABLE_N, check_size
@@ -137,33 +138,50 @@ def _axiom_scan(
 
     Returns (superset, missing subset) for heredity, with supersets ascending
     and their submasks descending, and (smaller, larger) for exchange, with
-    both sets ascending; None where the axiom holds.
+    both sets ascending; None where the axiom holds. The scan costs at most
+    |F|·n membership probes plus |F|² mask ANDs, for any family:
+
+    * Heredity tests only the one-element removals of each member. If T is a
+      missing submask of the smallest member B that has one, then T lies
+      under some B−e, and B−e is missing too: present, it would be a smaller
+      member with a missing submask. So the largest missing submask, the
+      first in descending order, is a removal; removing the lowest bit first
+      walks the removals in descending order.
+    * Exchange asks whether some element of S2∖S1 extends S1. With ``ext``
+      the union of the elements b outside S1 for which S1+b is a member, that
+      is ``S2 & ext != 0``, so the larger members are filtered at C level.
     """
     members = sorted(family)
     h_wit: tuple[int, int] | None = None
     for big in members:
-        sub = big
-        while sub:
-            sub = (sub - 1) & big
-            if sub not in family:
-                h_wit = (big, sub)
+        rest = big
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if big ^ low not in family:
+                h_wit = (big, big ^ low)
                 break
         if h_wit is not None:
             break
 
+    universe = 0
+    for m in members:
+        universe |= m
     counts = [m.bit_count() for m in members]
+    larger = {c: [m for m, k in zip(members, counts) if k > c] for c in set(counts)}
     for s1, c1 in zip(members, counts):
-        for s2, c2 in zip(members, counts):
-            if c2 <= c1:
-                continue
-            rest = s2 & ~s1
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if s1 | low in family:
-                    break
-            else:
-                return h_wit, (s1, s2)
+        if not larger[c1]:
+            continue
+        ext = 0
+        rest = universe & ~s1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if s1 | low in family:
+                ext |= low
+        s2 = next(filterfalse(ext.__and__, larger[c1]), None)
+        if s2 is not None:
+            return h_wit, (s1, s2)
     return h_wit, None
 
 
@@ -229,28 +247,26 @@ def _validate_graphic(spec: GraphicSpec, n: int) -> None:
 def _graphic_rank(spec: GraphicSpec) -> Callable[[int], int]:
     # Union-find runs over the at most 2n endpoints the edges touch, numbered
     # once here, so a call costs nothing per declared but isolated vertex.
+    # Roots are found without compression: a call makes at most n unions, so
+    # no tree is deeper than n.
     slot: dict[int, int] = {}
     edges = [(slot.setdefault(u, len(slot)), slot.setdefault(v, len(slot))) for u, v in spec.edges]
-    slots = len(slot)
+    roots = list(range(len(slot)))
 
     def rank(subset: int) -> int:
-        parent = list(range(slots))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        parent = roots.copy()
         merges = 0
         rest = subset
         while rest:
             low = rest & -rest
             rest ^= low
             u, v = edges[low.bit_length() - 1]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u != v:
+                parent[u] = v
                 merges += 1
         return merges
 

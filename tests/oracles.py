@@ -315,3 +315,31 @@ def reference_subset_fold(table, largest):
             best = min(subs, key=lambda s: (table[s], -low_bits_first(s)))
         out.append(table[best])
     return out
+
+
+def reference_axiom_scan(family):
+    """(hereditary witness, exchange witness) of a family of masks, by direct loops.
+
+    Heredity visits the members ascending and, for each, every proper submask
+    descending; the first missing one gives (member, submask). Exchange visits
+    the pairs (S1, S2) with |S2| > |S1|, S1 ascending then S2 ascending, and
+    tries each element of S2 - S1 in turn; the first pair none of them
+    extends gives (S1, S2). None where the axiom holds.
+    """
+    members = sorted(family)
+    h_wit = None
+    for big in members:
+        for sub in range(big - 1, -1, -1):
+            if sub & ~big == 0 and sub not in family:
+                h_wit = (big, sub)
+                break
+        if h_wit is not None:
+            break
+    for s1 in members:
+        for s2 in members:
+            if s2.bit_count() <= s1.bit_count():
+                continue
+            outside = [e for e in range(s2.bit_length()) if s2 >> e & 1 and not s1 >> e & 1]
+            if not any(s1 | 1 << e in family for e in outside):
+                return h_wit, (s1, s2)
+    return h_wit, None

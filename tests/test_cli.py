@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroid_greedy import guarantees, matroids
+from matroid_greedy import cli, guarantees, matroids
 from matroid_greedy.cli import main
 from matroid_greedy.caps import MAX_SPEC_DEPTH
 from matroid_greedy.instances import (
@@ -331,6 +331,20 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["instances"] == 6 and payload["failed"] == 0
         assert [r["id"] for r in payload["records"]] == [f"rnd-7-{i:03d}" for i in range(6)]
+
+    def test_one_brute_force_per_instance(self, capsys, t3_path, monkeypatch):
+        calls = []
+        brute = cli.brute_force_optimum
+
+        def counting_brute(*args):
+            calls.append(args)
+            return brute(*args)
+
+        monkeypatch.setattr(cli, "brute_force_optimum", counting_brute)
+        monkeypatch.setattr(guarantees, "brute_force_optimum", counting_brute)
+        code, out, _ = run_cli(capsys, "verify", "--instance", t3_path)
+        assert code == 0 and json.loads(out)["passed"] == 2
+        assert len(calls) == 1
 
     def test_size_cap_exits_5(self, capsys):
         code, _, err = run_cli(

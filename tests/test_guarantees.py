@@ -9,6 +9,7 @@ from matroid_greedy import (
     UniformSpec,
     analyze_ratios,
     bian_bound,
+    brute_force_optimum,
     build_matroid,
     curvature,
     forward_bound,
@@ -197,6 +198,13 @@ class TestVerification:
             matroid = inst.matroid()
             assert verify_forward(inst.function, matroid, inst.cardinality).satisfied
             assert verify_reverse(inst.function, matroid, inst.cardinality).satisfied
+
+    def test_precomputed_optimum_gives_same_records(self):
+        for inst in random_suite(20, 4, 8, seed=7):
+            f, matroid, k = inst.function, inst.matroid(), inst.cardinality
+            optimum = brute_force_optimum(f, matroid, k, "min")
+            assert verify_forward(f, matroid, k, optimum=optimum) == verify_forward(f, matroid, k)
+            assert verify_reverse(f, matroid, k, optimum=optimum) == verify_reverse(f, matroid, k)
 
 
 class TestRegionCompare:

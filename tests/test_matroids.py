@@ -20,8 +20,9 @@ from matroid_greedy import (
     mask_of,
 )
 from matroid_greedy.instances import MAX_SPEC_DEPTH, random_matroid_spec
+from matroid_greedy.matroids import _axiom_scan, _graphic_rank
 
-from oracles import naive_bases, naive_rank, reference_independent
+from oracles import naive_bases, naive_rank, reference_axiom_scan, reference_independent
 
 TRIANGLE = GraphicSpec(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -329,6 +330,105 @@ class TestAxioms:
     def test_size_cap(self):
         with pytest.raises(GroundSetTooLargeError):
             check_axioms(build_matroid(UniformSpec(3), 11))
+
+
+class CountingFamily(frozenset):
+    """A frozenset that counts its membership probes."""
+
+    probes = 0
+
+    def __contains__(self, mask):
+        self.probes += 1
+        return super().__contains__(mask)
+
+
+@st.composite
+def axiom_families(draw, max_n=7):
+    """(n, family): a matroid, a downward closure or a random family, then damaged.
+
+    Downward closures are hereditary but mostly break exchange; random
+    families mostly break heredity. Up to two masks are dropped, and the
+    empty set is sometimes removed.
+    """
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["matroid", "closure", "random"]))
+    masks = st.integers(0, full_mask(n))
+    if kind == "matroid":
+        spec = random_matroid_spec(n, random.Random(draw(st.integers(0, 2**32))))
+        family = {mask_of(s) for s in reference_independent(spec, n)}
+    elif kind == "closure":
+        tops = draw(st.lists(masks, min_size=2, max_size=4))
+        family = {s for s in range(1 << n) if any(s & ~t == 0 for t in tops)}
+    else:
+        family = draw(st.sets(masks, min_size=1, max_size=40))
+    family -= set(draw(st.lists(masks, max_size=2)))
+    if draw(st.booleans()):
+        family.discard(0)
+    return n, frozenset(family)
+
+
+class TestAxiomScan:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(axiom_families())
+    def test_matches_reference(self, n_family):
+        n, family = n_family
+        h_wit, e_wit = reference_axiom_scan(family)
+        assert _axiom_scan(family) == (h_wit, e_wit)
+        report = check_axioms(family_matroid(n, family))
+        assert report.nonempty_ok == (0 in family)
+        assert report.hereditary_ok == (h_wit is None)
+        assert report.exchange_ok == (e_wit is None)
+        assert report.witness == (h_wit or e_wit)
+
+    def test_probes_are_linear_in_family_size(self):
+        # A 6-cycle with four chords: 10 edges, hundreds of forests.
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4), (2, 5), (0, 2)]
+        n = len(edges)
+        forests = build_matroid(GraphicSpec(6, edges), n)
+        masks = [s for s in range(1 << n) if forests.is_independent(s)]
+        family = CountingFamily(masks)
+        assert _axiom_scan(family) == (None, None)
+        assert family.probes <= n * len(family)
+        # The direct loops, all submasks and all pairs, exceed twice that bound.
+        direct = CountingFamily(masks)
+        assert reference_axiom_scan(direct) == (None, None)
+        assert direct.probes > 2 * n * len(direct)
+
+
+def reference_ranks(spec, n):
+    """Rank of every mask from the reference independent sets.
+
+    An independent set is its own rank; a dependent one has the rank of its
+    best one-element removal, since a maximal independent subset misses some
+    element.
+    """
+    independent = {mask_of(s) for s in reference_independent(spec, n)}
+    ranks = []
+    for s in range(1 << n):
+        if s in independent:
+            ranks.append(s.bit_count())
+        else:
+            ranks.append(max(ranks[s ^ 1 << e] for e in elements(s)))
+    return ranks
+
+
+class TestGraphicRankShapes:
+    """Shapes the random specs rarely draw: long paths, stars, dense cycles, loops."""
+
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [
+            (11, [(i, i + 1) for i in range(10)]),
+            (11, [(0, i) for i in range(1, 11)]),
+            (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4), (2, 5), (0, 2)]),
+            (4, [(0, 1), (0, 1), (1, 2), (2, 2), (2, 1), (0, 0), (2, 3), (3, 0), (3, 3), (1, 0)]),
+        ],
+        ids=["path", "star", "cycle-chords", "parallel-loops"],
+    )
+    def test_every_mask_matches_reference(self, vertices, edges):
+        spec = GraphicSpec(vertices, edges)
+        rank = _graphic_rank(spec)
+        assert [rank(s) for s in range(1 << len(edges))] == reference_ranks(spec, len(edges))
 
 
 class TestRandomSpecs:
