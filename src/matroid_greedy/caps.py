@@ -20,6 +20,8 @@ MAX_AXIOM_N = 10
 MAX_BOUNDED_N = 12
 #: The adversarial max-plus generator: n·2^n.
 MAX_EXPLICIT_RANDOM_N = 10
+#: The region sweep: grid_size^2 cells, each kept as an object.
+MAX_REGION_GRID = 1000
 #: Dual/truncate wrappers per spec (SchemaError past it): a guard on recursion
 #: in the spec parser, the builder and the nested rank maps.
 MAX_SPEC_DEPTH = 4

@@ -2,16 +2,18 @@
 
 All stdout payloads are JSON or CSV; diagnostics go to stderr. Exit codes:
 0 success, 1 verification failure, 2 input/schema problems, 3 infeasible,
-4 non-monotone function, 5 ground set too large. The MATROID_GREEDY_TOL
-environment variable overrides the default 1e-9 verification tolerance.
+4 non-monotone function, 5 size over a cap; ``EXIT_CODES`` maps each
+error kind to its code. ``verify --tol`` sets the relative verification
+tolerance, 1e-9 by default.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import (
@@ -45,7 +47,20 @@ from .matroids import UniformSpec
 from .setfunc import ratio_scan
 from .subsets import elements
 
-ENV_TOLERANCE = "MATROID_GREEDY_TOL"
+#: Exit code of each error kind reported as one ``error:`` line, first match
+#: wins; any other exception (WitnessFailureError, TraceMismatchError, ...)
+#: propagates.
+EXIT_CODES = {
+    SchemaError: 2,
+    InvalidSpecError: 2,
+    ValueError: 2,
+    InfeasibleError: 3,
+    NonMonotoneError: 4,
+    NotStrictlyIncreasingError: 4,
+    GroundSetTooLargeError: 5,
+}
+
+PASSES = {"forward": forward_greedy, "reverse": reverse_greedy}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -59,18 +74,6 @@ def _emit(text: str, out: str | None) -> None:
 
 def _dump(payload, out: str | None) -> None:
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
-
-
-def _tolerance(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get(ENV_TOLERANCE)
-    if env:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise ValueError(f"{ENV_TOLERANCE} is not a number: {env!r}") from exc
-    return DEFAULT_TOLERANCE
 
 
 def trace_to_json(trace: GreedyTrace) -> dict:
@@ -106,17 +109,12 @@ def _witness_json(witness) -> object:
 def cmd_run(args) -> int:
     inst = load_instance(args.instance)
     matroid = inst.matroid()
-    payload: dict
-    if args.algo == "forward":
-        payload = trace_to_json(forward_greedy(inst.function, matroid, inst.cardinality))
-    elif args.algo == "reverse":
-        payload = trace_to_json(reverse_greedy(inst.function, matroid, inst.cardinality))
-    else:
-        payload = {
-            "forward": trace_to_json(forward_greedy(inst.function, matroid, inst.cardinality)),
-            "reverse": trace_to_json(reverse_greedy(inst.function, matroid, inst.cardinality)),
-        }
-    _dump(payload, args.out)
+    traces = {
+        name: trace_to_json(run(inst.function, matroid, inst.cardinality))
+        for name, run in PASSES.items()
+        if args.algo in (name, "both")
+    }
+    _dump(traces if args.algo == "both" else traces[args.algo], args.out)
     return 0
 
 
@@ -129,20 +127,8 @@ def cmd_ratios(args) -> int:
         include_greedy=args.greedy_variants,
         include_strong=args.strong,
     )
-    payload = {"id": inst.id}
-    for field in (
-        "gamma",
-        "alpha",
-        "gamma_cumulative",
-        "strong_c",
-        "gamma_fg",
-        "alpha_fg",
-        "gamma_rg",
-        "alpha_rg",
-    ):
-        value = getattr(report, field)
-        if value is not None:
-            payload[field] = value
+    payload = {k: v for k, v in asdict(report).items() if v is not None}
+    payload["id"] = inst.id
     payload["witnesses"] = {k: _witness_json(v) for k, v in witnesses.items()}
     _dump(payload, args.out)
     return 0
@@ -152,51 +138,32 @@ def _verify_one(inst: Instance, tolerance: float) -> dict:
     scan = ratio_scan(inst.function)
     matroid = inst.matroid()
     optimum = brute_force_optimum(inst.function, matroid, inst.cardinality, "min")
-    fwd = verify_forward(
-        inst.function,
-        matroid,
-        inst.cardinality,
-        instance_id=inst.id,
-        tolerance=tolerance,
-        ratios=(scan.gamma, scan.alpha),
-        optimum=optimum,
-    )
-    rev = verify_reverse(
-        inst.function,
-        matroid,
-        inst.cardinality,
-        instance_id=inst.id,
-        tolerance=tolerance,
-        ratios=(scan.gamma, scan.alpha),
-        optimum=optimum,
-    )
-    def record(r):
-        return {
-            "algorithm": r.algorithm,
-            "achieved_ratio": r.achieved_ratio,
-            "bound": r.bound,
-            "satisfied": r.satisfied,
-            "f_empty": r.f_empty,
-            "f_full": r.f_full,
-            "f_greedy": r.f_greedy,
-            "f_opt": r.f_opt,
-        }
-    return {
+    payload = {
         "id": inst.id,
         "n": inst.n,
         "N": inst.cardinality,
         "gamma": scan.gamma,
         "alpha": scan.alpha,
-        "forward": record(fwd),
-        "reverse": record(rev),
     }
+    for check in (verify_forward, verify_reverse):
+        record = asdict(
+            check(inst.function, matroid, inst.cardinality, tolerance=tolerance, optimum=optimum)
+        )
+        del record["instance_id"]
+        payload[record["algorithm"]] = record
+    return payload
 
 
 def cmd_verify(args) -> int:
-    tolerance = _tolerance(args)
+    tolerance = args.tol
+    # An infinite tolerance would pass every check, and NaN is no JSON number.
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {tolerance}")
     if args.instance:
         instances = [load_instance(args.instance)]
     elif args.random:
+        if args.count < 1:
+            raise ValueError(f"--count must be >= 1, got {args.count}")
         instances = random_suite(args.count, args.n_min, args.n_max, args.seed)
     else:
         raise ValueError("verify needs --instance PATH or --random")
@@ -247,10 +214,12 @@ def cmd_gen(args) -> int:
     cardinality = args.cardinality if args.cardinality is not None else rank
     inst_id = args.id or f"{args.kind}-n{args.n}-s{args.seed}"
     inst = Instance(inst_id, args.n, f, UniformSpec(rank), cardinality, seed=args.seed)
-    if cardinality < 0:
-        raise InvalidSpecError(f"truncation bound must be >= 0, got {cardinality}")
-    if inst.matroid().rank_full < cardinality:
-        raise ValueError(f"cardinality {cardinality} exceeds the matroid rank {rank}")
+    rank_full = inst.matroid().rank_full
+    # The loader's rule: 1 <= N <= rank, so every command accepts the file.
+    if not 1 <= cardinality <= rank_full:
+        raise ValueError(
+            f"cardinality must lie in 1..{rank_full}, the matroid rank, got {cardinality}"
+        )
     if args.out:
         save_instance(inst, args.out)
         _dump({"path": args.out, "id": inst.id}, None)
@@ -268,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a greedy pass on an instance file")
     run.add_argument("--instance", required=True)
-    run.add_argument("--algo", choices=["forward", "reverse", "both"], default="both")
+    run.add_argument("--algo", choices=[*PASSES, "both"], default="both")
     run.add_argument("--out")
     run.set_defaults(func=cmd_run)
 
@@ -286,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n-min", type=int, default=4)
     verify.add_argument("--n-max", type=int, default=8)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tol", type=float, default=None)
+    verify.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     verify.add_argument("--out")
     verify.set_defaults(func=cmd_verify)
 
@@ -318,18 +287,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, InvalidSpecError, ValueError) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NonMonotoneError, NotStrictlyIncreasingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except GroundSetTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def console_main() -> None:

@@ -287,14 +287,8 @@ def brute_force_optimum(
     """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    n = matroid.n
-    if f.n != n:
-        raise ValueError(f"function is on n={f.n} but matroid on n={n}")
+    _check_inputs(f, matroid, cardinality)
     truncated = matroid.truncate(cardinality)
-    if truncated.rank_full < cardinality:
-        raise InfeasibleError(
-            f"no base of cardinality {cardinality}: rank is {truncated.rank_full}"
-        )
     best_mask = -1
     best_val = 0.0
     count = 0

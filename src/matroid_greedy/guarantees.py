@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .caps import MAX_REGION_GRID, check_size
 from .errors import TraceMismatchError
 from .greedy import (
     REVERSE,
@@ -333,18 +334,17 @@ def verify_forward(
     *,
     instance_id: str = "",
     tolerance: float = DEFAULT_TOLERANCE,
-    ratios: tuple[float, float] | None = None,
     optimum: OptimumRecord | None = None,
 ) -> VerificationRecord:
     """Run the forward pass and check its achieved ratio against the bound.
 
     The achieved ratio references the empty set; when the optimum equals the
     empty-set value the ratio is 1 if the greedy matched it and +inf
-    otherwise. ``ratios`` may carry a precomputed (gamma, alpha) pair to skip
-    the exhaustive scan, and ``optimum`` the minimizing brute-force record to
-    skip the base enumeration.
+    otherwise. (gamma, alpha) come from the function's memoized
+    :func:`ratio_scan`; ``optimum`` may carry the minimizing brute-force
+    record to skip the base enumeration.
     """
-    gamma, alpha = ratios if ratios is not None else _scan_pair(f)
+    scan = ratio_scan(f)
     trace = forward_greedy(f, matroid, cardinality)
     opt = optimum if optimum is not None else brute_force_optimum(f, matroid, cardinality, "min")
     numerator = trace.f_final - trace.f_initial
@@ -353,7 +353,7 @@ def verify_forward(
         achieved = 1.0 if numerator == 0.0 else INF
     else:
         achieved = numerator / denominator
-    bound = forward_bound(gamma, alpha)
+    bound = forward_bound(scan.gamma, scan.alpha)
     satisfied = bound == INF or _leq(achieved, bound, tolerance)
     full = full_mask(matroid.n)
     return VerificationRecord(
@@ -376,17 +376,15 @@ def verify_reverse(
     *,
     instance_id: str = "",
     tolerance: float = DEFAULT_TOLERANCE,
-    ratios: tuple[float, float] | None = None,
     optimum: OptimumRecord | None = None,
 ) -> VerificationRecord:
     """Run the reverse pass and check its achieved ratio against the bound.
 
     The achieved ratio references the full set; when the optimum equals the
     full-set value the ratio is 1 if the greedy matched it and 0 otherwise.
-    ``ratios`` and ``optimum`` skip the scan and the enumeration, as in
-    ``verify_forward``.
+    (gamma, alpha) and ``optimum`` are as in ``verify_forward``.
     """
-    gamma, alpha = ratios if ratios is not None else _scan_pair(f)
+    scan = ratio_scan(f)
     trace = reverse_greedy(f, matroid, cardinality)
     opt = optimum if optimum is not None else brute_force_optimum(f, matroid, cardinality, "min")
     numerator = trace.f_initial - trace.f_final
@@ -395,7 +393,7 @@ def verify_reverse(
         achieved = 1.0 if numerator == 0.0 else 0.0
     else:
         achieved = numerator / denominator
-    bound = reverse_bound(gamma, alpha)
+    bound = reverse_bound(scan.gamma, scan.alpha)
     satisfied = _leq(bound, achieved, tolerance)
     return VerificationRecord(
         instance_id,
@@ -408,11 +406,6 @@ def verify_reverse(
         trace.f_final,
         opt.optimum_value,
     )
-
-
-def _scan_pair(f: SetFunction) -> tuple[float, float]:
-    scan = ratio_scan(f)
-    return scan.gamma, scan.alpha
 
 
 def region_compare(
@@ -428,12 +421,17 @@ def region_compare(
     singular gamma = 0 column and alpha = 1 row, giving grid_size values per
     axis.
     """
+    if not all(map(math.isfinite, (f_empty, f_full, f_star))):
+        raise ValueError(
+            f"reference values must be finite, got ({f_empty}, {f_star}, {f_full})"
+        )
     if not f_empty <= f_star <= f_full:
         raise ValueError(
             f"need f_empty <= f_star <= f_full, got ({f_empty}, {f_star}, {f_full})"
         )
     if grid_size < 2:
         raise ValueError(f"grid size must be >= 2, got {grid_size}")
+    check_size(grid_size, MAX_REGION_GRID, "region grid")
     alphas = tuple(i / grid_size for i in range(grid_size))
     gammas = tuple(j / grid_size for j in range(1, grid_size + 1))
     rows = []

@@ -36,7 +36,7 @@ class SetFunction:
     Values must be finite: NaN and infinities raise ValueError.
     """
 
-    __slots__ = ("n", "values", "_eval_count", "_lock", "_monotone")
+    __slots__ = ("n", "values", "_eval_count", "_lock", "_monotone", "_ratios")
 
     def __init__(self, n: int, values) -> None:
         if not 1 <= n <= MAX_TABLE_N:
@@ -56,6 +56,7 @@ class SetFunction:
         self._eval_count = 0
         self._lock = threading.Lock()
         self._monotone: MonotonicityReport | None = None
+        self._ratios: RatioScan | None = None
 
     @property
     def eval_count(self) -> int:
@@ -283,8 +284,14 @@ def ratio_scan(f: SetFunction) -> RatioScan:
     marg_j(R) / (max over S of marg_j(S)), the very floats the pairs give.
     That finds each minimum and the first R attaining it in O(n^2 * 2^n);
     the pairs of that R alone are then scanned in witness order for the
-    exact triple.
+    exact triple. The table is immutable, so the scan runs once per function.
     """
+    if f._ratios is None:
+        f._ratios = _ratio_scan(f)
+    return f._ratios
+
+
+def _ratio_scan(f: SetFunction) -> RatioScan:
     _require_increasing(f)
     _check_value_range(f)
     n = f.n

@@ -72,7 +72,6 @@ def analyzed(suite):
             inst.cardinality,
             instance_id=inst.id,
             tolerance=REL_TOL,
-            ratios=(scan.gamma, scan.alpha),
         )
         rev = verify_reverse(
             inst.function,
@@ -80,7 +79,6 @@ def analyzed(suite):
             inst.cardinality,
             instance_id=inst.id,
             tolerance=REL_TOL,
-            ratios=(scan.gamma, scan.alpha),
         )
         bundles.append((inst, matroid, scan.gamma, scan.alpha, fwd, rev))
     elapsed = time.perf_counter() - start

@@ -6,8 +6,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroid_greedy import cli, guarantees, matroids
+from matroid_greedy import cli, guarantees, matroids, setfunc
 from matroid_greedy.cli import main
+from matroid_greedy.errors import (
+    GroundSetTooLargeError,
+    InfeasibleError,
+    InfeasibleInstanceError,
+    InvalidSpecError,
+    NonMonotoneError,
+    NotStrictlyIncreasingError,
+    SchemaError,
+    TraceMismatchError,
+    WitnessFailureError,
+)
 from matroid_greedy.caps import MAX_SPEC_DEPTH
 from matroid_greedy.instances import (
     Instance,
@@ -366,16 +377,61 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2 and err != ""
 
-    def test_env_tolerance_override(self, capsys, t3_path, monkeypatch):
-        monkeypatch.setenv("MATROID_GREEDY_TOL", "1e-3")
-        code, out, _ = run_cli(capsys, "verify", "--instance", t3_path)
-        assert code == 0
-        assert json.loads(out)["tolerance"] == 1e-3
+    def test_one_ratio_scan_per_instance(self, capsys, t3_path, monkeypatch):
+        calls = []
+        scan = setfunc._ratio_scan
 
-    def test_bad_env_tolerance_exits_2(self, capsys, t3_path, monkeypatch):
-        monkeypatch.setenv("MATROID_GREEDY_TOL", "not-a-number")
-        code, _, err = run_cli(capsys, "verify", "--instance", t3_path)
-        assert code == 2 and err != ""
+        def counting_scan(f):
+            calls.append(f)
+            return scan(f)
+
+        monkeypatch.setattr(setfunc, "_ratio_scan", counting_scan)
+        code, out, _ = run_cli(capsys, "verify", "--instance", t3_path)
+        assert code == 0 and json.loads(out)["passed"] == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, t3_path, tol):
+        code, out, err = run_cli(capsys, "verify", "--instance", t3_path, f"--tol={tol}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --tol") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_empty_batch_exits_2(self, capsys, count):
+        code, out, err = run_cli(capsys, "verify", "--random", "--count", count)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --count") and err.count("\n") == 1
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "kind,code",
+        [
+            (SchemaError, 2),
+            (InvalidSpecError, 2),
+            (ValueError, 2),
+            (InfeasibleError, 3),
+            (InfeasibleInstanceError, 3),
+            (NonMonotoneError, 4),
+            (NotStrictlyIncreasingError, 4),
+            (GroundSetTooLargeError, 5),
+        ],
+    )
+    def test_error_kind_gives_its_code(self, capsys, monkeypatch, t3_path, kind, code):
+        def fail(args):
+            raise kind("boom")
+
+        monkeypatch.setattr(cli, "cmd_run", fail)
+        assert run_cli(capsys, "run", "--instance", t3_path) == (code, "", "error: boom\n")
+
+    @pytest.mark.parametrize("kind", [WitnessFailureError, TraceMismatchError])
+    def test_internal_errors_propagate(self, monkeypatch, t3_path, kind):
+        def fail(args):
+            raise kind("boom")
+
+        monkeypatch.setattr(cli, "cmd_run", fail)
+        with pytest.raises(kind):
+            main(["run", "--instance", t3_path])
 
 
 class TestRegion:
@@ -406,6 +462,24 @@ class TestRegion:
             capsys, "region", "--fstar", "2", "--fempty", "-1", "--ffull", "1"
         )
         assert code == 2 and err != ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--fempty=-inf",), ("--ffull=inf",), ("--fempty=nan",)],
+    )
+    def test_non_finite_reference_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "region", "--fstar", "0", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: reference values must be finite") and err.count("\n") == 1
+
+    def test_grid_cap_exits_5(self, capsys, monkeypatch):
+        def no_cells(*args):
+            raise AssertionError("a cell was computed past the grid cap")
+
+        monkeypatch.setattr(guarantees, "forward_bound", no_cells)
+        code, out, err = run_cli(capsys, "region", "--fstar", "0", "--grid", "1001")
+        assert code == 5 and out == ""
+        assert err == "error: region grid is capped at n=1000, got n=1001\n"
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "region.csv"
@@ -443,15 +517,29 @@ class TestGen:
         assert code == 2 and err != ""
 
     @pytest.mark.parametrize(
-        "cardinality,message",
-        [("3", "cardinality 3 exceeds the matroid rank 2"), ("-1", "truncation bound must be >= 0")],
+        "rank,cardinality,message",
+        [
+            pytest.param(
+                "2", "3", "cardinality must lie in 1..2, the matroid rank, got 3", id="above-rank"
+            ),
+            pytest.param(
+                "2", "-1", "cardinality must lie in 1..2, the matroid rank, got -1", id="negative"
+            ),
+            pytest.param(
+                "2", "0", "cardinality must lie in 1..2, the matroid rank, got 0", id="zero"
+            ),
+            # A uniform rank above n has matroid rank n; the default N is the given rank.
+            pytest.param(
+                "5", None, "cardinality must lie in 1..3, the matroid rank, got 5", id="rank-above-n"
+            ),
+        ],
     )
-    def test_cardinality_outside_rank_exits_2(self, capsys, cardinality, message):
-        code, out, err = run_cli(
-            capsys, "gen", "--kind", "modular", "--n", "3", "--weights", "1,2,3",
-            "--rank", "2", "--cardinality", cardinality,
-        )
-        assert code == 2 and out == "" and err.startswith(f"error: {message}")
+    def test_cardinality_outside_rank_exits_2(self, capsys, rank, cardinality, message):
+        argv = ["gen", "--kind", "modular", "--n", "3", "--weights", "1,2,3", "--rank", rank]
+        if cardinality is not None:
+            argv += ["--cardinality", cardinality]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
     def test_explicit_kind(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--kind", "explicit", "--n", "4", "--seed", "2")

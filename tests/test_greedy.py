@@ -196,8 +196,10 @@ class TestBruteForce:
         assert (record.optimum_set, record.optimum_value) == (mask_of([1, 2]), 5.0)
 
     def test_errors(self, t3_function, t3_matroid):
-        with pytest.raises(InfeasibleError):
-            brute_force_optimum(t3_function, t3_matroid, 3)
+        # Brute force shares the passes' input check.
+        for cardinality in (3, -1):
+            with pytest.raises(InfeasibleError):
+                brute_force_optimum(t3_function, t3_matroid, cardinality)
         with pytest.raises(ValueError):
             brute_force_optimum(t3_function, t3_matroid, 2, "best")
 

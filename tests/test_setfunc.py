@@ -125,6 +125,9 @@ class TestSetFunctionBasics:
     def test_monotonicity_report_computed_once(self, t3_function):
         assert check_monotone(t3_function) is check_monotone(t3_function)
 
+    def test_ratio_scan_computed_once(self, t3_function):
+        assert ratio_scan(t3_function) is ratio_scan(t3_function)
+
     def test_evaluation_and_purity(self, t3_function):
         first = t3_function(5)
         assert first == t3_function(5)
