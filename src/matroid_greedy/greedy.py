@@ -5,9 +5,11 @@ set, best gain first, and never reconsiders a rejected element. The forward
 pass starts empty and inserts the cheapest still-feasible element; the
 reverse pass starts from the full ground set and removes the most expensive
 element whose removal keeps a full-cardinality base reachable. The reverse
-pass is also available as a forward pass on the reflected function over the
-dual of the truncated matroid, as in the paper's reduction; both produce
-identical traces under the shared smallest-id tie-breaking.
+pass is also available as a forward pass on the reflected function
+S -> -f(V \\ S) over the dual of the truncated matroid, as in the paper's
+reduction; both produce identical traces under the shared smallest-id
+tie-breaking. The reflected marginals are read from f as they are needed,
+never tabulated, so f's ``eval_count`` counts every value the reduction reads.
 
 Each run records every accepted step, every rejected candidate, and the
 intermediate sets, which is what the ordering-witness construction and the
@@ -21,7 +23,7 @@ from typing import Callable
 
 from .errors import InfeasibleError, WitnessFailureError
 from .matroids import Matroid
-from .setfunc import SetFunction, complement_values
+from .setfunc import SetFunction
 from .subsets import elements, full_mask
 
 FORWARD = "forward"
@@ -183,32 +185,43 @@ def reverse_greedy_as_forward(f: SetFunction, matroid: Matroid, cardinality: int
     """
     _check_inputs(f, matroid, cardinality)
     n = matroid.n
-    reflected = SetFunction(n, complement_values(f))
     dual = matroid.truncate(cardinality).dual()
     full = full_mask(n)
     steps, rejected, removed = _greedy_kernel(
-        n, 0, n - cardinality, reflected.marginal, dual.is_independent, largest=True
+        n, 0, n - cardinality, _reflected_marginal(f), dual.is_independent, largest=True
     )
     steps = tuple(GreedyStep(s.t, s.chosen, s.marginal, full ^ s.set_after) for s in steps)
-    # -reflected(0) = f(V) and -reflected(removed) = f(final), bit for bit.
     return GreedyTrace(
-        REVERSE_AS_FORWARD, n, steps, rejected, full ^ removed, -reflected(0), -reflected(removed)
+        REVERSE_AS_FORWARD, n, steps, rejected, full ^ removed, f(full), f(full ^ removed)
     )
+
+
+def _reflected_marginal(f: SetFunction) -> Callable[[int, int], float]:
+    """Marginal of S -> -f(V \\ S) at (S, j), for j not in S, read from f on demand.
+
+    Bit for bit the marginal of the reflected table, at two calls of f.
+    """
+    full = full_mask(f.n)
+
+    def gain(subset: int, j: int) -> float:
+        return -f(full ^ (subset | 1 << j)) - -f(full ^ subset)
+
+    return gain
 
 
 def _witness_context(trace: GreedyTrace, f: SetFunction, matroid: Matroid):
-    """Working function, working matroid, per-step sets/picks for the witness build."""
+    """Working marginal, working matroid, per-step sets/picks for the witness build."""
     n = trace.n
     if trace.algorithm == FORWARD:
         target = len(trace.steps)
         work_m = matroid.truncate(target)
-        work_f = f
+        work_marginal = f.marginal
         sets_before = [0] + [s.set_after for s in trace.steps[:-1]]
         forward_direction = True
     elif trace.algorithm in (REVERSE, REVERSE_AS_FORWARD):
         cardinality = n - len(trace.steps)
         work_m = matroid.truncate(cardinality).dual()
-        work_f = SetFunction(n, complement_values(f))
+        work_marginal = _reflected_marginal(f)
         full = full_mask(n)
         sets_before = [0] + [full ^ s.set_after for s in trace.steps[:-1]]
         forward_direction = False
@@ -216,7 +229,7 @@ def _witness_context(trace: GreedyTrace, f: SetFunction, matroid: Matroid):
         raise ValueError(f"unknown trace algorithm {trace.algorithm!r}")
     picks = [s.chosen for s in trace.steps]
     greedy_marginals = [s.marginal for s in trace.steps]
-    return work_f, work_m, sets_before, picks, greedy_marginals, forward_direction
+    return work_marginal, work_m, sets_before, picks, greedy_marginals, forward_direction
 
 
 def ordering_witness(
@@ -233,7 +246,7 @@ def ordering_witness(
     if no feasible element exists or a dominance inequality fails, either of
     which would signal an implementation bug.
     """
-    work_f, work_m, sets_before, picks, greedy_marginals, fwd = _witness_context(
+    work_marginal, work_m, sets_before, picks, greedy_marginals, fwd = _witness_context(
         trace, f, matroid
     )
     steps = len(trace.steps)
@@ -265,7 +278,7 @@ def ordering_witness(
         remaining &= ~(1 << slot)
     checks = []
     for t in range(steps):
-        base_marg = work_f.marginal(sets_before[t], ordering[t])
+        base_marg = work_marginal(sets_before[t], ordering[t])
         greedy_marg = greedy_marginals[t]
         ok = base_marg >= greedy_marg if fwd else base_marg <= greedy_marg
         if not ok:

@@ -419,7 +419,8 @@ def region_compare(
     (f_full - f_star); the winner has the strictly smaller guaranteed value,
     ties going to reverse. The grid steps by 1/grid_size and skips the
     singular gamma = 0 column and alpha = 1 row, giving grid_size values per
-    axis.
+    axis. Reference values so far apart that a guaranteed value overflows
+    raise ValueError.
     """
     if not all(map(math.isfinite, (f_empty, f_full, f_star))):
         raise ValueError(
@@ -444,6 +445,11 @@ def region_compare(
             else:
                 fwd_ub = f_empty + fb * (f_star - f_empty)
             rev_ub = f_full - reverse_bound(gamma, alpha) * (f_full - f_star)
+            if not (math.isfinite(fwd_ub) and math.isfinite(rev_ub)):
+                raise ValueError(
+                    f"guaranteed values overflow at alpha={alpha}, gamma={gamma}: "
+                    f"forward {fwd_ub}, reverse {rev_ub}"
+                )
             winner = "forward" if fwd_ub < rev_ub else "reverse"
             row.append(RegionCell(alpha, gamma, fwd_ub, rev_ub, winner))
         rows.append(tuple(row))

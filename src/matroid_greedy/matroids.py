@@ -90,11 +90,28 @@ class Matroid:
         return self._rank(subset)
 
     def enumerate_bases(self) -> list[int]:
-        """All independent sets of full rank, in ascending mask order."""
+        """All independent sets of full rank, in ascending mask order.
+
+        The elements split at n // 2 into a low and a high half. A high part
+        whose rank is below its size lies in no base, by heredity, so one
+        rank call skips all its completions; every other high part that the
+        low half can fill up to r elements is completed by the low masks of
+        the missing size, ascending. High parts ascend too, so the list comes
+        out ascending.
+        """
         check_size(self.n, MAX_TABLE_N, "base enumeration")
         r = self.rank_full
         rank = self._rank
-        return [m for m in range(1 << self.n) if m.bit_count() == r and rank(m) == r]
+        half = self.n // 2
+        lows: list[list[int]] = [[] for _ in range(half + 1)]
+        for low in range(1 << half):
+            lows[low.bit_count()].append(low)
+        bases: list[int] = []
+        for high in range(0, 1 << self.n, 1 << half):
+            size = high.bit_count()
+            if 0 <= r - size <= half and rank(high) == size:
+                bases += [m for low in lows[r - size] if rank(m := high | low) == r]
+        return bases
 
     def dual(self) -> "Matroid":
         """Matroid whose bases are the complements of this one's: r*(S) = |S| + r(V∖S) − r(V)."""
@@ -102,12 +119,17 @@ class Matroid:
         return Matroid(self.n, DualSpec(self.spec), lambda s: s.bit_count() + inner(full ^ s) - r)
 
     def truncate(self, q: int) -> "Matroid":
-        """Intersection with the cardinality-q uniform matroid: ranks capped at q."""
+        """Intersection with the cardinality-q uniform matroid: ranks capped at q.
+
+        For q >= r(V) the cap never binds, min(q, r(S)) = r(S), so the result
+        keeps this matroid's rank function under its own TruncateSpec.
+        """
         _check_int(q, "truncation bound")
         if q < 0:
             raise InvalidSpecError(f"truncation bound must be >= 0, got {q}")
         inner = self._rank
-        return Matroid(self.n, TruncateSpec(self.spec, q), lambda s: min(q, inner(s)))
+        rank = inner if q >= self.rank_full else lambda s: min(q, inner(s))
+        return Matroid(self.n, TruncateSpec(self.spec, q), rank)
 
     def __repr__(self) -> str:
         return f"Matroid(n={self.n}, rank={self.rank_full}, spec={self.spec!r})"

@@ -137,6 +137,11 @@ def naive_bases(is_independent, n):
     return out
 
 
+def reference_bases(rank, n, r):
+    """Masks of size r and rank r, by a filter over all 2^n masks, ascending."""
+    return [m for m in range(1 << n) if m.bit_count() == r and rank(m) == r]
+
+
 def _acyclic(edges):
     """Whether a list of (u, v) edges is a forest: a component search per edge.
 

@@ -472,6 +472,13 @@ class TestRegion:
         assert code == 2 and out == ""
         assert err.startswith("error: reference values must be finite") and err.count("\n") == 1
 
+    def test_overflowing_guarantee_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "region", "--fstar", "0", "--fempty=-1e308", "--ffull", "1e308", "--grid", "3"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: guaranteed values overflow") and err.count("\n") == 1
+
     def test_grid_cap_exits_5(self, capsys, monkeypatch):
         def no_cells(*args):
             raise AssertionError("a cell was computed past the grid cap")

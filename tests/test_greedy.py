@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from matroid_greedy import (
     InfeasibleError,
     PartitionSpec,
+    SetFunction,
     UniformSpec,
     brute_force_optimum,
     build_matroid,
@@ -12,7 +15,7 @@ from matroid_greedy import (
     reverse_greedy,
     reverse_greedy_as_forward,
 )
-from matroid_greedy.instances import gen_modular, random_suite
+from matroid_greedy.instances import gen_modular, random_matroid_spec, random_suite
 
 from conftest import random_modular_instances, trace_payload
 from oracles import reference_reverse_greedy
@@ -102,6 +105,51 @@ class TestReverseAsForward:
             reformulated = reverse_greedy_as_forward(inst.function, matroid, inst.cardinality)
             assert trace_payload(direct) == expected, inst.id
             assert trace_payload(reformulated) == expected, inst.id
+
+    def test_signed_zero_traces_bit_for_bit(self):
+        # repr tells -0.0 from 0.0, so equal reprs mean equal bits.
+        rng = random.Random(31)
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            f = SetFunction(n, [rng.choice([0.0, -0.0, 1.0, -1.0]) for _ in range(1 << n)])
+            matroid = build_matroid(random_matroid_spec(n, rng), n)
+            cardinality = rng.randint(0, matroid.rank_full)
+            expected = repr(reference_reverse_greedy(f.values, matroid, cardinality))
+            for run in (reverse_greedy, reverse_greedy_as_forward):
+                assert repr(trace_payload(run(f, matroid, cardinality))) == expected
+
+    def test_builds_no_set_function(self, monkeypatch):
+        inst = random_suite(1, 8, 8, seed=4)[0]
+        f, matroid, cardinality = inst.function, inst.matroid(), inst.cardinality
+        built = []
+        original = SetFunction.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(SetFunction, "__init__", counting_init)
+        trace = reverse_greedy_as_forward(f, matroid, cardinality)
+        base = matroid.truncate(cardinality).dual().enumerate_bases()[-1]
+        ordering_witness(trace, f, base, matroid)
+        assert built == []
+
+    def test_eval_count_is_the_reflected_table_count(self):
+        # Two reads of f per reflected gain, plus f(V) and f(final): the count
+        # a tabulated reflection would have put on its own table.
+        cases = [(i.function, i.matroid(), i.cardinality) for i in random_suite(10, 4, 9, seed=8)]
+        # One rejection: see TestReverseGreedy.test_rejection_path.
+        cases.append((gen_modular(4, [1, 2, 3, 4]), build_matroid(PART_PAIRS, 4), 2))
+        for f, matroid, cardinality in cases:
+            before = f.eval_count
+            trace = reverse_greedy_as_forward(f, matroid, cardinality)
+            picks = len(trace.steps) + len(trace.rejected)
+            gains = sum(f.n - i for i in range(picks))
+            assert f.eval_count - before == 2 * gains + 2
+            base = matroid.truncate(cardinality).dual().enumerate_bases()[0]
+            before = f.eval_count
+            ordering_witness(trace, f, base, matroid)
+            assert f.eval_count - before == 2 * len(trace.steps)
 
 
 class TestTraceInvariants:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -22,7 +23,13 @@ from matroid_greedy import (
 from matroid_greedy.instances import MAX_SPEC_DEPTH, random_matroid_spec
 from matroid_greedy.matroids import _axiom_scan, _graphic_rank
 
-from oracles import naive_bases, naive_rank, reference_axiom_scan, reference_independent
+from oracles import (
+    naive_bases,
+    naive_rank,
+    reference_axiom_scan,
+    reference_bases,
+    reference_independent,
+)
 
 TRIANGLE = GraphicSpec(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -41,6 +48,35 @@ def sample_matroids(n_cap=6):
     out += [m.truncate(1) for m in base]
     out += [m.dual().dual() for m in base[:2]]
     return [m for m in out if m.n <= n_cap]
+
+
+def random_graph(n, rng):
+    """A spanning tree on n // 2 + 1 vertices plus random chords: n edges."""
+    vertices = n // 2 + 1
+    edges = [(rng.randrange(i), i) for i in range(1, vertices)]
+    edges += [tuple(rng.sample(range(vertices), 2)) for _ in range(n - len(edges))]
+    return GraphicSpec(vertices, edges)
+
+
+def random_partition(n, rng):
+    order = list(range(n))
+    rng.shuffle(order)
+    blocks = [order[i::4] for i in range(4)]
+    return PartitionSpec(blocks, [rng.randint(1, len(b)) for b in blocks])
+
+
+#: Spec makers, by name, for the enumeration tests at n = 11..16.
+ENUMERATION_SPECS = {
+    "uniform-0": lambda n, rng: UniformSpec(0),
+    "uniform-half": lambda n, rng: UniformSpec(n // 2),
+    "uniform-n": lambda n, rng: UniformSpec(n),
+    "partition": random_partition,
+    "graphic": random_graph,
+    "dual-graphic": lambda n, rng: DualSpec(random_graph(n, rng)),
+    "truncate-dual-partition": lambda n, rng: TruncateSpec(
+        DualSpec(random_partition(n, rng)), n // 3
+    ),
+}
 
 
 def family_matroid(n, family):
@@ -195,6 +231,30 @@ class TestBases:
         for m in sample_matroids():
             assert m.enumerate_bases() == naive_bases(m.is_independent, m.n)
 
+    @pytest.mark.parametrize("kind", sorted(ENUMERATION_SPECS))
+    @pytest.mark.parametrize("n", range(11, 17))
+    def test_matches_size_class_filter(self, n, kind):
+        m = build_matroid(ENUMERATION_SPECS[kind](n, random.Random(n)), n)
+        assert m.enumerate_bases() == reference_bases(m.rank, n, m.rank_full)
+
+    def test_dependent_high_parts_are_skipped(self):
+        # A path on 7 vertices, then chords; edges 9, 10, 11 form the
+        # triangle 4-5-6, so no high part holding all three is completed.
+        n = 12
+        edges = [(i, i + 1) for i in range(6)] + [(0, 2), (1, 3), (2, 4), (4, 6), (5, 6), (4, 5)]
+        graph = build_matroid(GraphicSpec(7, edges), n)
+        calls = []
+
+        def leaf(subset):
+            calls.append(subset)
+            return graph.rank(subset)
+
+        m = Matroid(n, graph.spec, leaf)
+        calls.clear()
+        bases = m.enumerate_bases()
+        assert bases == reference_bases(graph.rank, n, 6)
+        assert len(calls) < math.comb(n, 6)
+
     def test_size_cap(self):
         # A matroid can be built at any n; enumeration stops at the table cap.
         m = build_matroid(UniformSpec(1), 21)
@@ -225,7 +285,11 @@ class TestDualAndTruncate:
 
     def test_truncate_above_rank_is_identity(self):
         m = build_matroid(TRIANGLE, 3)
-        assert m.truncate(5).enumerate_bases() == m.enumerate_bases()
+        for q in (2, 5):
+            truncated = m.truncate(q)
+            assert truncated.spec == TruncateSpec(TRIANGLE, q)
+            assert truncated.enumerate_bases() == m.enumerate_bases()
+            assert [truncated.rank(s) for s in range(8)] == [m.rank(s) for s in range(8)]
 
     def test_truncate_negative_rejected(self):
         with pytest.raises(InvalidSpecError):
@@ -247,12 +311,18 @@ class TestWrapperCost:
             return min(3, subset.bit_count())
 
         n = 8
-        m = Matroid(n, UniformSpec(3), leaf).dual().truncate(4).dual().truncate(3)
-        for subset in range(1 << n):
-            for oracle in (m.is_independent, m.rank):
-                calls.clear()
-                oracle(subset)
-                assert len(calls) == 1
+        leaf_matroid = Matroid(n, UniformSpec(3), leaf)
+        chains = (
+            leaf_matroid.dual().truncate(4).dual().truncate(3),
+            # q >= r(V) at every truncation: 3 on the rank-3 leaf, 8 on its rank-5 dual.
+            leaf_matroid.truncate(3).dual().truncate(8).dual(),
+        )
+        for m in chains:
+            for subset in range(1 << n):
+                for oracle in (m.is_independent, m.rank):
+                    calls.clear()
+                    oracle(subset)
+                    assert len(calls) == 1
 
     def test_deep_dual_chain_at_n16(self):
         # 16 edges on 9 vertices: a spanning tree plus 8 chords, the shape of
