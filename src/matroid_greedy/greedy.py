@@ -209,29 +209,6 @@ def _reflected_marginal(f: SetFunction) -> Callable[[int, int], float]:
     return gain
 
 
-def _witness_context(trace: GreedyTrace, f: SetFunction, matroid: Matroid):
-    """Working marginal, working matroid, per-step sets/picks for the witness build."""
-    n = trace.n
-    if trace.algorithm == FORWARD:
-        target = len(trace.steps)
-        work_m = matroid.truncate(target)
-        work_marginal = f.marginal
-        sets_before = [0] + [s.set_after for s in trace.steps[:-1]]
-        forward_direction = True
-    elif trace.algorithm in (REVERSE, REVERSE_AS_FORWARD):
-        cardinality = n - len(trace.steps)
-        work_m = matroid.truncate(cardinality).dual()
-        work_marginal = _reflected_marginal(f)
-        full = full_mask(n)
-        sets_before = [0] + [full ^ s.set_after for s in trace.steps[:-1]]
-        forward_direction = False
-    else:
-        raise ValueError(f"unknown trace algorithm {trace.algorithm!r}")
-    picks = [s.chosen for s in trace.steps]
-    greedy_marginals = [s.marginal for s in trace.steps]
-    return work_marginal, work_m, sets_before, picks, greedy_marginals, forward_direction
-
-
 def ordering_witness(
     trace: GreedyTrace, f: SetFunction, base: int, matroid: Matroid
 ) -> OrderingWitness:
@@ -241,15 +218,30 @@ def ordering_witness(
     itself when that pick lies in the not-yet-assigned part of the base,
     otherwise the smallest-id unassigned base element whose insertion into
     the step's pre-set is independent. ``f`` and ``matroid`` are the same
-    objects the trace was produced from; for reverse traces the base must be
-    a base of the dual of the truncated matroid. Raises WitnessFailureError
-    if no feasible element exists or a dominance inequality fails, either of
-    which would signal an implementation bug.
+    objects the trace was produced from, on its ground set (else ValueError).
+    A reverse trace is read as forward greedy on the reflected function over
+    the dual of the truncated matroid, so the base must be a base of that
+    dual. Raises WitnessFailureError if no feasible element exists or a
+    dominance inequality fails, either of which would signal an
+    implementation bug.
     """
-    work_marginal, work_m, sets_before, picks, greedy_marginals, fwd = _witness_context(
-        trace, f, matroid
-    )
+    n = trace.n
+    if not f.n == matroid.n == n:
+        raise ValueError(
+            f"function, matroid and trace must share n, got n={f.n}, {matroid.n} and {n}"
+        )
     steps = len(trace.steps)
+    if trace.algorithm == FORWARD:
+        work_m = matroid.truncate(steps)
+        work_marginal = f.marginal
+        flip = 0
+    elif trace.algorithm in (REVERSE, REVERSE_AS_FORWARD):
+        work_m = matroid.truncate(n - steps).dual()
+        work_marginal = _reflected_marginal(f)
+        flip = full_mask(n)
+    else:
+        raise ValueError(f"unknown trace algorithm {trace.algorithm!r}")
+    sets_before = [0] + [flip ^ s.set_after for s in trace.steps[:-1]]
     if base.bit_count() != steps or not work_m.is_independent(base):
         raise ValueError(
             f"{elements(base)} is not a base of the matroid this trace ran on"
@@ -258,7 +250,7 @@ def ordering_witness(
     remaining = base
     for t in range(steps, 0, -1):
         before = sets_before[t - 1]
-        pick = picks[t - 1]
+        pick = trace.steps[t - 1].chosen
         if remaining >> pick & 1:
             slot = pick
         else:
@@ -279,8 +271,8 @@ def ordering_witness(
     checks = []
     for t in range(steps):
         base_marg = work_marginal(sets_before[t], ordering[t])
-        greedy_marg = greedy_marginals[t]
-        ok = base_marg >= greedy_marg if fwd else base_marg <= greedy_marg
+        greedy_marg = trace.steps[t].marginal
+        ok = base_marg <= greedy_marg if flip else base_marg >= greedy_marg
         if not ok:
             raise WitnessFailureError(
                 f"dominance fails at step {t + 1}: base element {ordering[t]} "

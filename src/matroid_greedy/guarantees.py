@@ -26,6 +26,7 @@ from .greedy import (
     REVERSE_AS_FORWARD,
     GreedyTrace,
     OptimumRecord,
+    _check_inputs,
     brute_force_optimum,
     forward_greedy,
     reverse_greedy,
@@ -38,11 +39,10 @@ from .setfunc import (
     _marginals,
     _require_increasing,
     _subset_at,
-    complement_values,
     cumulative_ratio_detail,
     ratio_scan,
 )
-from .subsets import full_mask, mask_of
+from .subsets import elements, full_mask, mask_of
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -198,31 +198,28 @@ def forward_greedy_ratios_detail(
     """Greedy-restricted ratio/curvature for the forward pass, with witnesses.
 
     Scans exactly the pairs the forward pass can meet: independent S with
-    |S| < cardinality and elements s outside S keeping S + s independent.
+    |S| < cardinality, the bases of the smaller truncations, S ascending,
+    then elements s outside S keeping S + s independent, s ascending.
     gamma_fg = min marg_s(empty) / marg_s(S) and
     alpha_fg = 1 - min marg_s(S) / marg_s(empty), zero conventions as in the
-    unrestricted scan. Cheaper than, and never worse than, (gamma, alpha).
+    unrestricted scan. Inputs are checked as by the greedy passes. Cheaper
+    than, and never worse than, (gamma, alpha).
     """
+    _check_inputs(f, matroid, cardinality)
     _require_increasing(f)
-    n = f.n
     vals = f.values
-    truncated = matroid.truncate(cardinality)
     g_best: float | None = None
     a_best: float | None = None
     g_wit: tuple[int, int] | None = None
     a_wit: tuple[int, int] | None = None
     empty = vals[0]
-    for subset in range(1 << n):
-        if subset.bit_count() > cardinality - 1:
-            continue
-        if not truncated.is_independent(subset):
-            continue
+    smaller = [b for k in range(cardinality) for b in matroid.truncate(k).enumerate_bases()]
+    for subset in sorted(smaller):
         base = vals[subset]
-        for s in range(n):
-            if subset >> s & 1:
-                continue
+        for s in range(f.n):
+            # |S + s| <= cardinality, where the truncation is the identity.
             bit = 1 << s
-            if not truncated.is_independent(subset | bit):
+            if subset & bit or not matroid.is_independent(subset | bit):
                 continue
             d_empty = vals[bit] - empty
             d_here = vals[subset | bit] - base
@@ -249,17 +246,19 @@ def reverse_greedy_ratios_detail(
 ) -> tuple[float, float, tuple[int, int] | None, tuple[int, int, int] | None]:
     """Ex-post greedy-restricted ratio/curvature for the reverse pass.
 
-    Works in the reflected function over the removal sets R^t recorded in the
-    trace. The ratio family compares each step's marginal against the same
-    marginal taken past any disjoint set of final size; the curvature family
-    compares it against marginals past the final removal set padded to the
-    step's size. Values can exceed the unit interval on these restricted
-    families and are clamped. Witnesses are (t, padding mask) and
-    (t, padding mask, element).
+    Works in the reflected function S -> -f(V \\ S) over the removal sets
+    R^t of the trace. The ratio family compares each step's marginal against
+    the same marginal taken past R^(t-1) plus any final-size set avoiding the
+    pick; the curvature family compares it against marginals past the final
+    removal set padded to the step's size. Each reflected marginal is read
+    as the same float f(K) - f(K - r) at the kept set K = V \\ R. Values can
+    exceed the unit interval on these restricted families and are clamped.
+    Witnesses are (t, padding mask) and (t, padding mask, element). Inputs
+    are checked as by the greedy passes.
     """
+    _check_inputs(f, matroid, cardinality)
     _require_increasing(f)
     n = f.n
-    full = full_mask(n)
     removed_total = n - cardinality
     if (
         trace.algorithm not in (REVERSE, REVERSE_AS_FORWARD)
@@ -269,8 +268,8 @@ def reverse_greedy_ratios_detail(
         raise TraceMismatchError(
             "trace does not match a reverse run of this instance"
         )
-    hat = complement_values(f)
-    removal_sets = [0] + [full ^ step.set_after for step in trace.steps]
+    vals = f.values
+    kept_sets = [full_mask(n)] + [step.set_after for step in trace.steps]
     g_best: float | None = None
     a_best: float | None = None
     g_wit: tuple[int, int] | None = None
@@ -278,34 +277,30 @@ def reverse_greedy_ratios_detail(
 
     for t in range(1, removed_total + 1):
         r = trace.steps[t - 1].chosen
-        before = removal_sets[t - 1]
+        before = kept_sets[t - 1]
         bit = 1 << r
-        denom = hat[before | bit] - hat[before]
+        denom = vals[before] - vals[before & ~bit]
         if denom <= 0.0:
             continue
         others = [e for e in range(n) if e != r]
         for combo in itertools.combinations(others, removed_total):
             pad = mask_of(combo)
-            num = hat[before | pad | bit] - hat[before | pad]
-            ratio = num / denom
+            kept = before & ~pad
+            ratio = (vals[kept] - vals[kept & ~bit]) / denom
             if g_best is None or ratio < g_best:
                 g_best, g_wit = ratio, (t, pad)
 
-    final_removed = removal_sets[removed_total]
     for t in range(1, removed_total + 1):
-        before = removal_sets[t - 1]
+        before = kept_sets[t - 1]
         for combo in itertools.combinations(range(n), t - 1):
             pad = mask_of(combo)
-            big = final_removed | pad
-            for r in range(n):
-                if big >> r & 1:
-                    continue
+            kept = trace.final_set & ~pad
+            for r in elements(kept):
                 bit = 1 << r
-                denom = hat[big | bit] - hat[big]
+                denom = vals[kept] - vals[kept & ~bit]
                 if denom <= 0.0:
                     continue
-                num = hat[before | bit] - hat[before]
-                ratio = num / denom
+                ratio = (vals[before] - vals[before & ~bit]) / denom
                 if a_best is None or ratio < a_best:
                     a_best, a_wit = ratio, (t, pad, r)
 

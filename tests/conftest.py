@@ -4,7 +4,12 @@ from pathlib import Path
 import pytest
 
 from matroid_greedy import (
+    DualSpec,
+    GraphicSpec,
+    PartitionSpec,
     SetFunction,
+    TruncateSpec,
+    UniformSpec,
     build_matroid,
     canonical_sp2,
     canonical_t3,
@@ -67,3 +72,33 @@ def trace_payload(trace):
         trace.f_initial,
         trace.f_final,
     )
+
+
+def random_graph(n, rng):
+    """A spanning tree on n // 2 + 1 vertices plus random chords: n edges."""
+    vertices = n // 2 + 1
+    edges = [(rng.randrange(i), i) for i in range(1, vertices)]
+    edges += [tuple(rng.sample(range(vertices), 2)) for _ in range(n - len(edges))]
+    return GraphicSpec(vertices, edges)
+
+
+def random_partition(n, rng):
+    order = list(range(n))
+    rng.shuffle(order)
+    blocks = [order[i::4] for i in range(4)]
+    return PartitionSpec(blocks, [rng.randint(1, len(b)) for b in blocks])
+
+
+#: Spec makers, by name, for n >= 4: three uniform ranks, partition, graphic,
+#: and two wrapped kinds.
+ENUMERATION_SPECS = {
+    "uniform-0": lambda n, rng: UniformSpec(0),
+    "uniform-half": lambda n, rng: UniformSpec(n // 2),
+    "uniform-n": lambda n, rng: UniformSpec(n),
+    "partition": random_partition,
+    "graphic": random_graph,
+    "dual-graphic": lambda n, rng: DualSpec(random_graph(n, rng)),
+    "truncate-dual-partition": lambda n, rng: TruncateSpec(
+        DualSpec(random_partition(n, rng)), n // 3
+    ),
+}

@@ -2,7 +2,9 @@
 
 The value oracles work on frozensets via itertools, deliberately avoiding the
 library's bitmask scans, so a disagreement points at a real bug rather than a
-shared mistake. The witness references at the end walk plain masks instead,
+shared mistake; the greedy-restricted references keep frozensets too and
+report their witnesses as masks. The witness references at the end walk
+plain masks instead,
 because the witness order the library documents is an order on masks; they
 visit every pair directly, in that order, with no transform or shortcut.
 """
@@ -276,6 +278,96 @@ def reference_reverse_greedy(values, matroid, cardinality):
             steps.append((t, best, best_val, current))
             t += 1
     return steps, rejected, current, values[-1], values[current]
+
+
+def _mask(subset):
+    return sum(1 << e for e in subset)
+
+
+def _into_unit(x):
+    """x moved into [0, 1] only when outside it, so a -0.0 minimum stays -0.0."""
+    return x if 0.0 <= x <= 1.0 else min(1.0, max(0.0, x))
+
+
+def reference_forward_greedy_ratios(values, n, is_independent, cardinality):
+    """(gamma_fg, alpha_fg, gamma witness, alpha witness) over the forward pass's pairs.
+
+    A pair is an independent S with |S| < cardinality and an s outside S with
+    S + s independent; ``is_independent`` takes a frozenset. Pairs are
+    visited S ascending by mask, then s ascending. gamma_fg is the minimum of
+    marg_s(empty) / marg_s(S) over pairs with marg_s(S) > 0, alpha_fg one
+    minus the minimum of marg_s(S) / marg_s(empty) over pairs with
+    marg_s(empty) > 0, both minima moved into [0, 1] when outside it; each
+    witness is (mask of S, s) at the first pair attaining its minimum.
+    """
+    universe = frozenset(range(n))
+    g_best = a_best = g_wit = a_wit = None
+    for small in sorted(powerset(universe), key=_mask):
+        if len(small) >= cardinality or not is_independent(small):
+            continue
+        for s in sorted(universe - small):
+            if not is_independent(small | {s}):
+                continue
+            d_empty = marg(values, frozenset(), s)
+            d_here = marg(values, small, s)
+            if d_here > 0:
+                r = d_empty / d_here
+                if g_best is None or r < g_best:
+                    g_best, g_wit = r, (_mask(small), s)
+            if d_empty > 0:
+                r = d_here / d_empty
+                if a_best is None or r < a_best:
+                    a_best, a_wit = r, (_mask(small), s)
+    gamma = 1.0 if g_best is None else _into_unit(g_best)
+    alpha = 0.0 if a_best is None else 1.0 - _into_unit(a_best)
+    return gamma, alpha, g_wit, a_wit
+
+
+def reference_reverse_greedy_ratios(values, n, picks):
+    """(gamma_rg, alpha_rg, gamma witness, alpha witness) of a reverse run.
+
+    Works in the reflected function hat(R) = -f(V - R) over the removal sets
+    R^t, the first t of the m ``picks``. The ratio family divides the
+    reflected marginal of pick r_t past R^(t-1) + P into the one past
+    R^(t-1), for every m-element P avoiding r_t, skipping nonpositive
+    denominators; the curvature family divides the marginal of r past
+    R^(t-1) into the one past R^m + P, for every (t-1)-element P and every r
+    outside R^m + P, again skipping nonpositive denominators. Pairs are
+    visited t ascending, then P in ``itertools.combinations`` order, then r
+    ascending. gamma_rg is min(1, max(0, minimum ratio)), which turns a -0.0
+    minimum into 0.0, and alpha_rg is min(1, max(0, 1 - minimum ratio));
+    witnesses are (t, mask of P) and (t, mask of P, r).
+    """
+    universe = frozenset(range(n))
+
+    def hat_marg(removed, r):
+        return -value(values, universe - (removed | {r})) - -value(values, universe - removed)
+
+    m = len(picks)
+    removal = [frozenset(picks[:t]) for t in range(m + 1)]
+    g_best = a_best = g_wit = a_wit = None
+    for t in range(1, m + 1):
+        r = picks[t - 1]
+        denom = hat_marg(removal[t - 1], r)
+        if denom <= 0:
+            continue
+        for pad in itertools.combinations(sorted(universe - {r}), m):
+            ratio = hat_marg(removal[t - 1] | set(pad), r) / denom
+            if g_best is None or ratio < g_best:
+                g_best, g_wit = ratio, (t, _mask(pad))
+    for t in range(1, m + 1):
+        for pad in itertools.combinations(range(n), t - 1):
+            big = removal[m] | set(pad)
+            for r in sorted(universe - big):
+                denom = hat_marg(big, r)
+                if denom <= 0:
+                    continue
+                ratio = hat_marg(removal[t - 1], r) / denom
+                if a_best is None or ratio < a_best:
+                    a_best, a_wit = ratio, (t, _mask(pad), r)
+    gamma = 1.0 if g_best is None else min(1.0, max(0.0, g_best))
+    alpha = 0.0 if a_best is None else min(1.0, max(0.0, 1.0 - a_best))
+    return gamma, alpha, g_wit, a_wit
 
 
 def reference_monotone(values, n):

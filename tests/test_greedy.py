@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -217,9 +218,28 @@ class TestOrderingWitness:
                 witness = ordering_witness(fwd, inst.function, base, matroid)
                 assert all(a >= b for a, b in witness.per_step_check)
             rev = reverse_greedy_as_forward(inst.function, matroid, inst.cardinality)
+            shrink = reverse_greedy(inst.function, matroid, inst.cardinality)
             for base in truncated.dual().enumerate_bases():
                 witness = ordering_witness(rev, inst.function, base, matroid)
                 assert all(a <= b for a, b in witness.per_step_check)
+                # Both reverse variants record the same sets, so their witnesses agree.
+                assert repr(ordering_witness(shrink, inst.function, base, matroid)) == repr(witness)
+
+    def test_unknown_algorithm_rejected(self, t3_function, t3_matroid):
+        trace = dataclasses.replace(forward_greedy(t3_function, t3_matroid, 2), algorithm="sideways")
+        with pytest.raises(ValueError, match="unknown trace algorithm 'sideways'"):
+            ordering_witness(trace, t3_function, trace.final_set, t3_matroid)
+
+    def test_matroid_on_other_n_rejected(self, t3_function, t3_matroid):
+        trace = forward_greedy(t3_function, t3_matroid, 2)
+        n4 = build_matroid(UniformSpec(2), 4)
+        with pytest.raises(ValueError, match="n=3, 4 and 3"):
+            ordering_witness(trace, t3_function, trace.final_set, n4)
+
+    def test_function_on_other_n_rejected(self, t3_function, t3_matroid):
+        trace = forward_greedy(t3_function, t3_matroid, 2)
+        with pytest.raises(ValueError, match="n=4, 3 and 3"):
+            ordering_witness(trace, gen_modular(4, [1, 2, 3, 4]), trace.final_set, t3_matroid)
 
 
 class TestBruteForce:

@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 
 from matroid_greedy import (
+    InfeasibleError,
     NonMonotoneError,
     SetFunction,
     TraceMismatchError,
@@ -17,6 +19,7 @@ from matroid_greedy import (
     guo_bound,
     region_compare,
     reverse_bound,
+    reverse_greedy,
     reverse_greedy_as_forward,
     reverse_greedy_ratios,
     strong_curvature,
@@ -24,9 +27,55 @@ from matroid_greedy import (
     verify_forward,
     verify_reverse,
 )
-from matroid_greedy.instances import gen_modular, random_suite
+from matroid_greedy.guarantees import forward_greedy_ratios_detail, reverse_greedy_ratios_detail
+from matroid_greedy.instances import gen_bounded_marginal, gen_modular, random_suite
+
+from conftest import ENUMERATION_SPECS
+from oracles import (
+    reference_forward_greedy_ratios,
+    reference_independent,
+    reference_reverse_greedy_ratios,
+)
 
 INF = float("inf")
+
+
+def stepped_table(n, rng, signed_zeros=False):
+    """Increasing table in which each value tops its one-removals by a step
+    from {0, 0.5, 1, 2}, so ties abound.
+
+    With ``signed_zeros``, the zeros on sets of size <= 1 get a random sign,
+    so marg_s(empty) can be -0.0.
+    """
+    values = [0.0] * (1 << n)
+    for mask in range(1, 1 << n):
+        below = max(values[mask & ~(1 << j)] for j in range(n) if mask >> j & 1)
+        values[mask] = below + rng.choice([0.0, 0.5, 1.0, 2.0])
+    if signed_zeros:
+        for mask in [0] + [1 << j for j in range(n)]:
+            if values[mask] == 0.0:
+                values[mask] = rng.choice([0.0, -0.0])
+    return values
+
+
+#: Increasing value-table makers: bounded-marginal, stepped, stepped with
+#: signed zeros, and flat (+-0.0 everywhere).
+TABLES = (
+    lambda n, rng: gen_bounded_marginal(n, 0.5, 2.0, rng.randrange(1 << 30)).values,
+    stepped_table,
+    lambda n, rng: stepped_table(n, rng, signed_zeros=True),
+    lambda n, rng: [rng.choice([0.0, -0.0]) for _ in range(1 << n)],
+)
+
+
+def restricted_cases(kind):
+    """(function, matroid, independent frozensets) for n = 4..9, every table kind."""
+    rng = random.Random(kind)
+    for n in range(4, 10):
+        spec = ENUMERATION_SPECS[kind](n, rng)
+        matroid, family = build_matroid(spec, n), reference_independent(spec, n)
+        for make_table in TABLES:
+            yield SetFunction(n, make_table(n, rng)), matroid, family
 
 
 class TestClosedFormBounds:
@@ -142,6 +191,45 @@ class TestGreedyRestrictedRatios:
     def test_modular_reverse_pair(self, modular123, t3_matroid):
         trace = reverse_greedy_as_forward(modular123, t3_matroid, 2)
         assert reverse_greedy_ratios(modular123, t3_matroid, 2, trace) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("kind", sorted(ENUMERATION_SPECS))
+    def test_forward_matches_reference(self, kind):
+        # repr tells -0.0 from 0.0, so equal reprs mean equal bits.
+        for f, matroid, family in restricted_cases(kind):
+            for cardinality in range(matroid.rank_full + 1):
+                expected = reference_forward_greedy_ratios(
+                    f.values, f.n, family.__contains__, cardinality
+                )
+                got = forward_greedy_ratios_detail(f, matroid, cardinality)
+                assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("kind", sorted(ENUMERATION_SPECS))
+    def test_reverse_matches_reference(self, kind):
+        for f, matroid, _ in restricted_cases(kind):
+            for cardinality in range(matroid.rank_full + 1):
+                for run in (reverse_greedy, reverse_greedy_as_forward):
+                    trace = run(f, matroid, cardinality)
+                    picks = [step.chosen for step in trace.steps]
+                    expected = reference_reverse_greedy_ratios(f.values, f.n, picks)
+                    got = reverse_greedy_ratios_detail(f, matroid, cardinality, trace)
+                    assert repr(got) == repr(expected)
+
+    def test_forward_matroid_on_other_n(self, t3_function):
+        with pytest.raises(ValueError, match="n=3 but matroid on n=4"):
+            forward_greedy_ratios(t3_function, build_matroid(UniformSpec(2), 4), 2)
+
+    def test_forward_cardinality_above_rank(self, t3_function, t3_matroid):
+        with pytest.raises(InfeasibleError, match="rank 2 is below the target cardinality 5"):
+            forward_greedy_ratios(t3_function, t3_matroid, 5)
+
+    def test_forward_negative_cardinality(self, t3_function, t3_matroid):
+        with pytest.raises(InfeasibleError, match="must be >= 0, got -1"):
+            forward_greedy_ratios(t3_function, t3_matroid, -1)
+
+    def test_reverse_matroid_on_other_n(self, t3_function, t3_matroid):
+        trace = reverse_greedy_as_forward(t3_function, t3_matroid, 2)
+        with pytest.raises(ValueError, match="n=3 but matroid on n=4"):
+            reverse_greedy_ratios(t3_function, build_matroid(UniformSpec(2), 4), 2, trace)
 
     def test_trace_mismatch(self, t3_function, t3_matroid, modular123):
         from matroid_greedy import forward_greedy

@@ -23,6 +23,7 @@ from matroid_greedy import (
 from matroid_greedy.instances import MAX_SPEC_DEPTH, random_matroid_spec
 from matroid_greedy.matroids import _axiom_scan, _graphic_rank
 
+from conftest import ENUMERATION_SPECS
 from oracles import (
     naive_bases,
     naive_rank,
@@ -48,35 +49,6 @@ def sample_matroids(n_cap=6):
     out += [m.truncate(1) for m in base]
     out += [m.dual().dual() for m in base[:2]]
     return [m for m in out if m.n <= n_cap]
-
-
-def random_graph(n, rng):
-    """A spanning tree on n // 2 + 1 vertices plus random chords: n edges."""
-    vertices = n // 2 + 1
-    edges = [(rng.randrange(i), i) for i in range(1, vertices)]
-    edges += [tuple(rng.sample(range(vertices), 2)) for _ in range(n - len(edges))]
-    return GraphicSpec(vertices, edges)
-
-
-def random_partition(n, rng):
-    order = list(range(n))
-    rng.shuffle(order)
-    blocks = [order[i::4] for i in range(4)]
-    return PartitionSpec(blocks, [rng.randint(1, len(b)) for b in blocks])
-
-
-#: Spec makers, by name, for the enumeration tests at n = 11..16.
-ENUMERATION_SPECS = {
-    "uniform-0": lambda n, rng: UniformSpec(0),
-    "uniform-half": lambda n, rng: UniformSpec(n // 2),
-    "uniform-n": lambda n, rng: UniformSpec(n),
-    "partition": random_partition,
-    "graphic": random_graph,
-    "dual-graphic": lambda n, rng: DualSpec(random_graph(n, rng)),
-    "truncate-dual-partition": lambda n, rng: TruncateSpec(
-        DualSpec(random_partition(n, rng)), n // 3
-    ),
-}
 
 
 def family_matroid(n, family):
