@@ -35,6 +35,7 @@ from .greedy import (
 from .matroids import Matroid
 from .setfunc import (
     SetFunction,
+    _check_value_range,
     _clamp_ratio,
     _marginals,
     _require_increasing,
@@ -168,6 +169,7 @@ def strong_curvature_detail(
     1 / (1 - c) and reverse bound 1 - c.
     """
     _require_increasing(f)
+    _check_value_range(f)
     vals = f.values
     worst: float | None = None
     witness: tuple[int, int, int] | None = None

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, cycle
 from operator import neg, sub
@@ -134,18 +135,29 @@ def check_monotone(f: SetFunction) -> MonotonicityReport:
 
 
 def _scan_monotone(f: SetFunction) -> MonotonicityReport:
-    vals = f.values
     flat: list[tuple[int, int]] = []
     negative: list[tuple[int, int]] = []
     for j in range(f.n):
-        d = _marginals(vals, j)
-        low = min(d)
-        if low <= 0.0:
-            first = next(i for i, x in enumerate(d) if x <= 0.0)
-            flat.append((_subset_at(first, j), j))
-            if low < 0.0:
-                first = next(i for i, x in enumerate(d) if x < 0.0)
-                negative.append((_subset_at(first, j), j))
+        _monotone_share(_marginals(f.values, j), j, flat, negative)
+    return _monotone_report(flat, negative)
+
+
+def _monotone_share(
+    d: list[float], j: int, flat: list[tuple[int, int]], negative: list[tuple[int, int]]
+) -> None:
+    """Append element j's first zero-or-negative and first negative (S, j) pairs."""
+    low = min(d)
+    if low <= 0.0:
+        first = next(i for i, x in enumerate(d) if x <= 0.0)
+        flat.append((_subset_at(first, j), j))
+        if low < 0.0:
+            first = next(i for i, x in enumerate(d) if x < 0.0)
+            negative.append((_subset_at(first, j), j))
+
+
+def _monotone_report(
+    flat: list[tuple[int, int]], negative: list[tuple[int, int]]
+) -> MonotonicityReport:
     if negative:
         return MonotonicityReport(False, False, min(negative))
     if flat:
@@ -277,37 +289,141 @@ def ratio_scan(f: SetFunction) -> RatioScan:
     positive denominator contributes the limiting value (0, i.e. alpha = 1).
     With no binding pair at all, gamma = 1 and alpha = 0.
 
-    For each j, subset min/max transforms of marg_j give, for every R, the
-    smallest and largest marg_j(S) over S <= R. Float division by a fixed
-    positive number is monotone, so the smallest gamma ratio at (R, j) is
-    (min over S of marg_j(S)) / marg_j(R) and the smallest alpha ratio is
-    marg_j(R) / (max over S of marg_j(S)), the very floats the pairs give.
-    That finds each minimum and the first R attaining it in O(n^2 * 2^n);
-    the pairs of that R alone are then scanned in witness order for the
-    exact triple. The table is immutable, so the scan runs once per function.
+    The scan takes one element j at a time and sorts its marginals d once.
+    Rounded division is monotone in each operand, so a pair with ratio at
+    most b needs, for gamma, d(S) / max(d) <= b and min(d) / d(R) <= b, and
+    for alpha, d(R) / max(d) <= b and min(d) / d(S) <= b. Each filter keeps
+    a prefix or a suffix of the sorted order. The threshold b is always a
+    ratio some pair attains: at first the best of a few seed pairs from the
+    two ends of d and of the ratios found so far, then each new best ratio.
+    Candidate R are walked best first until their filter fails; for each,
+    candidate S are walked best first until the ratio against R exceeds b,
+    so the first subset of R met gives R's extreme marg_j(S) over S <= R.
+    Every pair at or below b is reached, so the smallest ratio and the first
+    R attaining it are exactly what a scan of all pairs finds. An element
+    whose walk tests more than a few times 2^(n-1) pairs is redone by subset
+    min/max transforms of d, which give every R's extreme marg_j(S) over
+    S <= R at once: modular and tie-heavy tables take that path, which
+    keeps the worst case at O(n^2 * 2^n). The pairs of the first R attaining
+    each minimum are then scanned in witness order for the exact triple.
+
+    When the monotonicity report is not yet known, the same marginal lists
+    settle it, and a non-increasing function still raises NonMonotoneError
+    before an overflowing value range raises ValueError. The table is
+    immutable, so the scan runs once per function.
     """
     if f._ratios is None:
         f._ratios = _ratio_scan(f)
     return f._ratios
 
 
+# The seed pairs of an element join its _SEED_K smallest and largest
+# marginals, plus the pairs through the empty set and V - j, which always
+# bind when some marginal is positive, so the threshold is finite from the
+# first element on. Without the extremes the scan of random n = 10..12
+# tables took about three times as long; more than two of them bought nothing
+# at n = 10..16 and cost time below n = 8. An element's walk may test
+# _PAIR_BUDGET * 2^(n-1) pairs, about what one subset transform of its
+# 2^(n-1) marginals costs; past that the element is transformed instead.
+_SEED_K = 2
+_PAIR_BUDGET = 4
+
+
 def _ratio_scan(f: SetFunction) -> RatioScan:
-    _require_increasing(f)
-    _check_value_range(f)
+    fused = f._monotone is None
+    if not fused:
+        _require_increasing(f)
+        _check_value_range(f)
     n = f.n
     vals = f.values
+    ranged = math.isfinite(vals[-1] - vals[0])
+    budget = _PAIR_BUDGET << (n - 1)
+    flat: list[tuple[int, int]] = []
+    negative: list[tuple[int, int]] = []
     g_first = a_first = (_INF, -1)
     for j in range(n):
         d = _marginals(vals, j)
-        low = _subset_fold(d[:], largest=False)
-        high = _subset_fold(d[:], largest=True)
-        g_first = _first_min(g_first, [m / x if x > 0.0 else _INF for m, x in zip(low, d)], j)
-        a_first = _first_min(a_first, [x / m if m > 0.0 else _INF for m, x in zip(high, d)], j)
+        if fused:
+            _monotone_share(d, j, flat, negative)
+        if not negative and ranged:
+            order = sorted(range(len(d)), key=d.__getitem__)
+            g_first = _element_min(g_first, d, order, j, budget, curvature=False)
+            a_first = _element_min(a_first, d, order, j, budget, curvature=True)
+            # Free this element's lists before the next ones are built, so one
+            # marginal list and one order are alive at a time (2^(n-1) each).
+            del order
+        del d
+    if fused:
+        f._monotone = _monotone_report(flat, negative)
+        _require_increasing(f)
+        _check_value_range(f)
     g_best, g_wit = _pairs_min(vals, n, g_first[1], curvature=False)
     a_best, a_wit = _pairs_min(vals, n, a_first[1], curvature=True)
     gamma = 1.0 if g_best is None else _clamp_ratio(g_best, "submodularity-ratio")
     alpha = 0.0 if a_best is None else 1.0 - _clamp_ratio(a_best, "curvature")
     return RatioScan(gamma, alpha, g_wit, a_wit)
+
+
+def _element_min(
+    first: tuple[float, int],
+    d: list[float],
+    order: list[int],
+    j: int,
+    budget: int,
+    curvature: bool,
+) -> tuple[float, int]:
+    """Fold element j's smallest ratio and first R into ``first``, like :func:`_first_min`.
+
+    ``order`` sorts the indices of ``d`` by value. The ratio is d(S) / d(R)
+    for gamma and d(R) / d(S) for alpha (``curvature``), over S <= R with a
+    positive denominator. ``first[0]`` and the seed pairs set the starting
+    threshold; see :func:`ratio_scan` for the walk and why it is exact.
+    """
+    low, high = d[order[0]], d[order[-1]]
+    if not high > 0.0:
+        return first
+    # The indices with a positive marginal, largest first: gamma's R, alpha's S.
+    falling = order[bisect_right(order, 0.0, key=d.__getitem__) :][::-1]
+    # Seed ratios d(a) / d(b): a from the bottom of the order is S for gamma
+    # and R for alpha, b from the top is the other one.
+    bottoms = order[:_SEED_K] + [len(d) - 1 if curvature else 0]
+    tops = order[-_SEED_K:] + [0 if curvature else len(d) - 1]
+    seeds = [
+        d[a] / d[b]
+        for a in bottoms
+        for b in tops
+        if d[b] > 0.0 and not (b & ~a if curvature else a & ~b)
+    ]
+    best, best_big = min(seeds + [first[0]]), -1
+    bigs, smalls = (order, falling) if curvature else (falling, order)
+    tests = 0
+    for big in bigs:
+        db = d[big]
+        if (db / high if curvature else low / db) > best:
+            break
+        outside = ~big
+        for tests, small in enumerate(smalls, tests + 1):
+            ratio = db / d[small] if curvature else d[small] / db
+            if ratio > best:
+                break
+            if not small & outside:
+                if best_big < 0 or (ratio, big) < (best, best_big):
+                    best, best_big = ratio, big
+                break
+        if tests > budget:
+            return _fold_min(first, d, j, curvature)
+    if best_big < 0:
+        return first
+    return min(first, (best, _subset_at(best_big, j)))
+
+
+def _fold_min(
+    first: tuple[float, int], d: list[float], j: int, curvature: bool
+) -> tuple[float, int]:
+    """:func:`_element_min` by a subset transform of all of d."""
+    extreme = _subset_fold(d[:], largest=curvature)
+    pairs = zip(d, extreme) if curvature else zip(extreme, d)
+    return _first_min(first, [num / den if den > 0.0 else _INF for num, den in pairs], j)
 
 
 def submodularity_ratio(f: SetFunction) -> float:
@@ -386,6 +502,7 @@ def marginal_bounds_estimate(f: SetFunction) -> tuple[MarginalBounds, float, flo
             "marginal bounds need a strictly increasing function "
             f"(witness: {report.witness})"
         )
+    _check_value_range(f)
     # Every marginal is positive, so the builtins meet no signed-zero ties.
     lo, hi = _INF, -_INF
     for j in range(f.n):

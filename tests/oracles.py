@@ -7,10 +7,13 @@ report their witnesses as masks. The witness references at the end walk
 plain masks instead,
 because the witness order the library documents is an order on masks; they
 visit every pair directly, in that order, with no transform or shortcut.
+The one exception, ``reference_fold_ratio_scan``, keeps the library's
+unpruned transform scan as the baseline its pruned ratio scan must match.
 """
 
 import itertools
 
+from matroid_greedy import setfunc
 from matroid_greedy.matroids import (
     DualSpec,
     ExplicitSpec,
@@ -222,6 +225,33 @@ def reference_ratio_scan(values, n):
     gamma = 1.0 if g_best is None else g_best
     alpha = 0.0 if a_best is None else 1.0 - a_best
     return gamma, alpha, g_wit, a_wit
+
+
+def reference_fold_ratio_scan(values, n):
+    """:class:`RatioScan` of an increasing table by subset transforms of every element.
+
+    For each j, the subset min and max transforms of its marginals give each
+    R's extreme marg_j(S) over S <= R, so every (R, j) ratio and the first R
+    attaining each minimum come out of two full transforms per element; the
+    pairs of that R are then scanned for the witness. This is the n^2 * 2^n
+    scan with no pruning, so it stays cheap at n = 10..14.
+    """
+    vals = tuple(values)
+    inf = float("inf")
+    g_first = a_first = (inf, -1)
+    for j in range(n):
+        d = setfunc._marginals(vals, j)
+        low = setfunc._subset_fold(d[:], largest=False)
+        high = setfunc._subset_fold(d[:], largest=True)
+        ratios = [m / x if x > 0.0 else inf for m, x in zip(low, d)]
+        g_first = setfunc._first_min(g_first, ratios, j)
+        ratios = [x / m if m > 0.0 else inf for m, x in zip(high, d)]
+        a_first = setfunc._first_min(a_first, ratios, j)
+    g_best, g_wit = setfunc._pairs_min(vals, n, g_first[1], curvature=False)
+    a_best, a_wit = setfunc._pairs_min(vals, n, a_first[1], curvature=True)
+    gamma = 1.0 if g_best is None else setfunc._clamp_ratio(g_best, "submodularity-ratio")
+    alpha = 0.0 if a_best is None else 1.0 - setfunc._clamp_ratio(a_best, "curvature")
+    return setfunc.RatioScan(gamma, alpha, g_wit, a_wit)
 
 
 def reference_cumulative_scan(values, n):

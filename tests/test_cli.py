@@ -390,6 +390,20 @@ class TestVerify:
         assert code == 0 and json.loads(out)["passed"] == 2
         assert len(calls) == 1
 
+    def test_each_marginal_list_built_once(self, capsys, t3_path, monkeypatch):
+        # The ratio scan also settles monotonicity from the same lists.
+        calls = []
+        marginals = setfunc._marginals
+
+        def counting_marginals(vals, j):
+            calls.append(j)
+            return marginals(vals, j)
+
+        monkeypatch.setattr(setfunc, "_marginals", counting_marginals)
+        code, out, _ = run_cli(capsys, "verify", "--instance", t3_path)
+        assert code == 0 and json.loads(out)["passed"] == 2
+        assert calls == [0, 1, 2]
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tolerance_must_be_finite_and_nonnegative(self, capsys, t3_path, tol):
         code, out, err = run_cli(capsys, "verify", "--instance", t3_path, f"--tol={tol}")

@@ -27,7 +27,11 @@ from matroid_greedy import (
     verify_forward,
     verify_reverse,
 )
-from matroid_greedy.guarantees import forward_greedy_ratios_detail, reverse_greedy_ratios_detail
+from matroid_greedy.guarantees import (
+    forward_greedy_ratios_detail,
+    reverse_greedy_ratios_detail,
+    strong_curvature_detail,
+)
 from matroid_greedy.instances import gen_bounded_marginal, gen_modular, random_suite
 
 from conftest import ENUMERATION_SPECS
@@ -171,6 +175,10 @@ class TestStrongCurvature:
     def test_requires_increasing(self):
         with pytest.raises(NonMonotoneError):
             strong_curvature(SetFunction(2, [0, 2, 1, 1]))
+
+    def test_overflowing_value_range_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            strong_curvature_detail(SetFunction(1, [-1e308, 1e308]))
 
 
 class TestGreedyRestrictedRatios:

@@ -19,7 +19,8 @@ from matroid_greedy import (
     ratio_scan,
     submodularity_ratio,
 )
-from matroid_greedy.instances import gen_modular
+from matroid_greedy import setfunc
+from matroid_greedy.instances import gen_bounded_marginal, gen_modular, random_suite
 from matroid_greedy.setfunc import _subset_fold, cumulative_ratio_detail
 
 from conftest import constant_function
@@ -30,6 +31,7 @@ from oracles import (
     naive_gamma,
     naive_gamma_cumulative,
     reference_cumulative_scan,
+    reference_fold_ratio_scan,
     reference_monotone,
     reference_ratio_scan,
     reference_subset_fold,
@@ -299,6 +301,152 @@ class TestRatios:
         assert curvature(sp2) == 0.0 and submodularity_ratio(sp2) < 1.0
 
 
+def bounded_values(n, rng):
+    """Bounded-marginal table, the formula of ``gen_bounded_marginal`` without its n cap."""
+    hi = rng.uniform(1.5, 3.0)
+    mid, half = (1.0 + hi) / 2.0, (hi - 1.0) / 2.0
+    return [0.0] + [mid * m.bit_count() + rng.uniform(0.0, half) for m in range(1, 1 << n)]
+
+
+def max_plus_values(n, rng):
+    """Max-plus table, the formula of ``gen_explicit_random`` without its n cap."""
+    values = [0.0] * (1 << n)
+    for mask in range(1, 1 << n):
+        best = max(values[mask ^ 1 << j] for j in range(n) if mask >> j & 1)
+        values[mask] = best + (1.0 - rng.random())
+    return values
+
+
+def tie_values(kind, n, rng):
+    """Increasing table full of equal marginals.
+
+    ``modular``: integer weights, some 0; ``stepped``: integer steps of 0..2
+    over the best subset below; ``signed-zero``: stepped, each zero value of
+    either sign; ``flat``: every value a zero of either sign.
+    """
+    size = 1 << n
+    if kind == "modular":
+        weights = [rng.randint(0, 3) for _ in range(n)]
+        values = [sum(w for j, w in enumerate(weights) if m >> j & 1) for m in range(size)]
+    elif kind in ("stepped", "signed-zero"):
+        values = [0] * size
+        for mask in range(1, size):
+            below = max(values[mask ^ 1 << j] for j in range(n) if mask >> j & 1)
+            values[mask] = below + rng.choice([0, 0, 1, 2])
+    else:
+        values = [0] * size
+    if kind in ("signed-zero", "flat"):
+        return [-0.0 if v == 0 and rng.random() < 0.5 else float(v) for v in values]
+    return [float(v) for v in values]
+
+
+def benchmark_suite(seed):
+    """The ``verify-batch`` benchmark's instances: the first 4 of each n in 10..12."""
+    suite = random_suite(60, 10, 12, seed)
+    return [inst for n in (10, 11, 12) for inst in [i for i in suite if i.n == n][:4]]
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    calls = []
+    fold = setfunc._subset_fold
+
+    def counting_fold(table, largest):
+        calls.append(largest)
+        return fold(table, largest)
+
+    monkeypatch.setattr(setfunc, "_subset_fold", counting_fold)
+    return calls
+
+
+class TestPrunedRatioScan:
+    @pytest.mark.parametrize("kind", ["bounded", "max-plus"])
+    @pytest.mark.parametrize("n", range(10, 15))
+    def test_matches_fold_scan(self, fold_calls, kind, n):
+        # No fold runs, so the pruned path alone must give the fold's answer.
+        for seed in range(2):
+            rng = random.Random(f"{kind}-{n}-{seed}")
+            make = bounded_values if kind == "bounded" else max_plus_values
+            f = SetFunction(n, make(n, rng))
+            scan = ratio_scan(f)
+            assert fold_calls == []
+            assert repr(scan) == repr(reference_fold_ratio_scan(f.values, n))
+            fold_calls.clear()
+
+    @pytest.mark.parametrize("seed", [1, 20211003])
+    def test_matches_fold_scan_on_benchmark_suites(self, fold_calls, seed):
+        for inst in benchmark_suite(seed):
+            f = SetFunction(inst.n, inst.function.values)
+            scan = ratio_scan(f)
+            assert fold_calls == [], inst.id
+            assert repr(scan) == repr(reference_fold_ratio_scan(f.values, f.n)), inst.id
+            fold_calls.clear()
+
+    @pytest.mark.parametrize("kind", ["modular", "stepped", "signed-zero", "flat"])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_tie_heavy_tables_match_direct_scan(self, kind, n):
+        rng = random.Random(f"{kind}-{n}")
+        f = SetFunction(n, tie_values(kind, n, rng))
+        scan = ratio_scan(f)
+        gamma, alpha, g_wit, a_wit = reference_ratio_scan(list(f.values), n)
+        assert same_float(scan.gamma, gamma) and same_float(scan.alpha, alpha)
+        assert (scan.gamma_witness, scan.alpha_witness) == (g_wit, a_wit)
+
+    @pytest.mark.parametrize("hi", [1.5, 2.0, 3.0])
+    def test_bounded_tables_need_no_fold(self, fold_calls, hi):
+        for seed in range(3):
+            ratio_scan(gen_bounded_marginal(12, 1.0, hi, seed))
+        assert fold_calls == []
+
+    def test_modular_table_falls_back_to_folds(self, fold_calls):
+        f = gen_modular(8, range(1, 9))
+        scan = ratio_scan(f)
+        assert len(fold_calls) >= f.n
+        assert (scan.gamma, scan.alpha) == (1.0, 0.0)
+        assert (scan.gamma_witness, scan.alpha_witness) == reference_ratio_scan(f.values, 8)[2:]
+
+    def test_scan_settles_monotonicity_from_its_own_marginals(self, monkeypatch):
+        f = SetFunction(9, tie_values("stepped", 9, random.Random(5)))
+        calls = []
+        marginals = setfunc._marginals
+
+        def counting_marginals(vals, j):
+            calls.append(j)
+            return marginals(vals, j)
+
+        monkeypatch.setattr(setfunc, "_marginals", counting_marginals)
+        ratio_scan(f)
+        report = check_monotone(f)
+        assert calls == list(range(9))
+        expected = reference_monotone(list(f.values), 9)
+        assert (report.increasing, report.strictly_increasing, report.witness) == expected
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.one_of(tie_heavy_tables(), small_int_tables()))
+    def test_scan_report_matches_direct_scan(self, f):
+        try:
+            ratio_scan(f)
+        except NonMonotoneError:
+            pass
+        report = f._monotone
+        expected = reference_monotone(list(f.values), f.n)
+        assert (report.increasing, report.strictly_increasing, report.witness) == expected
+
+    @pytest.mark.parametrize("known", [False, True])
+    def test_non_monotone_error_comes_before_the_range_error(self, known):
+        # Adding element 1 to {0} decreases f, and f(V) - f(empty) overflows.
+        f = SetFunction(2, [-1e308, 1.5e308, 0.0, 1e308])
+        if known:
+            check_monotone(f)
+        with pytest.raises(NonMonotoneError, match=r"adding element 1 to \[0\]"):
+            ratio_scan(f)
+        increasing = SetFunction(2, [-1e308, 0.0, 0.0, 1e308])
+        if known:
+            check_monotone(increasing)
+        with pytest.raises(ValueError, match="overflows"):
+            ratio_scan(increasing)
+
+
 class TestMarginalBounds:
     def test_t3(self, t3_function):
         bounds, gamma_lb, alpha_ub = marginal_bounds_estimate(t3_function)
@@ -319,6 +467,10 @@ class TestMarginalBounds:
     def test_requires_strict(self):
         with pytest.raises(NotStrictlyIncreasingError):
             marginal_bounds_estimate(constant_function(2))
+
+    def test_overflowing_value_range_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            marginal_bounds_estimate(SetFunction(1, [-1e308, 1e308]))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(increasing_tables())
