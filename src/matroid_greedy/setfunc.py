@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, cycle
 from operator import neg, sub
@@ -138,15 +138,22 @@ def _scan_monotone(f: SetFunction) -> MonotonicityReport:
     flat: list[tuple[int, int]] = []
     negative: list[tuple[int, int]] = []
     for j in range(f.n):
-        _monotone_share(_marginals(f.values, j), j, flat, negative)
+        d = _marginals(f.values, j)
+        _monotone_share(d, min(d), j, flat, negative)
     return _monotone_report(flat, negative)
 
 
 def _monotone_share(
-    d: list[float], j: int, flat: list[tuple[int, int]], negative: list[tuple[int, int]]
+    d: list[float],
+    low: float,
+    j: int,
+    flat: list[tuple[int, int]],
+    negative: list[tuple[int, int]],
 ) -> None:
-    """Append element j's first zero-or-negative and first negative (S, j) pairs."""
-    low = min(d)
+    """Append element j's first zero-or-negative and first negative (S, j) pairs.
+
+    ``low`` is ``min(d)``.
+    """
     if low <= 0.0:
         first = next(i for i, x in enumerate(d) if x <= 0.0)
         flat.append((_subset_at(first, j), j))
@@ -256,17 +263,17 @@ def _first_min(
 
 
 def _pairs_min(
-    vals: tuple[float, ...], n: int, big: int, curvature: bool
+    vals: tuple[float, ...], n: int, first: tuple[float, int], curvature: bool
 ) -> tuple[float | None, tuple[int, int, int] | None]:
-    """Minimum ratio over the triples with R = big and its first witness.
+    """First triple with R = first[1] whose ratio equals the scan minimum first[0].
 
-    Triples are visited in (S submask-descending, j ascending) order; a
-    negative ``big`` means no R binds.
+    Triples are visited in (S submask-descending, j ascending) order, so the
+    first one at the minimum is the witness, with the sign of its own zero.
+    A negative R means no R binds.
     """
-    best: float | None = None
-    wit: tuple[int, int, int] | None = None
+    target, big = first
     if big < 0:
-        return best, wit
+        return None, None
     outs = [(j, 1 << j, vals[big | 1 << j] - vals[big]) for j in range(n) if not big >> j & 1]
     for small in submasks(big):
         vsmall = vals[small]
@@ -275,9 +282,9 @@ def _pairs_min(
             num, den = (d_big, d_small) if curvature else (d_small, d_big)
             if den > 0.0:
                 r = num / den
-                if best is None or r < best:
-                    best, wit = r, (small, big, j)
-    return best, wit
+                if r == target:
+                    return r, (small, big, j)
+    raise AssertionError(f"scan minimum {target!r} is not attained at R = {big}")
 
 
 def ratio_scan(f: SetFunction) -> RatioScan:
@@ -289,23 +296,41 @@ def ratio_scan(f: SetFunction) -> RatioScan:
     positive denominator contributes the limiting value (0, i.e. alpha = 1).
     With no binding pair at all, gamma = 1 and alpha = 0.
 
-    The scan takes one element j at a time and sorts its marginals d once.
-    Rounded division is monotone in each operand, so a pair with ratio at
-    most b needs, for gamma, d(S) / max(d) <= b and min(d) / d(R) <= b, and
-    for alpha, d(R) / max(d) <= b and min(d) / d(S) <= b. Each filter keeps
-    a prefix or a suffix of the sorted order. The threshold b is always a
-    ratio some pair attains: at first the best of a few seed pairs from the
-    two ends of d and of the ratios found so far, then each new best ratio.
-    Candidate R are walked best first until their filter fails; for each,
-    candidate S are walked best first until the ratio against R exceeds b,
-    so the first subset of R met gives R's extreme marg_j(S) over S <= R.
-    Every pair at or below b is reached, so the smallest ratio and the first
-    R attaining it are exactly what a scan of all pairs finds. An element
-    whose walk tests more than a few times 2^(n-1) pairs is redone by subset
-    min/max transforms of d, which give every R's extreme marg_j(S) over
-    S <= R at once: modular and tie-heavy tables take that path, which
-    keeps the worst case at O(n^2 * 2^n). The pairs of the first R attaining
-    each minimum are then scanned in witness order for the exact triple.
+    The scan takes one element j at a time, with its marginals d, low =
+    min(d) and high = max(d). Rounded division is monotone in each operand,
+    so a pair with ratio at most b needs, for gamma, d(S) / high <= b and
+    low / d(R) <= b, and for alpha, d(R) / high <= b and low / d(S) <= b;
+    and every ratio of j is at least low / high. With b the larger of the
+    two running minima, an element whose low / high exceeds b cannot lower
+    either one and is skipped, with no sort and no walk; an equal low / high
+    still walks, since it may be attained at a smaller R. Otherwise each
+    filter keeps a prefix or a suffix of d's stable sorted order, so one
+    pass picks the indices at most a cut c just above b * high or at least
+    a cut c' just below low / b, and sorts only those. Each cut is checked
+    with the walks' own rounded division, c / high > b and low / c' > b, so
+    by monotonicity every index the filters keep is picked, for subnormal
+    and huge marginals alike. Where a check fails, or picking buys nothing
+    (the first element, where b is infinite; b >= 1; a zero marginal, as
+    tie-heavy tables have), all of d is sorted. The picked lists are
+    prefixes of the full orders, each closed by the other's first index
+    (the argmax or the argmin of d), whose ratio against any partner is at
+    least 1 > b: a walk that runs past a cut stops there after the same
+    pair tests as on the full order, so the same elements fall back.
+
+    A walk's own threshold, at most b, is always a ratio some pair attains:
+    at first the best of a few seed pairs from the two ends of d and of its
+    running minimum, then each new best ratio. Candidate R are walked best
+    first until their filter fails at that threshold; for each, candidate S
+    are walked best first until the ratio against R exceeds it, so the
+    first subset of R met gives R's extreme marg_j(S) over S <= R. Every
+    pair at or below the threshold is reached, so the smallest ratio and
+    the first R attaining it are exactly what a scan of all pairs finds. An
+    element whose walk tests more than a few times 2^(n-1) pairs is redone
+    by subset min/max transforms of d, which give every R's extreme
+    marg_j(S) over S <= R at once: modular and tie-heavy tables take that
+    path, which keeps the worst case at O(n^2 * 2^n). The pairs of the
+    first R attaining each minimum are then scanned in witness order, up to
+    the first triple at the minimum.
 
     When the monotonicity report is not yet known, the same marginal lists
     settle it, and a non-increasing function still raises NonMonotoneError
@@ -322,9 +347,11 @@ def ratio_scan(f: SetFunction) -> RatioScan:
 # bind when some marginal is positive, so the threshold is finite from the
 # first element on. Without the extremes the scan of random n = 10..12
 # tables took about three times as long; more than two of them bought nothing
-# at n = 10..16 and cost time below n = 8. An element's walk may test
-# _PAIR_BUDGET * 2^(n-1) pairs, about what one subset transform of its
-# 2^(n-1) marginals costs; past that the element is transformed instead.
+# at n = 10..16 and cost time below n = 8. With picked lists one extreme
+# was slower at n = 4..12 and three or four bought nothing. An element's
+# walk may test _PAIR_BUDGET * 2^(n-1) pairs, about what one subset
+# transform of its 2^(n-1) marginals costs; past that the element is
+# transformed instead.
 _SEED_K = 2
 _PAIR_BUDGET = 4
 
@@ -343,51 +370,85 @@ def _ratio_scan(f: SetFunction) -> RatioScan:
     g_first = a_first = (_INF, -1)
     for j in range(n):
         d = _marginals(vals, j)
+        low = min(d)
         if fused:
-            _monotone_share(d, j, flat, negative)
+            _monotone_share(d, low, j, flat, negative)
         if not negative and ranged:
-            order = sorted(range(len(d)), key=d.__getitem__)
-            g_first = _element_min(g_first, d, order, j, budget, curvature=False)
-            a_first = _element_min(a_first, d, order, j, budget, curvature=True)
-            # Free this element's lists before the next ones are built, so one
-            # marginal list and one order are alive at a time (2^(n-1) each).
-            del order
+            high = max(d)
+            bound = max(g_first[0], a_first[0])
+            # Every ratio of j is at least low / high; an equal one still walks,
+            # since it may be attained at a smaller R.
+            if high > 0.0 and not low / high > bound:
+                rising, falling = _walk_orders(d, low, high, bound)
+                g_first = _element_min(g_first, d, rising, falling, j, budget, curvature=False)
+                a_first = _element_min(a_first, d, rising, falling, j, budget, curvature=True)
+                # Free this element's lists before the next ones are built, so
+                # one marginal list and one order are alive at a time.
+                del rising, falling
         del d
     if fused:
         f._monotone = _monotone_report(flat, negative)
         _require_increasing(f)
         _check_value_range(f)
-    g_best, g_wit = _pairs_min(vals, n, g_first[1], curvature=False)
-    a_best, a_wit = _pairs_min(vals, n, a_first[1], curvature=True)
+    g_best, g_wit = _pairs_min(vals, n, g_first, curvature=False)
+    a_best, a_wit = _pairs_min(vals, n, a_first, curvature=True)
     gamma = 1.0 if g_best is None else _clamp_ratio(g_best, "submodularity-ratio")
     alpha = 0.0 if a_best is None else 1.0 - _clamp_ratio(a_best, "curvature")
     return RatioScan(gamma, alpha, g_wit, a_wit)
 
 
+def _walk_orders(
+    d: list[float], low: float, high: float, bound: float
+) -> tuple[list[int], list[int]]:
+    """The indices of d that walks at threshold ``bound`` can reach, in walk order.
+
+    Returns (rising, falling): the stable ascending order of d's indices and
+    its positive entries in descending order, either in full or cut to a
+    prefix holding every index the walks can reach and closed by an index
+    that stops them. ``low`` and ``high`` are min(d) and max(d) > 0, and
+    ``low / high <= bound``; see :func:`ratio_scan` for the cuts and why
+    they are exact.
+    """
+    if low > 0.0 and 0.0 < bound < 1.0:
+        # A hair beyond bound * high and low / bound, so that the checks
+        # below pass unless subnormal rounding or overflow eats the margin.
+        rise_cut = bound * high * (1.0 + 1e-9)
+        fall_cut = low / bound * (1.0 - 1e-9)
+        if rise_cut / high > bound and low / fall_cut > bound:
+            key = d.__getitem__
+            picked = [i for i, x in enumerate(d) if x <= rise_cut or x >= fall_cut]
+            picked.sort(key=key)
+            rising = picked[: bisect_right(picked, rise_cut, key=key)]
+            falling = picked[bisect_left(picked, fall_cut, key=key) :][::-1]
+            # Each list ends with the other's first index, the argmax or the
+            # argmin of d, whose ratio against any partner is at least 1 > bound.
+            return rising + falling[:1], falling + rising[:1]
+    order = sorted(range(len(d)), key=d.__getitem__)
+    return order, order[bisect_right(order, 0.0, key=d.__getitem__) :][::-1]
+
+
 def _element_min(
     first: tuple[float, int],
     d: list[float],
-    order: list[int],
+    rising: list[int],
+    falling: list[int],
     j: int,
     budget: int,
     curvature: bool,
 ) -> tuple[float, int]:
     """Fold element j's smallest ratio and first R into ``first``, like :func:`_first_min`.
 
-    ``order`` sorts the indices of ``d`` by value. The ratio is d(S) / d(R)
-    for gamma and d(R) / d(S) for alpha (``curvature``), over S <= R with a
-    positive denominator. ``first[0]`` and the seed pairs set the starting
-    threshold; see :func:`ratio_scan` for the walk and why it is exact.
+    ``rising`` and ``falling`` come from :func:`_walk_orders` at a threshold
+    of at least ``first[0]``. The ratio is d(S) / d(R) for gamma and
+    d(R) / d(S) for alpha (``curvature``), over S <= R with a positive
+    denominator. ``first[0]`` and the seed pairs set the starting threshold;
+    see :func:`ratio_scan` for the walk and why it is exact.
     """
-    low, high = d[order[0]], d[order[-1]]
-    if not high > 0.0:
-        return first
-    # The indices with a positive marginal, largest first: gamma's R, alpha's S.
-    falling = order[bisect_right(order, 0.0, key=d.__getitem__) :][::-1]
+    low, high = d[rising[0]], d[falling[0]]
     # Seed ratios d(a) / d(b): a from the bottom of the order is S for gamma
     # and R for alpha, b from the top is the other one.
-    bottoms = order[:_SEED_K] + [len(d) - 1 if curvature else 0]
-    tops = order[-_SEED_K:] + [0 if curvature else len(d) - 1]
+    bottoms = rising[:_SEED_K] + [len(d) - 1 if curvature else 0]
+    tops = falling[:_SEED_K] + [0 if curvature else len(d) - 1]
     seeds = [
         d[a] / d[b]
         for a in bottoms
@@ -395,7 +456,7 @@ def _element_min(
         if d[b] > 0.0 and not (b & ~a if curvature else a & ~b)
     ]
     best, best_big = min(seeds + [first[0]]), -1
-    bigs, smalls = (order, falling) if curvature else (falling, order)
+    bigs, smalls = (rising, falling) if curvature else (falling, rising)
     tests = 0
     for big in bigs:
         db = d[big]

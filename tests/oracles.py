@@ -247,8 +247,8 @@ def reference_fold_ratio_scan(values, n):
         g_first = setfunc._first_min(g_first, ratios, j)
         ratios = [x / m if m > 0.0 else inf for m, x in zip(high, d)]
         a_first = setfunc._first_min(a_first, ratios, j)
-    g_best, g_wit = setfunc._pairs_min(vals, n, g_first[1], curvature=False)
-    a_best, a_wit = setfunc._pairs_min(vals, n, a_first[1], curvature=True)
+    g_best, g_wit = setfunc._pairs_min(vals, n, g_first, curvature=False)
+    a_best, a_wit = setfunc._pairs_min(vals, n, a_first, curvature=True)
     gamma = 1.0 if g_best is None else setfunc._clamp_ratio(g_best, "submodularity-ratio")
     alpha = 0.0 if a_best is None else 1.0 - setfunc._clamp_ratio(a_best, "curvature")
     return setfunc.RatioScan(gamma, alpha, g_wit, a_wit)

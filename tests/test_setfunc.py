@@ -359,6 +359,20 @@ def fold_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def sort_sizes(monkeypatch):
+    """Lengths of the lists the ratio scan hands to ``sorted``."""
+    sizes = []
+
+    def counting_sorted(items, **kwargs):
+        out = sorted(items, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(setfunc, "sorted", counting_sorted, raising=False)
+    return sizes
+
+
 class TestPrunedRatioScan:
     @pytest.mark.parametrize("kind", ["bounded", "max-plus"])
     @pytest.mark.parametrize("n", range(10, 15))
@@ -404,6 +418,95 @@ class TestPrunedRatioScan:
         assert len(fold_calls) >= f.n
         assert (scan.gamma, scan.alpha) == (1.0, 0.0)
         assert (scan.gamma_witness, scan.alpha_witness) == reference_ratio_scan(f.values, 8)[2:]
+
+    def test_tie_at_the_running_minimum_still_walks(self):
+        # Elements 0 and 1 are symmetric, each with min / max marginal 1 / 2.
+        # Element 0 attains 0.5 as both its gamma and its alpha ratio, so at
+        # element 1 the larger running minimum equals its min / max; element
+        # 1 attains gamma = 0.5 at R = {0}, before element 0's R = {1}, so an
+        # element skipped on an equal min / max would report (0, 2, 0).
+        f = SetFunction(3, [0.0, 1.0, 1.0, 3.0, 1.0, 2.5, 2.5, 3.5])
+        scan = ratio_scan(f)
+        assert scan.gamma_witness == (0, 1, 1)
+        fields = (scan.gamma, scan.alpha, scan.gamma_witness, scan.alpha_witness)
+        assert repr(fields) == repr(reference_ratio_scan(f.values, 3))
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e300])
+    def test_scaled_bounded_tables_match_both_references(self, sort_sizes, scale):
+        # Subnormal and near-overflow marginals: the cuts must still keep
+        # every index a walk reaches, and only the first element sorts all.
+        for n in (5, 8, 11):
+            rng = random.Random(f"scaled-{n}")
+            f = SetFunction(n, [x * scale for x in bounded_values(n, rng)])
+            sort_sizes.clear()
+            scan = ratio_scan(f)
+            assert sort_sizes.count(1 << (n - 1)) == 1
+            assert repr(scan) == repr(reference_fold_ratio_scan(f.values, n))
+            if n <= 8:
+                fields = (scan.gamma, scan.alpha, scan.gamma_witness, scan.alpha_witness)
+                assert repr(fields) == repr(reference_ratio_scan(f.values, n))
+
+    def test_picked_lists_start_with_every_index_a_walk_can_reach(self):
+        rng = random.Random("reach")
+        # 5e-324 * 3.0 rounds down to 3 ulps, which fails the cut check: 4 ulps
+        # divided by 3.0 still rounds to 5e-324, so 4 ulps must be kept.
+        cases = [([4 * 5e-324, 3.0, 1.0, 2.0], 5e-324)]
+        for scale in (1.0, 1e-310, 1e300):
+            for _ in range(30):
+                d = [rng.uniform(1.0, 2.0) * scale for _ in range(64)]
+                cases.append((d, min(d) / max(d) * rng.uniform(1.0, 1.1)))
+        for d, bound in cases:
+            low, high = min(d), max(d)
+            rising, falling = setfunc._walk_orders(d, low, high, bound)
+            order = sorted(range(len(d)), key=d.__getitem__)
+            reach = [i for i in order if d[i] / high <= bound]
+            assert rising[: len(reach)] == reach and len(rising) > len(reach)
+            reach = [i for i in reversed(order) if low / d[i] <= bound]
+            assert falling[: len(reach)] == reach and len(falling) > len(reach)
+
+    def test_picked_lists_cost_the_walks_what_full_orders_cost(self, fold_calls):
+        # A walk over the picked lists must make the pair tests it makes over
+        # the full orders, so the budget sends the same walks to the fold.
+        n = 9
+        vals = tuple(bounded_values(n, random.Random("picked-walks")))
+        firsts = [(math.inf, -1), (math.inf, -1)]
+        picked_walks = 0
+
+        def folds(lists, budget, curvature):
+            fold_calls.clear()
+            setfunc._element_min(firsts[curvature], d, *lists, j, budget, curvature)
+            return bool(fold_calls)
+
+        for j in range(n):
+            d = setfunc._marginals(vals, j)
+            low, high = min(d), max(d)
+            bound = max(firsts[0][0], firsts[1][0])
+            if low / high > bound:
+                continue
+            full = setfunc._walk_orders(d, low, high, math.inf)
+            picked = setfunc._walk_orders(d, low, high, bound)
+            for curvature in (False, True):
+                # The smallest budget at which the full-order walk does not fold.
+                lo, hi = 0, 4 << n
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    lo, hi = (mid + 1, hi) if folds(full, mid, curvature) else (lo, mid)
+                assert not folds(picked, lo, curvature)
+                if lo:
+                    assert folds(picked, lo - 1, curvature)
+                args = (firsts[curvature], d)
+                new_first = setfunc._element_min(*args, *full, j, lo, curvature)
+                assert setfunc._element_min(*args, *picked, j, lo, curvature) == new_first
+                firsts[curvature] = new_first
+                picked_walks += len(picked[0]) < len(d)
+        assert picked_walks, "no walk ran on picked lists"
+
+    @pytest.mark.parametrize("hi", [1.5, 2.0, 3.0])
+    def test_bounded_tables_sort_one_element_in_full(self, sort_sizes, hi):
+        for seed in range(3):
+            sort_sizes.clear()
+            ratio_scan(gen_bounded_marginal(12, 1.0, hi, seed))
+            assert sort_sizes.count(1 << 11) <= 1
 
     def test_scan_settles_monotonicity_from_its_own_marginals(self, monkeypatch):
         f = SetFunction(9, tie_values("stepped", 9, random.Random(5)))
