@@ -10,6 +10,7 @@ tolerance, 1e-9 by default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -239,14 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--instance", required=True)
     run.add_argument("--algo", choices=[*PASSES, "both"], default="both")
     run.add_argument("--out")
-    run.set_defaults(func=cmd_run)
 
     ratios = sub.add_parser("ratios", help="exhaustive ratio analysis of an instance")
     ratios.add_argument("--instance", required=True)
     ratios.add_argument("--greedy-variants", action="store_true")
     ratios.add_argument("--strong", action="store_true")
     ratios.add_argument("--out")
-    ratios.set_defaults(func=cmd_ratios)
 
     verify = sub.add_parser("verify", help="check both guarantees against brute force")
     verify.add_argument("--instance")
@@ -257,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     verify.add_argument("--out")
-    verify.set_defaults(func=cmd_verify)
 
     region = sub.add_parser("region", help="guarantee-comparison grid as CSV")
     region.add_argument("--fstar", type=float, required=True)
@@ -265,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     region.add_argument("--ffull", type=float, default=1.0)
     region.add_argument("--grid", type=int, default=100)
     region.add_argument("--out")
-    region.set_defaults(func=cmd_region)
 
     gen = sub.add_parser("gen", help="generate an instance file")
     gen.add_argument("--kind", choices=["modular", "bounded", "explicit"], required=True)
@@ -278,15 +275,23 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--cardinality", type=int, default=None)
     gen.add_argument("--id")
     gen.add_argument("--out")
-    gen.set_defaults(func=cmd_gen)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process; each parse_args call fills a fresh namespace.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The parser outlives any one call, so the command is looked up by name
+    # at each call, like every other module global.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

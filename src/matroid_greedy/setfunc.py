@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -216,10 +217,17 @@ class RatioScan:
 def _marginals(vals: tuple[float, ...], j: int) -> list[float]:
     """f(S + j) - f(S) for every S avoiding j, in ascending order of S."""
     half = 1 << j
-    without_j = [True] * half + [False] * half
-    return list(
-        map(sub, compress(vals, cycle(without_j[::-1])), compress(vals, cycle(without_j)))
-    )
+    if half < 32:
+        without_j = [True] * half + [False] * half
+        return list(
+            map(sub, compress(vals, cycle(without_j[::-1])), compress(vals, cycle(without_j)))
+        )
+    # Blocks of 2^(j+1) masks: the lower half avoids j, the upper half adds it.
+    # Slicing whole blocks beats the mask filter from 2^j = 32 on.
+    out: list[float] = []
+    for k in range(0, len(vals), 2 * half):
+        out += map(sub, vals[k + half : k + 2 * half], vals[k : k + half])
+    return out
 
 
 def _subset_at(index: int, j: int) -> int:
@@ -497,31 +505,88 @@ def curvature(f: SetFunction) -> float:
     return ratio_scan(f).alpha
 
 
+# The skip test of the cumulative scan asks each level bound to exceed the
+# running minimum by this relative margin, far above the rounding (under
+# 1e-14 at n <= 16) that the argument in cumulative_ratio_detail allows for.
+_SKIP_MARGIN = 1e-9
+# The smallest normal float: below it a product or a quotient may lose the margin.
+_TINY = sys.float_info.min
+
+
 def cumulative_ratio_detail(f: SetFunction) -> tuple[float, tuple[int, int] | None]:
     """Cumulative submodularity ratio with the attaining (S, R) pair.
 
     Minimizes sum of single-element marginals at S over elements of R \\ S
     against the set marginal of R at S, over all ordered pairs (S, R) with a
     positive set marginal. Both depend on R only through R \\ S, so the scan
-    visits the 3^n pairs with R disjoint from S. The witness is the first
-    (S ascending, R ascending) pair attaining the minimum, and R is disjoint
-    from S.
+    visits pairs with R disjoint from S: all 3^n of them in the worst case.
+    The witness is the first (S ascending, R ascending) pair attaining the
+    minimum, and R is disjoint from S.
+
+    Most S are skipped whole, by a bound from level_max[m], the largest f
+    over the sets of size m. Let m_j = f(S + j) - f(S) for j outside S. A
+    pair with |R| = k has numerator T, the m_j of R added in ascending
+    element order, and denominator D = f(S | R) - f(S). For k = 1, T and D
+    are the same float, so the ratio is exactly 1.0. For k >= 2, T is at
+    least L_k, the k smallest m_j added in ascending value order, and D is
+    at most U_k = level_max[|S| + k] - f(S). S is skipped when the running
+    minimum b satisfies tiny <= b <= 1 (tiny the smallest normal float), S
+    has two or more outside elements, the two lowest of them have positive
+    marginals, and L_k / U_k > b * (1 + 1e-9) for every k >= 2.
+    Then no pair of S has a ratio below b, and no pair with k >= 2 one equal
+    to it, so the first minimum, with its sign, is the full scan's.
+
+    Why that holds in floats, with u = 2^-53:
+
+    - Rounding is monotone, so f(S | R) <= level_max[|S| + k] gives D <= U_k
+      exactly: both subtract the same f(S).
+    - T and L_k each make k - 1 additions of nonnegative terms. An addition
+      rounds with relative error at most u, subnormal terms included (a
+      subnormal sum is exact), so unless a sum overflows, T and L_k are
+      within a factor 1 +- 16u of their exact sums at n <= 16, whatever the
+      order, and T >= L_k * (1 - 32u). The test requires the last sum, over
+      all of S's marginals, to be finite, which keeps every L_k finite; a T
+      that overflows gives an infinite ratio.
+    - The two positive marginals make every U_k positive, since U_k is at
+      least either of them.
+    - b is normal, so b * (1 + 1e-9) and every quotient above it are normal
+      and off by a factor of at most 1 + u; a quotient that overflows is
+      above every b.
+    - So T / D >= b * (1 + 1e-9) * (1 - 34u), which is above b * (1 + 2u),
+      and the scan's own division T / D rounds to the float after b or
+      higher.
+
+    A zero or subnormal running minimum, where b * (1 + 1e-9) may round
+    back to b, skips nothing. The test first tries k = 2 on the two lowest
+    outside elements, whose sum is at least L_2; where that fails, as on
+    modular tables, whose ratios all sit at 1 up to rounding, it builds no
+    list. Modular tables skip no S and cost the 3^n of the full scan;
+    bounded-marginal tables skip nearly all of them.
     """
     _require_increasing(f)
     check_size(f.n, MAX_CUMULATIVE_N, "cumulative ratio scan")
     _check_value_range(f)
+    n = f.n
     vals = f.values
-    full = (1 << f.n) - 1
-    best: float | None = None
-    wit: tuple[int, int] | None = None
-    for small in range(full + 1):
-        base = vals[small]
+    full = (1 << n) - 1
+    bits = [1 << j for j in range(n)]
+    level_max = [-_INF] * (n + 1)
+    for mask, value in enumerate(vals):
+        level = mask.bit_count()
+        if value > level_max[level]:
+            level_max[level] = value
+    # The first pair with a positive set marginal has ratio 0 or 1, since
+    # every subset of its R comes first, so +inf only ever means "no pair yet".
+    best, wit = _INF, None
+    for small, base in enumerate(vals):
+        rest = full ^ small
+        if _cannot_lower(vals, small, rest, bits, level_max, best):
+            continue
         # S | R and the marginal sum for every R <= V \ S, in ascending R:
         # each doubling adds the next element as the top bit, so every sum
         # adds its marginals in ascending element order, one at a time.
         unions = [small]
         totals = [0.0]
-        rest = full ^ small
         while rest:
             bit = rest & -rest
             rest ^= bit
@@ -532,10 +597,45 @@ def cumulative_ratio_detail(f: SetFunction) -> tuple[float, tuple[int, int] | No
             denom = vals[union] - base
             if denom > 0.0:
                 r = total / denom
-                if best is None or r < best:
+                if r < best:
                     best, wit = r, (small, union ^ small)
-    value = 1.0 if best is None else _clamp_ratio(best, "cumulative-ratio")
+    value = 1.0 if wit is None else _clamp_ratio(best, "cumulative-ratio")
     return value, wit
+
+
+def _cannot_lower(
+    vals: tuple[float, ...],
+    small: int,
+    rest: int,
+    bits: list[int],
+    level_max: list[float],
+    best: float,
+) -> bool:
+    """Whether the cumulative scan may skip S = ``small``, with ``rest`` = V \\ S.
+
+    True only if no pair (S, R) has a ratio below ``best`` and none with
+    |R| >= 2 one equal to it; see :func:`cumulative_ratio_detail`.
+    """
+    if not (_TINY <= best <= 1.0 and rest & (rest - 1)):
+        return False
+    base = vals[small]
+    # level_max[level] bounds the sets S | R with |R| = 2.
+    level = small.bit_count() + 2
+    cut = best * (1.0 + _SKIP_MARGIN)
+    first = rest & -rest
+    upper = rest ^ first
+    m0 = vals[small | first] - base
+    m1 = vals[small | (upper & -upper)] - base
+    if not (m0 > 0.0 and m1 > 0.0 and (m0 + m1) / (level_max[level] - base) > cut):
+        return False
+    low = [vals[small | bit] - base for bit in bits if rest & bit]
+    low.sort()
+    total = low[0]
+    for top, marg in zip(level_max[level:], low[1:]):
+        total += marg
+        if not total / (top - base) > cut:
+            return False
+    return total < _INF
 
 
 def cumulative_submodularity_ratio(f: SetFunction) -> float:

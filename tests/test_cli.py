@@ -417,6 +417,39 @@ class TestVerify:
         assert err.startswith("error: --count") and err.count("\n") == 1
 
 
+class TestParser:
+    def test_built_once_per_process(self, capsys, t3_path, monkeypatch):
+        builds = []
+        build = cli.build_parser
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run_cli(capsys, "verify", "--instance", t3_path)[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
+
+    def test_back_to_back_calls_keep_no_values(self, capsys, t3_path):
+        code, out, _ = run_cli(capsys, "verify", "--instance", t3_path, "--tol", "0.5")
+        assert code == 0 and json.loads(out)["tolerance"] == 0.5
+        code, out, _ = run_cli(capsys, "verify", "--instance", t3_path)
+        assert code == 0 and json.loads(out)["tolerance"] == guarantees.DEFAULT_TOLERANCE
+        code, out, _ = run_cli(
+            capsys, "ratios", "--instance", t3_path, "--greedy-variants", "--strong"
+        )
+        assert code == 0 and "strong_c" in json.loads(out)
+        code, out, _ = run_cli(capsys, "ratios", "--instance", t3_path)
+        payload = json.loads(out)
+        assert code == 0 and "strong_c" not in payload and "gamma_fg" not in payload
+        assert run_cli(capsys, "verify")[0] == 2
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "kind,code",

@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -22,6 +24,7 @@ from matroid_greedy import (
 from matroid_greedy import setfunc
 from matroid_greedy.instances import gen_bounded_marginal, gen_modular, random_suite
 from matroid_greedy.setfunc import _subset_fold, cumulative_ratio_detail
+from matroid_greedy.subsets import elements, submasks
 
 from conftest import constant_function
 from oracles import (
@@ -162,6 +165,15 @@ class TestMarginals:
         assert t3_function.set_marginal(0, mask_of([1, 2])) == 3.0
         assert t3_function.set_marginal(mask_of([2]), mask_of([0, 1])) == 3.0
         assert t3_function.set_marginal(mask_of([0, 1]), mask_of([1])) == 0.0
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_marginal_lists_by_definition(self, n):
+        # Zeros of both signs, so every sign rule of the subtraction shows.
+        rng = random.Random(f"marginals-{n}")
+        vals = tuple(rng.choice([0.0, -0.0, 1.0, 2.5, -3.0]) for _ in range(1 << n))
+        for j in range(n):
+            expected = [vals[m | 1 << j] - vals[m] for m in range(1 << n) if not m >> j & 1]
+            assert repr(setfunc._marginals(vals, j)) == repr(expected)
 
     def test_shifted_marginal_examples(self, t3_function, modular123):
         assert t3_function.shifted_marginal(mask_of([0, 1, 2]), 0) == 1.0
@@ -548,6 +560,171 @@ class TestPrunedRatioScan:
             check_monotone(increasing)
         with pytest.raises(ValueError, match="overflows"):
             ratio_scan(increasing)
+
+
+def zero_marginal_values(n, rng):
+    """Bounded-marginal table that ignores a random set of elements: zero marginals."""
+    values = bounded_values(n, rng)
+    dead = rng.getrandbits(n)
+    return [values[m & ~dead] for m in range(1 << n)]
+
+
+def rank_values(n, rng):
+    """Rank of a uniform matroid: marginals 1 below the rank, 0 from it on."""
+    rank = rng.randint(1, n)
+    return [float(min(m.bit_count(), rank)) for m in range(1 << n)]
+
+
+def concave_values(n, rng):
+    """|S|^p for p < 1: every sum of two or more marginals exceeds the set marginal."""
+    power = rng.uniform(0.2, 0.9)
+    return [m.bit_count() ** power for m in range(1 << n)]
+
+
+def spread_values(make):
+    """``make``'s tables mapped onto [-8e307, 8e307]: sums of marginals may overflow."""
+
+    def spread(n, rng):
+        values = make(n, rng)
+        return [v / values[-1] * 1.6e308 - 8e307 for v in values]
+
+    return spread
+
+
+def scaled_values(make, scale):
+    """``make``'s tables times ``scale``: subnormal or huge marginals."""
+    return lambda n, rng: [v * scale for v in make(n, rng)]
+
+
+#: Table makers for the cumulative scan, by name: (n, rng) -> values.
+CUMULATIVE_FAMILIES = {
+    "bounded": bounded_values,
+    "max-plus": max_plus_values,
+    "zero-marginal": zero_marginal_values,
+    "rank": rank_values,
+    "concave": concave_values,
+}
+for _kind in ("modular", "stepped", "signed-zero", "flat"):
+    CUMULATIVE_FAMILIES[_kind] = functools.partial(tie_values, _kind)
+for _name in ("bounded", "max-plus"):
+    _make = CUMULATIVE_FAMILIES[_name]
+    CUMULATIVE_FAMILIES[f"{_name}-x1e-310"] = scaled_values(_make, 1e-310)
+    CUMULATIVE_FAMILIES[f"{_name}-x1e300"] = scaled_values(_make, 1e300)
+    CUMULATIVE_FAMILIES[f"{_name}-spread"] = spread_values(_make)
+
+
+def level_maxima(vals, n):
+    return [max(v for m, v in enumerate(vals) if m.bit_count() == k) for k in range(n + 1)]
+
+
+def subset_ratios(vals, n, small):
+    """(|R|, ratio) for every pair (S, R) of S = small with a positive set marginal.
+
+    The ratio is computed as the scan computes it: the marginals of R's
+    elements added in ascending element order, over f(S | R) - f(S).
+    """
+    base = vals[small]
+    out = []
+    for other in submasks(((1 << n) - 1) ^ small):
+        total = 0.0
+        for j in elements(other):
+            total += vals[small | 1 << j] - base
+        denom = vals[small | other] - base
+        if denom > 0.0:
+            out.append((other.bit_count(), total / denom))
+    return out
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Per scan, the S whose pairs the cumulative scan expanded."""
+    expanded = []
+    cannot_lower = setfunc._cannot_lower
+
+    def counting(vals, small, *args):
+        skip = cannot_lower(vals, small, *args)
+        if not skip:
+            expanded.append(small)
+        return skip
+
+    monkeypatch.setattr(setfunc, "_cannot_lower", counting)
+    return expanded
+
+
+class TestCumulativeScan:
+    @pytest.mark.parametrize("family", sorted(CUMULATIVE_FAMILIES))
+    def test_matches_reference_scan(self, family):
+        for n in range(1, 8):
+            rng = random.Random(f"cumulative-{family}-{n}")
+            f = SetFunction(n, CUMULATIVE_FAMILIES[family](n, rng))
+            expected = reference_cumulative_scan(f.values, n)
+            assert repr(cumulative_ratio_detail(f)) == repr(expected), (family, n)
+
+    def test_subnormal_minimum(self, expansions):
+        # f({0}) and f({1}) sit 1e-310 above f(empty): the pair (empty, {0, 1})
+        # has a subnormal ratio, and below the smallest normal float no S is skipped.
+        n = 7
+        values = bounded_values(n, random.Random("subnormal"))
+        values[1] = values[2] = 1e-310
+        f = SetFunction(n, values)
+        value, wit = cumulative_ratio_detail(f)
+        assert 0.0 < value < sys.float_info.min and wit == (0, 3)
+        assert repr((value, wit)) == repr(reference_cumulative_scan(f.values, n))
+        assert len(expansions) == 1 << n
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bounded_tables_expand_few_subsets(self, expansions, seed):
+        f = gen_bounded_marginal(10, 1.0, 2.0, seed)
+        cumulative_ratio_detail(f)
+        assert len(expansions) <= (1 << 10) // 10
+
+    @pytest.mark.parametrize("family", ["bounded", "max-plus", "concave", "zero-marginal"])
+    def test_skips_change_nothing_at_larger_n(self, monkeypatch, family):
+        make = CUMULATIVE_FAMILIES[family]
+        tables = [SetFunction(n, make(n, random.Random(f"large-{family}-{n}"))) for n in (9, 11)]
+        pruned = [cumulative_ratio_detail(f) for f in tables]
+        monkeypatch.setattr(setfunc, "_cannot_lower", lambda *args: False)
+        assert repr(pruned) == repr([cumulative_ratio_detail(f) for f in tables])
+
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_modular_tables_expand_every_subset(self, expansions, n):
+        cumulative_ratio_detail(gen_modular(n, [1.0 + 0.37 * j for j in range(n)]))
+        assert expansions == list(range(1 << n))
+
+    def test_skip_is_exact(self):
+        # Whenever the per-S test skips S at a running minimum b, every pair
+        # with |R| >= 2 has a ratio above b and every singleton one at least b.
+        # b runs over every ratio of S and the float just above it, points just
+        # below S's smallest ratio, 1, values above 1, zero and subnormals.
+        # The tables include one whose element-order sum 1.387 + 1.357 + 1.12
+        # reads one ulp below the sorted sum the bound adds, so only the
+        # margin keeps (empty, V), at ratio 1.0 exactly, from being skipped
+        # at b = 1.
+        assert 1.12 + 1.357 + 1.387 > 1.387 + 1.357 + 1.12
+        tables = [[0.0, 1.387, 1.357, 2.0, 1.12, 2.0, 2.0, 1.387 + 1.357 + 1.12]]
+        for family, make in sorted(CUMULATIVE_FAMILIES.items()):
+            for n in (3, 4, 6):
+                tables.append(make(n, random.Random(f"skip-{family}-{n}")))
+        skips = 0
+        for values in tables:
+            n = len(values).bit_length() - 1
+            vals = SetFunction(n, values).values
+            bits = [1 << j for j in range(n)]
+            tops = level_maxima(vals, n)
+            for small in range(1 << n):
+                ratios = subset_ratios(vals, n, small)
+                bests = {0.0, 5e-324, 1e-310, 0.5, 1.0, 1.5}
+                for _, r in ratios:
+                    bests |= {r, math.nextafter(r, 2.0)}
+                if ratios:
+                    low = min(r for _, r in ratios)
+                    bests |= {math.nextafter(low, 0.0), low * (1.0 - 1e-8), low * 0.99}
+                for best in bests:
+                    rest = ((1 << n) - 1) ^ small
+                    if setfunc._cannot_lower(vals, small, rest, bits, tops, best):
+                        skips += 1
+                        assert all(r > best if k > 1 else r >= best for k, r in ratios)
+        assert skips > 1000
 
 
 class TestMarginalBounds:
