@@ -1,7 +1,10 @@
 """Size caps of the exhaustive operations, one table by cost class.
 
 Past its cap an operation raises GroundSetTooLargeError (CLI exit 5) before
-doing any work.
+its own scan starts. The cumulative ratio scan, and so ``ratios``, first
+checks that the function is increasing: a non-increasing table over the cap
+raises NonMonotoneError (exit 4), after the monotonicity scan and before any
+ratio scan.
 """
 
 from __future__ import annotations

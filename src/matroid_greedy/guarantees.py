@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .caps import MAX_REGION_GRID, check_size
+from .caps import MAX_CUMULATIVE_N, MAX_REGION_GRID, check_size
 from .errors import TraceMismatchError
 from .greedy import (
     REVERSE,
@@ -43,7 +43,7 @@ from .setfunc import (
     cumulative_ratio_detail,
     ratio_scan,
 )
-from .subsets import elements, full_mask, mask_of
+from .subsets import elements, full_mask
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -167,23 +167,28 @@ def strong_curvature_detail(
     requirement than bounding the nested-pair families, so
     c >= max(alpha, 1 - gamma). Also returns the induced forward bound
     1 / (1 - c) and reverse bound 1 - c.
+
+    The extremes are the ones the monotonicity scan (or the ratio scan that
+    settled monotonicity) kept, read after the input checks; the first
+    element with the smallest ratio binds, and only its marginal list is
+    built again, for the first S at each extreme.
     """
     _require_increasing(f)
     _check_value_range(f)
-    vals = f.values
     worst: float | None = None
-    witness: tuple[int, int, int] | None = None
-    for j in range(f.n):
-        # min/max and list.index all keep the first extreme in ascending S.
-        d = _marginals(vals, j)
-        hi = max(d)
+    at = -1
+    for j, (lo, hi) in enumerate(f._extremes):  # type: ignore[arg-type]
         if hi > 0.0:
-            lo = min(d)
             ratio = lo / hi
             if worst is None or ratio < worst:
-                worst = ratio
-                witness = (j, _subset_at(d.index(hi), j), _subset_at(d.index(lo), j))
-    c = 0.0 if worst is None else 1.0 - _clamp_ratio(worst, "strong-curvature")
+                worst, at = ratio, j
+    if worst is None:
+        return 0.0, 1.0, 1.0, None
+    lo, hi = f._extremes[at]  # type: ignore[index]
+    # list.index keeps the first extreme in ascending S, as min and max do.
+    d = _marginals(f.values, at)
+    witness = (at, _subset_at(d.index(hi), at), _subset_at(d.index(lo), at))
+    c = 1.0 - _clamp_ratio(worst, "strong-curvature")
     fwd = INF if c == 1.0 else 1.0 / (1.0 - c)
     return c, fwd, 1.0 - c, witness
 
@@ -194,47 +199,89 @@ def strong_curvature(f: SetFunction) -> tuple[float, float, float]:
     return c, fwd, rev
 
 
+def _strict_min(
+    best: float | None, ratios: list[float], first: int | None = 0
+) -> tuple[float, int] | None:
+    """Where ``if best is None or r < best: best = r`` over the binding ratios ends.
+
+    Returns (value, index) of the entry the loop ends at, or None where it
+    keeps ``best``. ``ratios[first]`` is the first binding entry, read only
+    where ``best`` is None (``first`` None: nothing binds). Later entries
+    that bind nothing must hold +inf, which never wins. The builtin ``min``
+    runs that very loop, so ties keep the first entry with the sign of its
+    zero, and a nan wins only where the loop starts.
+    """
+    if best is None:
+        if first is None:
+            return None
+        low = min(itertools.islice(ratios, first, None))
+        return low, ratios.index(low, first)
+    low = min([best, *ratios])
+    if low < best:
+        return low, ratios.index(low)
+    return None
+
+
 def forward_greedy_ratios_detail(
     f: SetFunction, matroid: Matroid, cardinality: int
 ) -> tuple[float, float, tuple[int, int] | None, tuple[int, int] | None]:
     """Greedy-restricted ratio/curvature for the forward pass, with witnesses.
 
     Scans exactly the pairs the forward pass can meet: independent S with
-    |S| < cardinality, the bases of the smaller truncations, S ascending,
-    then elements s outside S keeping S + s independent, s ascending.
+    |S| < cardinality and elements s outside S keeping S + s independent.
     gamma_fg = min marg_s(empty) / marg_s(S) and
     alpha_fg = 1 - min marg_s(S) / marg_s(empty), zero conventions as in the
-    unrestricted scan. Inputs are checked as by the greedy passes. Cheaper
-    than, and never worse than, (gamma, alpha).
+    unrestricted scan; the witness is the first (S ascending, s ascending)
+    pair at each minimum. Inputs are checked as by the greedy passes.
+    Cheaper than, and never worse than, (gamma, alpha).
+
+    The pairs are (T - s, s) for the independent T with 1 <= |T| <= N and s
+    in T, taken from the bases of the truncations at 1..N, so the family
+    makes no independence test. Each element's T, ascending, list its S
+    ascending, and its ratios in one list. A loop over all pairs in witness
+    order would start at its first binding pair. Where some non-loop element
+    has a positive marg_s(empty), that pair is (empty, s0) for the smallest
+    such s0 in both families, at ratio 1.0, or nan where the marginal
+    overflows. Each element's list is ranked against that start, and the
+    smallest (value, S, s) strictly below it, if any, is where the loop
+    ends; a nan start is kept. With no such s0 no curvature pair binds and
+    every ratio is a zero, so +inf stands in for the start.
     """
     _check_inputs(f, matroid, cardinality)
     _require_increasing(f)
     vals = f.values
-    g_best: float | None = None
-    a_best: float | None = None
-    g_wit: tuple[int, int] | None = None
-    a_wit: tuple[int, int] | None = None
     empty = vals[0]
-    smaller = [b for k in range(cardinality) for b in matroid.truncate(k).enumerate_bases()]
-    for subset in sorted(smaller):
-        base = vals[subset]
-        for s in range(f.n):
-            # |S + s| <= cardinality, where the truncation is the identity.
-            bit = 1 << s
-            if subset & bit or not matroid.is_independent(subset | bit):
-                continue
-            d_empty = vals[bit] - empty
-            d_here = vals[subset | bit] - base
-            if d_here > 0.0:
-                r = d_empty / d_here
-                if g_best is None or r < g_best:
-                    g_best, g_wit = r, (subset, s)
-            if d_empty > 0.0:
-                r = d_here / d_empty
-                if a_best is None or r < a_best:
-                    a_best, a_wit = r, (subset, s)
-    gamma_fg = 1.0 if g_best is None else _clamp_ratio(g_best, "forward-greedy ratio")
-    alpha_fg = 0.0 if a_best is None else 1.0 - _clamp_ratio(a_best, "forward-greedy curvature")
+    levels = [matroid.truncate(k).enumerate_bases() for k in range(1, cardinality + 1)]
+    sets = sorted(itertools.chain.from_iterable(levels))
+    # The mask of {s0}, or 0 where no s0 exists; the singletons ascend.
+    single = next((t for t in levels[0] if vals[t] - empty > 0.0), 0) if levels else 0
+    start = (vals[single] - empty) / (vals[single] - empty) if single else INF
+    g_hits: list[tuple[float, int, int]] = []
+    a_hits: list[tuple[float, int, int]] = []
+    for s in range(f.n):
+        bit = 1 << s
+        ts = [t for t in sets if t & bit]
+        d = [vals[t] - vals[t ^ bit] for t in ts]
+        d_empty = vals[bit] - empty
+        hit = _strict_min(start, [d_empty / x if x > 0.0 else INF for x in d])
+        if hit:
+            g_hits.append((hit[0], ts[hit[1]] ^ bit, s))
+        if d_empty > 0.0:
+            hit = _strict_min(start, [x / d_empty for x in d])
+            if hit:
+                a_hits.append((hit[0], ts[hit[1]] ^ bit, s))
+    loop_start = (start, 0, single.bit_length() - 1) if single else None
+    g_best = min(g_hits, default=loop_start)
+    a_best = min(a_hits, default=loop_start)
+    if g_best is None:
+        gamma_fg, g_wit = 1.0, None
+    else:
+        gamma_fg, g_wit = _clamp_ratio(g_best[0], "forward-greedy ratio"), g_best[1:]
+    if a_best is None:
+        alpha_fg, a_wit = 0.0, None
+    else:
+        alpha_fg = 1.0 - _clamp_ratio(a_best[0], "forward-greedy curvature")
+        a_wit = a_best[1:]
     return gamma_fg, alpha_fg, g_wit, a_wit
 
 
@@ -255,8 +302,13 @@ def reverse_greedy_ratios_detail(
     removal set padded to the step's size. Each reflected marginal is read
     as the same float f(K) - f(K - r) at the kept set K = V \\ R. Values can
     exceed the unit interval on these restricted families and are clamped.
-    Witnesses are (t, padding mask) and (t, padding mask, element). Inputs
-    are checked as by the greedy passes.
+    Witnesses are (t, padding mask) and (t, padding mask, element), the
+    first in (t, padding in ``itertools.combinations`` order, element)
+    order at each minimum. Inputs are checked as by the greedy passes.
+
+    The padding masks of each size are built once; those avoiding a pick
+    keep their order. Each step of each family is one list of ratios, in
+    witness order, ranked against the running minimum.
     """
     _check_inputs(f, matroid, cardinality)
     _require_increasing(f)
@@ -272,39 +324,53 @@ def reverse_greedy_ratios_detail(
         )
     vals = f.values
     kept_sets = [full_mask(n)] + [step.set_after for step in trace.steps]
+    final = trace.final_set
+    bits = [1 << e for e in range(n)]
+    # The masks of the combinations of each size, in combinations order.
+    pads = [list(map(sum, itertools.combinations(bits, k))) for k in range(removed_total + 1)]
     g_best: float | None = None
     a_best: float | None = None
     g_wit: tuple[int, int] | None = None
     a_wit: tuple[int, int, int] | None = None
 
-    for t in range(1, removed_total + 1):
-        r = trace.steps[t - 1].chosen
+    for t, step in enumerate(trace.steps, 1):
+        bit = 1 << step.chosen
         before = kept_sets[t - 1]
-        bit = 1 << r
         denom = vals[before] - vals[before & ~bit]
         if denom <= 0.0:
             continue
-        others = [e for e in range(n) if e != r]
-        for combo in itertools.combinations(others, removed_total):
-            pad = mask_of(combo)
-            kept = before & ~pad
-            ratio = (vals[kept] - vals[kept & ~bit]) / denom
-            if g_best is None or ratio < g_best:
-                g_best, g_wit = ratio, (t, pad)
+        avoiding = [pad for pad in pads[removed_total] if not pad & bit]
+        kept = [before & ~pad for pad in avoiding]
+        ratios = [(vals[k] - vals[k & ~bit]) / denom for k in kept]
+        hit = _strict_min(g_best, ratios, 0 if ratios else None)
+        if hit:
+            g_best, g_wit = hit[0], (t, avoiding[hit[1]])
 
     for t in range(1, removed_total + 1):
         before = kept_sets[t - 1]
-        for combo in itertools.combinations(range(n), t - 1):
-            pad = mask_of(combo)
-            kept = trace.final_set & ~pad
-            for r in elements(kept):
-                bit = 1 << r
-                denom = vals[kept] - vals[kept & ~bit]
-                if denom <= 0.0:
-                    continue
-                ratio = (vals[before] - vals[before & ~bit]) / denom
-                if a_best is None or ratio < a_best:
-                    a_best, a_wit = ratio, (t, pad, r)
+        gains = [vals[before] - vals[before & ~b] for b in bits]
+        # A padding P enters only through K = final - P, so the ratios of
+        # each K are worked out once, then listed per P in witness order.
+        kepts = [final & ~pad for pad in pads[t - 1]]
+        members = {k: elements(k) for k in set(kepts)}
+        denoms = {k: [vals[k] - vals[k & ~(1 << r)] for r in rs] for k, rs in members.items()}
+        ratios_of = {
+            k: [gains[r] / x if x > 0.0 else INF for r, x in zip(members[k], xs)]
+            for k, xs in denoms.items()
+        }
+        ratios = list(itertools.chain.from_iterable(map(ratios_of.__getitem__, kepts)))
+        first = None
+        if a_best is None:
+            binding = itertools.chain.from_iterable(map(denoms.__getitem__, kepts))
+            first = next((i for i, x in enumerate(binding) if x > 0.0), None)
+        hit = _strict_min(a_best, ratios, first)
+        if hit:
+            a_best, i = hit
+            for pad, k in zip(pads[t - 1], kepts):
+                if i < len(members[k]):
+                    break
+                i -= len(members[k])
+            a_wit = (t, pad, members[k][i])
 
     gamma_rg = 1.0 if g_best is None else min(1.0, max(0.0, g_best))
     alpha_rg = 0.0 if a_best is None else min(1.0, max(0.0, 1.0 - a_best))
@@ -466,8 +532,14 @@ def analyze_ratios(
     The greedy-restricted fields need the matroid and cardinality; the
     reverse pair is computed ex post from a fresh reverse-as-forward run.
     """
-    # The cumulative scan has the tighter cap, so an oversized table fails
-    # before the ratio scan runs.
+    # Within the cumulative cap the ratio scan runs first: its marginal lists
+    # also settle monotonicity and keep the extremes strong curvature reads,
+    # so no other stage builds them. Above the cap the cumulative scan fails
+    # after the monotonicity scan and before any ratio scan. Either way a
+    # non-increasing table fails first, then an oversized one, then an
+    # overflowing value range.
+    if f.n <= MAX_CUMULATIVE_N:
+        ratio_scan(f)
     cumulative, cum_wit = cumulative_ratio_detail(f)
     scan = ratio_scan(f)
     witnesses: dict[str, object] = {

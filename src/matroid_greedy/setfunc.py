@@ -38,7 +38,7 @@ class SetFunction:
     Values must be finite: NaN and infinities raise ValueError.
     """
 
-    __slots__ = ("n", "values", "_eval_count", "_lock", "_monotone", "_ratios")
+    __slots__ = ("n", "values", "_eval_count", "_lock", "_monotone", "_extremes", "_ratios")
 
     def __init__(self, n: int, values) -> None:
         if not 1 <= n <= MAX_TABLE_N:
@@ -58,6 +58,9 @@ class SetFunction:
         self._eval_count = 0
         self._lock = threading.Lock()
         self._monotone: MonotonicityReport | None = None
+        # (min, max) of each element's marginals, kept by whichever scan
+        # settles monotonicity, since that scan builds every list.
+        self._extremes: list[tuple[float, float]] | None = None
         self._ratios: RatioScan | None = None
 
     @property
@@ -128,20 +131,26 @@ def check_monotone(f: SetFunction) -> MonotonicityReport:
     the first offending S found and mapped back to its mask. The smallest
     (S, j) tuple over all elements is the witness, which is the first
     offending pair in mask-then-element order. The table is immutable, so
-    the report is computed once per function.
+    the report is computed once per function, and the same pass keeps each
+    element's smallest and largest marginal.
     """
     if f._monotone is None:
-        f._monotone = _scan_monotone(f)
-    return f._monotone
+        _scan_monotone(f)
+    return f._monotone  # type: ignore[return-value]
 
 
-def _scan_monotone(f: SetFunction) -> MonotonicityReport:
+def _scan_monotone(f: SetFunction) -> None:
+    """Store the monotonicity report and the per-element marginal extremes on f."""
     flat: list[tuple[int, int]] = []
     negative: list[tuple[int, int]] = []
+    extremes = []
     for j in range(f.n):
         d = _marginals(f.values, j)
-        _monotone_share(d, min(d), j, flat, negative)
-    return _monotone_report(flat, negative)
+        low = min(d)
+        _monotone_share(d, low, j, flat, negative)
+        extremes.append((low, max(d)))
+    f._monotone = _monotone_report(flat, negative)
+    f._extremes = extremes
 
 
 def _monotone_share(
@@ -341,9 +350,10 @@ def ratio_scan(f: SetFunction) -> RatioScan:
     the first triple at the minimum.
 
     When the monotonicity report is not yet known, the same marginal lists
-    settle it, and a non-increasing function still raises NonMonotoneError
-    before an overflowing value range raises ValueError. The table is
-    immutable, so the scan runs once per function.
+    settle it and give the per-element extremes that strong curvature reads,
+    and a non-increasing function still raises NonMonotoneError before an
+    overflowing value range raises ValueError. The table is immutable, so
+    the scan runs once per function.
     """
     if f._ratios is None:
         f._ratios = _ratio_scan(f)
@@ -375,14 +385,16 @@ def _ratio_scan(f: SetFunction) -> RatioScan:
     budget = _PAIR_BUDGET << (n - 1)
     flat: list[tuple[int, int]] = []
     negative: list[tuple[int, int]] = []
+    extremes = []
     g_first = a_first = (_INF, -1)
     for j in range(n):
         d = _marginals(vals, j)
         low = min(d)
+        high = max(d)
         if fused:
             _monotone_share(d, low, j, flat, negative)
+            extremes.append((low, high))
         if not negative and ranged:
-            high = max(d)
             bound = max(g_first[0], a_first[0])
             # Every ratio of j is at least low / high; an equal one still walks,
             # since it may be attained at a smaller R.
@@ -396,6 +408,7 @@ def _ratio_scan(f: SetFunction) -> RatioScan:
         del d
     if fused:
         f._monotone = _monotone_report(flat, negative)
+        f._extremes = extremes
         _require_increasing(f)
         _check_value_range(f)
     g_best, g_wit = _pairs_min(vals, n, g_first, curvature=False)
@@ -664,12 +677,10 @@ def marginal_bounds_estimate(f: SetFunction) -> tuple[MarginalBounds, float, flo
             f"(witness: {report.witness})"
         )
     _check_value_range(f)
-    # Every marginal is positive, so the builtins meet no signed-zero ties.
-    lo, hi = _INF, -_INF
-    for j in range(f.n):
-        d = _marginals(f.values, j)
-        lo = min(lo, min(d))
-        hi = max(hi, max(d))
+    # The scan that settled monotonicity kept each element's extremes. Every
+    # marginal is positive, so the builtins meet no signed-zero ties.
+    lows, highs = zip(*f._extremes)  # type: ignore[misc]
+    lo, hi = min(lows), max(highs)
     ratio = lo / hi
     return MarginalBounds(lo, hi), ratio, 1.0 - ratio
 

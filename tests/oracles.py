@@ -319,6 +319,36 @@ def _into_unit(x):
     return x if 0.0 <= x <= 1.0 else min(1.0, max(0.0, x))
 
 
+def reference_strong_curvature(values, n):
+    """(c, forward bound, reverse bound, witness) of strong curvature, over frozensets.
+
+    For each element j in ascending order, the marginals of j over the
+    subsets avoiding j, taken in ascending mask order, give the first S with
+    the largest marginal and the first R with the smallest. An element binds
+    where its largest marginal is positive; the first one with the strictly
+    smallest ratio (smallest / largest) gives the witness (j, mask of S,
+    mask of R). c is one minus that ratio, moved into [0, 1] only when
+    outside it, and 0.0 when nothing binds; the bounds are 1 / (1 - c), +inf
+    at c = 1, and 1 - c.
+    """
+    universe = frozenset(range(n))
+    worst = wit = None
+    for j in sorted(universe):
+        big = small = None
+        for subset in sorted(powerset(universe - {j}), key=_mask):
+            d = marg(values, subset, j)
+            if big is None or d > big[0]:
+                big = (d, subset)
+            if small is None or d < small[0]:
+                small = (d, subset)
+        if big[0] > 0:
+            ratio = small[0] / big[0]
+            if worst is None or ratio < worst:
+                worst, wit = ratio, (j, _mask(big[1]), _mask(small[1]))
+    c = 0.0 if worst is None else 1.0 - _into_unit(worst)
+    return c, float("inf") if c == 1.0 else 1.0 / (1.0 - c), 1.0 - c, wit
+
+
 def reference_forward_greedy_ratios(values, n, is_independent, cardinality):
     """(gamma_fg, alpha_fg, gamma witness, alpha witness) over the forward pass's pairs.
 

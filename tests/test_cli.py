@@ -25,6 +25,7 @@ from matroid_greedy.instances import (
     canonical_t3,
     gen_modular,
     instance_to_json,
+    random_instance,
     save_instance,
 )
 from matroid_greedy.matroids import ExplicitSpec, UniformSpec
@@ -308,6 +309,41 @@ class TestRatios:
         code, out, err = run_cli(capsys, "ratios", "--instance", n17_path)
         assert code == 5 and out == ""
         assert err == "error: cumulative ratio scan is capped at n=16, got n=17\n"
+
+    def test_non_monotone_n17_exits_4_before_the_cap(self, capsys, tmp_path, monkeypatch):
+        # Monotonicity is settled first, then the cumulative cap; no ratio scan runs.
+        def no_ratio_scan(f):
+            raise AssertionError("ratio_scan ran before the monotonicity check")
+
+        monkeypatch.setattr(guarantees, "ratio_scan", no_ratio_scan)
+        values = [float(m.bit_count()) for m in range(1 << 17)]
+        values[0b11] = 0.5
+        path = tmp_path / "n17-nonmono.json"
+        save_instance(Instance("n17-nonmono", 17, SetFunction(17, values), UniformSpec(3), 3), path)
+        code, out, err = run_cli(capsys, "ratios", "--instance", str(path))
+        assert code == 4 and out == ""
+        assert err == "error: function is not increasing: adding element 1 to [0] decreases the value\n"
+
+    def test_builds_n_plus_one_marginal_lists(self, capsys, tmp_path, monkeypatch):
+        # The ratio scan's lists settle monotonicity and keep the extremes that
+        # strong curvature reads; only the binding element's list is built again.
+        path = tmp_path / "r8.json"
+        save_instance(random_instance(8, random.Random(8), "r8"), path)
+        calls = []
+        marginals = setfunc._marginals
+
+        def counting_marginals(vals, j):
+            calls.append(j)
+            return marginals(vals, j)
+
+        monkeypatch.setattr(setfunc, "_marginals", counting_marginals)
+        monkeypatch.setattr(guarantees, "_marginals", counting_marginals)
+        code, out, _ = run_cli(
+            capsys, "ratios", "--instance", str(path), "--greedy-variants", "--strong"
+        )
+        assert code == 0
+        witness = json.loads(out)["witnesses"]["strong_c"]
+        assert calls == list(range(8)) + [witness[0]]
 
     def test_nan_value_exits_2(self, capsys, tmp_path, t3_path):
         obj = json.loads(open(t3_path).read())

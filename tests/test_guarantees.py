@@ -5,7 +5,9 @@ import pytest
 
 from matroid_greedy import (
     InfeasibleError,
+    Matroid,
     NonMonotoneError,
+    PartitionSpec,
     SetFunction,
     TraceMismatchError,
     UniformSpec,
@@ -27,18 +29,27 @@ from matroid_greedy import (
     verify_forward,
     verify_reverse,
 )
+from matroid_greedy import guarantees, setfunc
 from matroid_greedy.guarantees import (
     forward_greedy_ratios_detail,
     reverse_greedy_ratios_detail,
     strong_curvature_detail,
 )
-from matroid_greedy.instances import gen_bounded_marginal, gen_modular, random_suite
+from matroid_greedy.instances import (
+    gen_bounded_marginal,
+    gen_modular,
+    random_instance,
+    random_suite,
+)
+from matroid_greedy.setfunc import ratio_scan
 
 from conftest import ENUMERATION_SPECS
 from oracles import (
+    naive_strong_curvature,
     reference_forward_greedy_ratios,
     reference_independent,
     reference_reverse_greedy_ratios,
+    reference_strong_curvature,
 )
 
 INF = float("inf")
@@ -70,6 +81,40 @@ TABLES = (
     lambda n, rng: stepped_table(n, rng, signed_zeros=True),
     lambda n, rng: [rng.choice([0.0, -0.0]) for _ in range(1 << n)],
 )
+
+
+def zero_marginal_table(n, rng):
+    """A stepped table in which element 0 never changes the value."""
+    values = stepped_table(n, rng)
+    return [values[mask & ~1] for mask in range(1 << n)]
+
+
+#: Increasing tables for strong curvature: the kinds above, plus modular
+#: tables with repeated weights and tables with an all-zero element.
+STRONG_TABLES = {
+    "bounded": TABLES[0],
+    "stepped": TABLES[1],
+    "signed-zero": TABLES[2],
+    "flat": TABLES[3],
+    "modular": lambda n, rng: gen_modular(n, [rng.choice([1, 2, 3]) for _ in range(n)]).values,
+    "zero-marginal": zero_marginal_table,
+}
+
+
+def overflowing_table(n, rng):
+    """Increasing table from -1e308 up to 1.5e308, so the value range and
+    many marginals overflow to +inf, and some ratios are inf / inf = nan."""
+    values = [-1e308] * (1 << n)
+    for mask in range(1, 1 << n):
+        below = max(values[mask & ~(1 << j)] for j in range(n) if mask >> j & 1)
+        values[mask] = max(below, rng.choice([-1e308, 0.0, 1e308, 1.5e308]))
+    return values
+
+
+def benchmark_n12_instances(seed):
+    """The three n=12 instances the ``ratios-n12`` benchmark workload builds from a seed."""
+    rng = random.Random(seed)
+    return [random_instance(12, rng, f"r12-{seed}-{i}") for i in range(3)]
 
 
 def restricted_cases(kind):
@@ -180,6 +225,33 @@ class TestStrongCurvature:
         with pytest.raises(ValueError, match="overflows"):
             strong_curvature_detail(SetFunction(1, [-1e308, 1e308]))
 
+    @pytest.mark.parametrize("kind", sorted(STRONG_TABLES))
+    def test_matches_reference(self, kind):
+        # The extremes come from the monotonicity scan on a fresh function and
+        # from the ratio scan after ratio_scan; both must give the same report.
+        rng = random.Random(kind)
+        for n in range(1, 10):
+            values = STRONG_TABLES[kind](n, rng)
+            expected = reference_strong_curvature(values, n)
+            # The pair scan costs n * 4^(n-1) marginal pairs, so it stops at n=7.
+            if n <= 7:
+                assert expected[0] == naive_strong_curvature(values, n)
+            for scan_first in (False, True):
+                f = SetFunction(n, values)
+                if scan_first:
+                    ratio_scan(f)
+                assert repr(strong_curvature_detail(f)) == repr(expected)
+
+    def test_never_runs_the_ratio_scan(self, monkeypatch):
+        def no_ratio_scan(f):
+            raise AssertionError("strong curvature ran the ratio scan")
+
+        monkeypatch.setattr(setfunc, "_ratio_scan", no_ratio_scan)
+        monkeypatch.setattr(guarantees, "ratio_scan", no_ratio_scan)
+        f = gen_bounded_marginal(6, 0.5, 2.0, 11)
+        strong_curvature(f)
+        assert f._ratios is None
+
 
 class TestGreedyRestrictedRatios:
     def test_t3_forward_pair(self, t3_function, t3_matroid):
@@ -221,6 +293,71 @@ class TestGreedyRestrictedRatios:
                     expected = reference_reverse_greedy_ratios(f.values, f.n, picks)
                     got = reverse_greedy_ratios_detail(f, matroid, cardinality, trace)
                     assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("seed", [1, 20211003])
+    def test_benchmark_n12_inputs_match_references(self, seed):
+        for inst in benchmark_n12_instances(seed):
+            f, matroid, k = inst.function, inst.matroid(), inst.cardinality
+            family = reference_independent(inst.matroid_spec, f.n)
+            expected = reference_forward_greedy_ratios(f.values, f.n, family.__contains__, k)
+            assert repr(forward_greedy_ratios_detail(f, matroid, k)) == repr(expected)
+            for run in (reverse_greedy, reverse_greedy_as_forward):
+                trace = run(f, matroid, k)
+                picks = [step.chosen for step in trace.steps]
+                expected = reference_reverse_greedy_ratios(f.values, f.n, picks)
+                assert repr(reverse_greedy_ratios_detail(f, matroid, k, trace)) == repr(expected)
+
+    def test_forward_nan_start_is_kept(self):
+        # Pair (empty, 0) comes first, at inf / inf; a strict-< loop keeps it.
+        f = SetFunction(2, [-1e308, 1e308, 1e308, 1.5e308])
+        got = forward_greedy_ratios_detail(f, build_matroid(UniformSpec(2), 2), 2)
+        assert repr(got) == "(nan, nan, (0, 0), (0, 0))"
+
+    def test_forward_nan_pair_after_the_start_never_wins(self):
+        # Pairs in order: (empty, 0) at 1.0, (empty, 1) at nan, then ({0}, 1)
+        # at curvature ratio 1e308 / inf = 0.0, ahead of ({1}, 0) at 0.0.
+        f = SetFunction(2, [-1e308, 0.0, 1e308, 1e308])
+        got = forward_greedy_ratios_detail(f, build_matroid(UniformSpec(2), 2), 2)
+        assert repr(got) == "(1.0, 1.0, (0, 0), (1, 1))"
+
+    def test_reverse_nan_start_after_a_flat_pair_is_kept(self):
+        # The pass removes 2 (removing 1 breaks the rank). The first curvature
+        # pair, r = 0 past {0, 1}, has a zero marginal; the next one, r = 1,
+        # is inf / inf, so the loop keeps nan, which the clamp maps to 0.0.
+        f = SetFunction(3, [-1e308, -1e308, 1e308, 1e308, -1e308, -1e308, 1.2e308, 1.5e308])
+        matroid = build_matroid(PartitionSpec(((1,), (0, 2)), (1, 1)), 3)
+        trace = reverse_greedy(f, matroid, 2)
+        assert [step.chosen for step in trace.steps] == [2]
+        got = reverse_greedy_ratios_detail(f, matroid, 2, trace)
+        assert repr(got) == "(0.0, 0.0, (1, 2), (1, 0, 1))"
+        assert repr(got) == repr(reference_reverse_greedy_ratios(f.values, 3, [2]))
+
+    def test_reverse_overflowing_range_matches_reference(self):
+        rng = random.Random(308)
+        for n in range(2, 8):
+            f = SetFunction(n, overflowing_table(n, rng))
+            for rank in range(1, n + 1):
+                matroid = build_matroid(UniformSpec(rank), n)
+                for cardinality in range(rank + 1):
+                    for run in (reverse_greedy, reverse_greedy_as_forward):
+                        trace = run(f, matroid, cardinality)
+                        picks = [step.chosen for step in trace.steps]
+                        expected = reference_reverse_greedy_ratios(f.values, n, picks)
+                        got = reverse_greedy_ratios_detail(f, matroid, cardinality, trace)
+                        assert repr(got) == repr(expected)
+
+    def test_forward_makes_no_independence_test(self, monkeypatch):
+        calls = []
+        is_independent = Matroid.is_independent
+
+        def counting(self, subset):
+            calls.append(subset)
+            return is_independent(self, subset)
+
+        monkeypatch.setattr(Matroid, "is_independent", counting)
+        for inst in benchmark_n12_instances(2):
+            forward_greedy_ratios_detail(inst.function, inst.matroid(), inst.cardinality)
+        assert calls == []
 
     def test_forward_matroid_on_other_n(self, t3_function):
         with pytest.raises(ValueError, match="n=3 but matroid on n=4"):

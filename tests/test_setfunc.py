@@ -748,6 +748,26 @@ class TestMarginalBounds:
         with pytest.raises(NotStrictlyIncreasingError):
             marginal_bounds_estimate(constant_function(2))
 
+    def test_reads_the_extremes_of_the_monotonicity_scan(self, monkeypatch):
+        # The scan that settles monotonicity keeps each element's extremes, so
+        # the estimate builds no marginal list of its own.
+        calls = []
+        marginals = setfunc._marginals
+
+        def counting_marginals(vals, j):
+            calls.append(j)
+            return marginals(vals, j)
+
+        monkeypatch.setattr(setfunc, "_marginals", counting_marginals)
+        values = gen_bounded_marginal(6, 0.5, 2.0, 5).values
+        expected = marginal_bounds_estimate(SetFunction(6, values))
+        assert calls == list(range(6))
+        f = SetFunction(6, values)
+        ratio_scan(f)
+        del calls[:]
+        assert marginal_bounds_estimate(f) == expected
+        assert calls == []
+
     def test_overflowing_value_range_rejected(self):
         with pytest.raises(ValueError, match="overflows"):
             marginal_bounds_estimate(SetFunction(1, [-1e308, 1e308]))
