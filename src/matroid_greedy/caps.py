@@ -16,6 +16,7 @@ from .errors import GroundSetTooLargeError
 #: both greedy-restricted ratio scans, base enumeration and brute force.
 MAX_TABLE_N = 20
 #: The cumulative submodularity ratio: 3^n disjoint (S, R) pairs.
+#: Exact bounds skip most S of bounded tables, but modular ones still cost 3^n.
 MAX_CUMULATIVE_N = 16
 #: The axiom check: all pairs of independent sets, up to 4^n.
 MAX_AXIOM_N = 10

@@ -287,20 +287,17 @@ def brute_force_optimum(
 ) -> OptimumRecord:
     """Exact optimum of f over all bases of the matroid truncated to the cardinality.
 
-    Enumerates every base; ties go to the numerically smallest mask. The
-    independent oracle every guarantee is verified against.
+    Enumerates every base; ``min``, ``max`` and ``index`` keep the first of
+    equal values, so ties go to the numerically smallest mask, zero sign
+    included. The independent oracle every guarantee is verified against.
     """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     _check_inputs(f, matroid, cardinality)
-    truncated = matroid.truncate(cardinality)
-    best_mask = -1
-    best_val = 0.0
-    count = 0
-    want_min = sense == "min"
-    for mask in truncated.enumerate_bases():
-        count += 1
-        val = f(mask)
-        if best_mask < 0 or (val < best_val if want_min else val > best_val):
-            best_mask, best_val = mask, val
-    return OptimumRecord(best_mask, best_val, count)
+    bases = matroid.truncate(cardinality).enumerate_bases()
+    values = [f.values[mask] for mask in bases]
+    with f._lock:
+        f._eval_count += len(bases)
+    best = min(values) if sense == "min" else max(values)
+    index = values.index(best)
+    return OptimumRecord(bases[index], values[index], len(bases))

@@ -518,7 +518,7 @@ def curvature(f: SetFunction) -> float:
     return ratio_scan(f).alpha
 
 
-# The skip test of the cumulative scan asks each level bound to exceed the
+# The skip tests of the cumulative scan ask each level bound to exceed the
 # running minimum by this relative margin, far above the rounding (under
 # 1e-14 at n <= 16) that the argument in cumulative_ratio_detail allows for.
 _SKIP_MARGIN = 1e-9
@@ -575,6 +575,28 @@ def cumulative_ratio_detail(f: SetFunction) -> tuple[float, tuple[int, int] | No
     modular tables, whose ratios all sit at 1 up to rounding, it builds no
     list. Modular tables skip no S and cost the 3^n of the full scan;
     bounded-marginal tables skip nearly all of them.
+
+    Ahead of that per-S test, one bound theta(S), computed for the whole table
+    by list passes, skips most S in constant time. Let mm = up(S) - f(S),
+    where up(S) is the least f(S + j) over j outside S; rounding is monotone,
+    so mm is the least m_j. Let U_2 = level_max[|S| + 2] - f(S), Delta_m the
+    largest (level_max[m + k] - level_max[m + 2]) / (k - 2) over k >= 3,
+    never negative on an increasing table, and theta(S) = mm / max(U_2 / 2,
+    Delta_|S|). In exact arithmetic L_k >= k * mm and U_k <= U_2 + (k - 2) *
+    Delta_|S| <= k * max(U_2 / 2, Delta_|S|), so every pair with k >= 2 has a
+    ratio of at least theta(S). S is skipped when b passes the same guards
+    and theta(S) > b * (1 + 1e-9), which needs mm > 0; theta is 0.0 where S
+    has fewer than two outside elements. In floats, with M the computed
+    max(U_2 / 2, Delta_|S|):
+
+    - theta is 0.0, which skips nothing, where M is below tiny. Otherwise
+      the subtractions, the halving and the divisions by k - 2 each lose a
+      factor of at most 1 - u, or at most 2^-1075 <= u * M below tiny, so
+      the exact maximum is at most M * (1 + 4u) and U_k <= k * M * (1 + 6u).
+    - T adds k marginals of at least mm, so T >= k * mm * (1 - 15u) at
+      n <= 16, or T overflows.
+    - theta > b * (1 + 1e-9) is normal, so mm / M >= theta / (1 + u).
+    - So T / D >= b * (1 + 1e-9) * (1 - 26u), again above b * (1 + 2u).
     """
     _require_increasing(f)
     check_size(f.n, MAX_CUMULATIVE_N, "cumulative ratio scan")
@@ -583,15 +605,21 @@ def cumulative_ratio_detail(f: SetFunction) -> tuple[float, tuple[int, int] | No
     vals = f.values
     full = (1 << n) - 1
     bits = [1 << j for j in range(n)]
+    levels = [0]
+    for _ in range(n):
+        levels += [level + 1 for level in levels]
     level_max = [-_INF] * (n + 1)
-    for mask, value in enumerate(vals):
-        level = mask.bit_count()
+    for level, value in zip(levels, vals):
         if value > level_max[level]:
             level_max[level] = value
+    bounds = _subset_bounds(vals, levels, level_max)
     # The first pair with a positive set marginal has ratio 0 or 1, since
     # every subset of its R comes first, so +inf only ever means "no pair yet".
     best, wit = _INF, None
+    cut = _INF
     for small, base in enumerate(vals):
+        if bounds[small] > cut:
+            continue
         rest = full ^ small
         if _cannot_lower(vals, small, rest, bits, level_max, best):
             continue
@@ -612,8 +640,49 @@ def cumulative_ratio_detail(f: SetFunction) -> tuple[float, tuple[int, int] | No
                 r = total / denom
                 if r < best:
                     best, wit = r, (small, union ^ small)
+        cut = _skip_cut(best)
     value = 1.0 if wit is None else _clamp_ratio(best, "cumulative-ratio")
     return value, wit
+
+
+def _skip_cut(best: float) -> float:
+    """What a bound must exceed to skip S at running minimum ``best``; inf skips nothing."""
+    return best * (1.0 + _SKIP_MARGIN) if _TINY <= best <= 1.0 else _INF
+
+
+def _subset_bounds(
+    vals: tuple[float, ...], levels: list[int], level_max: list[float]
+) -> list[float]:
+    """theta(S) for every S, with ``levels[S]`` = |S|; see :func:`cumulative_ratio_detail`."""
+    size = len(vals)
+    n = size.bit_length() - 1
+    # up[S] = min of f(S + j) over j outside S: strided slices for the low
+    # bits, block slices from 2^j = 32 on, as in _marginals.
+    up = [_INF] * size
+    for j in range(n):
+        half = 1 << j
+        step = 2 * half
+        if half < 32:
+            for k in range(half):
+                pairs = zip(up[k::step], vals[k + half :: step])
+                up[k::step] = [x if x < y else y for x, y in pairs]
+        else:
+            for k in range(0, size, step):
+                pairs = zip(up[k : k + half], vals[k + half : k + step])
+                up[k : k + half] = [x if x < y else y for x, y in pairs]
+    # V has no outside element: mm = 0 there rather than inf - f(V).
+    up[-1] = vals[-1]
+    # Per level m: level_max[m + 2], and the steepest average rise of
+    # level_max past m + 2, Delta_m; inf and 0.0 where fewer than two
+    # elements lie outside S, so that theta(S) is 0.0 there.
+    tops = level_max[2:] + [_INF, _INF]
+    slopes = [
+        max([0.0] + [(level_max[m + k] - tops[m]) / (k - 2) for k in range(3, n - m + 1)])
+        for m in range(n + 1)
+    ]
+    halves = [(top - v) * 0.5 for top, v in zip(map(tops.__getitem__, levels), vals)]
+    denoms = [h if h > s else s for h, s in zip(halves, map(slopes.__getitem__, levels))]
+    return [(u - v) / d if d >= _TINY else 0.0 for u, v, d in zip(up, vals, denoms)]
 
 
 def _cannot_lower(
@@ -629,12 +698,12 @@ def _cannot_lower(
     True only if no pair (S, R) has a ratio below ``best`` and none with
     |R| >= 2 one equal to it; see :func:`cumulative_ratio_detail`.
     """
-    if not (_TINY <= best <= 1.0 and rest & (rest - 1)):
+    cut = _skip_cut(best)
+    if not (cut < _INF and rest & (rest - 1)):
         return False
     base = vals[small]
     # level_max[level] bounds the sets S | R with |R| = 2.
     level = small.bit_count() + 2
-    cut = best * (1.0 + _SKIP_MARGIN)
     first = rest & -rest
     upper = rest ^ first
     m0 = vals[small | first] - base

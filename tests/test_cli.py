@@ -2,10 +2,14 @@ import contextlib
 import io
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matroid_greedy
 from matroid_greedy import cli, guarantees, matroids, setfunc
 from matroid_greedy.cli import main
 from matroid_greedy.errors import (
@@ -55,6 +59,31 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Imports every module of the package, runs ``ratios`` and prints which of the
+# array libraries ended up loaded.
+_DEPENDENCY_PROBE = """
+import contextlib, importlib, io, pkgutil, sys
+sys.path.insert(0, sys.argv[1])
+import matroid_greedy
+for module in pkgutil.iter_modules(matroid_greedy.__path__):
+    importlib.import_module(f"matroid_greedy.{module.name}")
+from matroid_greedy import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["ratios", "--instance", sys.argv[2], "--greedy-variants", "--strong"])
+print(code, sorted({"numpy", "scipy"} & set(sys.modules)))
+"""
+
+
+def test_package_loads_no_array_library(t3_path):
+    # The package is pure Python: numpy and scipy may be installed, but no
+    # module of it may import them, directly or through another library.
+    src = str(Path(matroid_greedy.__file__).resolve().parent.parent)
+    probe = [sys.executable, "-I", "-c", _DEPENDENCY_PROBE, src, t3_path]
+    done = subprocess.run(probe, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "[]"]
 
 
 class TestRun:

@@ -5,6 +5,7 @@ import pytest
 
 from matroid_greedy import (
     InfeasibleError,
+    OptimumRecord,
     PartitionSpec,
     SetFunction,
     UniformSpec,
@@ -18,11 +19,22 @@ from matroid_greedy import (
 )
 from matroid_greedy.instances import gen_modular, random_matroid_spec, random_suite
 
-from conftest import random_modular_instances, trace_payload
+from conftest import ENUMERATION_SPECS, random_modular_instances, trace_payload
 from oracles import reference_reverse_greedy
 
 PART_SPLIT = PartitionSpec([[0], [1, 2]], [1, 1])
 PART_PAIRS = PartitionSpec([[0, 1], [2, 3]], [1, 1])
+
+
+def loop_optimum(f, matroid, cardinality, sense):
+    """Brute force as one call of f per base, in enumeration order, first optimum kept."""
+    best_mask, best_val, count = -1, 0.0, 0
+    for mask in matroid.truncate(cardinality).enumerate_bases():
+        count += 1
+        val = f(mask)
+        if best_mask < 0 or (val < best_val if sense == "min" else val > best_val):
+            best_mask, best_val = mask, val
+    return OptimumRecord(best_mask, best_val, count)
 
 
 class TestForwardGreedy:
@@ -276,6 +288,23 @@ class TestBruteForce:
         f = gen_modular(17, range(17, 0, -1))
         record = brute_force_optimum(f, build_matroid(UniformSpec(1), 17), 1)
         assert (record.optimum_set, record.optimum_value, record.bases_examined) == (1 << 16, 1.0, 17)
+
+    @pytest.mark.parametrize("kind", sorted(ENUMERATION_SPECS))
+    def test_matches_the_per_base_loop_on_ties_and_signed_zeros(self, kind):
+        # Few distinct values, both zeros among them, so most optima are tied
+        # and the first base at the optimum must win with its own sign.
+        for n in (4, 6, 8):
+            rng = random.Random(f"brute-{kind}-{n}")
+            matroid = build_matroid(ENUMERATION_SPECS[kind](n, rng), n)
+            for choices in ([0.0, -0.0, 1.0, 2.0, -1.0], [0.0, -0.0]):
+                values = [rng.choice(choices) for _ in range(1 << n)]
+                for cardinality in sorted({0, matroid.rank_full // 2, matroid.rank_full}):
+                    for sense in ("min", "max"):
+                        f, g = SetFunction(n, values), SetFunction(n, values)
+                        record = brute_force_optimum(f, matroid, cardinality, sense)
+                        expected = loop_optimum(g, matroid, cardinality, sense)
+                        assert repr(record) == repr(expected), (n, cardinality, sense)
+                        assert f.eval_count == g.eval_count == record.bases_examined
 
     def test_modular_optimality_of_both_passes(self):
         for f, matroid, cardinality in random_modular_instances(25, seed=31337):

@@ -686,6 +686,32 @@ class TestCumulativeScan:
         monkeypatch.setattr(setfunc, "_cannot_lower", lambda *args: False)
         assert repr(pruned) == repr([cumulative_ratio_detail(f) for f in tables])
 
+    def test_neither_skip_changes_anything_at_larger_n(self, monkeypatch):
+        tables = [
+            SetFunction(n, CUMULATIVE_FAMILIES[family](n, random.Random(f"both-{family}-{n}")))
+            for family in ("bounded", "max-plus", "concave", "zero-marginal")
+            for n in (9, 11)
+        ]
+        for family in ("bounded", "bounded-spread"):
+            tables.append(SetFunction(12, CUMULATIVE_FAMILIES[family](12, random.Random(family))))
+        pruned = [cumulative_ratio_detail(f) for f in tables]
+        monkeypatch.setattr(setfunc, "_subset_bounds", lambda vals, *args: [0.0] * len(vals))
+        monkeypatch.setattr(setfunc, "_cannot_lower", lambda *args: False)
+        assert repr(pruned) == repr([cumulative_ratio_detail(f) for f in tables])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_level_bound_leaves_few_subsets_to_the_per_subset_test(self, monkeypatch, seed):
+        reached = []
+        cannot_lower = setfunc._cannot_lower
+
+        def counting(vals, small, *args):
+            reached.append(small)
+            return cannot_lower(vals, small, *args)
+
+        monkeypatch.setattr(setfunc, "_cannot_lower", counting)
+        cumulative_ratio_detail(gen_bounded_marginal(12, 1.0, 2.0, seed))
+        assert len(reached) <= (1 << 12) // 20
+
     @pytest.mark.parametrize("n", [6, 10])
     def test_modular_tables_expand_every_subset(self, expansions, n):
         cumulative_ratio_detail(gen_modular(n, [1.0 + 0.37 * j for j in range(n)]))
@@ -722,6 +748,38 @@ class TestCumulativeScan:
                 for best in bests:
                     rest = ((1 << n) - 1) ^ small
                     if setfunc._cannot_lower(vals, small, rest, bits, tops, best):
+                        skips += 1
+                        assert all(r > best if k > 1 else r >= best for k, r in ratios)
+        assert skips > 1000
+
+    def test_level_bound_skip_is_exact(self):
+        # Whenever the whole-table bound theta(S) skips S at a running minimum
+        # b, every pair with |R| >= 2 has a ratio above b and every singleton
+        # one at least b, on the tables and minima of test_skip_is_exact, and
+        # on integer tables in units of the smallest subnormal, where halving
+        # and the slopes of level_max round by up to half their value.
+        tables = [[0.0, 1.387, 1.357, 2.0, 1.12, 2.0, 2.0, 1.387 + 1.357 + 1.12]]
+        for family, make in sorted(CUMULATIVE_FAMILIES.items()):
+            for n in (3, 4, 6):
+                tables.append(make(n, random.Random(f"skip-{family}-{n}")))
+                if family in ("bounded", "concave", "max-plus", "stepped"):
+                    tables.append([round(3.0 * v) * 5e-324 for v in tables[-1]])
+        skips = 0
+        for values in tables:
+            n = len(values).bit_length() - 1
+            vals = SetFunction(n, values).values
+            levels = [m.bit_count() for m in range(1 << n)]
+            bounds = setfunc._subset_bounds(vals, levels, level_maxima(vals, n))
+            for small in range(1 << n):
+                ratios = subset_ratios(vals, n, small)
+                bests = {0.0, 5e-324, 1e-310, 0.5, 1.0, 1.5}
+                for _, r in ratios:
+                    bests |= {r, math.nextafter(r, 2.0)}
+                if ratios:
+                    low = min(r for _, r in ratios)
+                    bests |= {math.nextafter(low, 0.0), low * (1.0 - 1e-8), low * 0.99}
+                for best in bests:
+                    if bounds[small] > setfunc._skip_cut(best):
                         skips += 1
                         assert all(r > best if k > 1 else r >= best for k, r in ratios)
         assert skips > 1000
