@@ -597,13 +597,44 @@ def cumulative_ratio_detail(f: SetFunction) -> tuple[float, tuple[int, int] | No
       n <= 16, or T overflows.
     - theta > b * (1 + 1e-9) is normal, so mm / M >= theta / (1 + u).
     - So T / D >= b * (1 + 1e-9) * (1 - 26u), again above b * (1 + 2u).
+
+    The scan starts from the first binding pair and visits S best first.
+    Let R0 be the first mask with f(R0) - f(empty) > 0; with none, no pair
+    binds. Every subset of R0 comes earlier, so (empty, R0) is the first
+    binding pair in (S, R) order and its ratio is 0 or 1. It seeds the
+    running minimum b and the witness; a ratio of 0 returns at once, since
+    no ratio is below +0.0 on an increasing table, so such tables cost
+    O(2^n). The S are then visited in ascending theta(S), equal theta in
+    ascending mask order, and the scan stops at the first S whose theta
+    exceeds the cut, since the cut only falls. A pair replaces the witness
+    when its ratio is below b, or equal to b with an earlier S; within one
+    S, R ascends. This gives the ascending scan's result. An S skipped at a
+    running minimum b, by theta or by the per-S test, has every pair with
+    |R| >= 2 above b, which is at least the final minimum, and every
+    singleton pair at 1.0. If the final minimum is below 1, no skipped pair
+    attains it. If it is 1.0, b has been 1.0 since the seed, which is the
+    first binding pair of all. Ties among visited pairs go to the first
+    (S, R).
     """
     _require_increasing(f)
     check_size(f.n, MAX_CUMULATIVE_N, "cumulative ratio scan")
     _check_value_range(f)
     n = f.n
     vals = f.values
-    full = (1 << n) - 1
+    size = len(vals)
+    empty = vals[0]
+    first = next((m for m in range(1, size) if vals[m] - empty > 0.0), None)
+    if first is None:
+        return 1.0, None
+    # One addition at a time in ascending element order, as the expansion
+    # below adds them, so the seed is the float the scan would compute.
+    total = 0.0
+    for j in elements(first):
+        total += vals[1 << j] - empty
+    best, wit = total / (vals[first] - empty), (0, first)
+    if best == 0.0:
+        return best, wit
+    full = size - 1
     bits = [1 << j for j in range(n)]
     levels = [0]
     for _ in range(n):
@@ -613,16 +644,14 @@ def cumulative_ratio_detail(f: SetFunction) -> tuple[float, tuple[int, int] | No
         if value > level_max[level]:
             level_max[level] = value
     bounds = _subset_bounds(vals, levels, level_max)
-    # The first pair with a positive set marginal has ratio 0 or 1, since
-    # every subset of its R comes first, so +inf only ever means "no pair yet".
-    best, wit = _INF, None
-    cut = _INF
-    for small, base in enumerate(vals):
+    cut = _skip_cut(best)
+    for small in sorted(range(size), key=bounds.__getitem__):
         if bounds[small] > cut:
-            continue
+            break
         rest = full ^ small
         if _cannot_lower(vals, small, rest, bits, level_max, best):
             continue
+        base = vals[small]
         # S | R and the marginal sum for every R <= V \ S, in ascending R:
         # each doubling adds the next element as the top bit, so every sum
         # adds its marginals in ascending element order, one at a time.
@@ -638,11 +667,11 @@ def cumulative_ratio_detail(f: SetFunction) -> tuple[float, tuple[int, int] | No
             denom = vals[union] - base
             if denom > 0.0:
                 r = total / denom
-                if r < best:
+                # R ascends within S, so only an earlier S wins a tie.
+                if r <= best and (r < best or small < wit[0]):
                     best, wit = r, (small, union ^ small)
         cut = _skip_cut(best)
-    value = 1.0 if wit is None else _clamp_ratio(best, "cumulative-ratio")
-    return value, wit
+    return _clamp_ratio(best, "cumulative-ratio"), wit
 
 
 def _skip_cut(best: float) -> float:

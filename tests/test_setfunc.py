@@ -715,7 +715,52 @@ class TestCumulativeScan:
     @pytest.mark.parametrize("n", [6, 10])
     def test_modular_tables_expand_every_subset(self, expansions, n):
         cumulative_ratio_detail(gen_modular(n, [1.0 + 0.37 * j for j in range(n)]))
-        assert expansions == list(range(1 << n))
+        assert sorted(expansions) == list(range(1 << n))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bounded_tables_expand_few_pairs(self, expansions, seed):
+        # The pairs of the expanded S, 2^|V \ S| each. Visited in ascending
+        # mask order, the empty set and the other low masks took 16,089 to
+        # 23,273 of them on these tables.
+        cumulative_ratio_detail(gen_bounded_marginal(12, 1.0, 2.0, seed))
+        assert sum(1 << (12 - small.bit_count()) for small in expansions) <= 8192
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [float(m.bit_count() + (m >> 2 & 1)) for m in range(16)],
+            concave_values(5, random.Random("singleton-minimum")),
+        ],
+    )
+    def test_singleton_pairs_at_one_keep_the_first_binding_pair(self, expansions, values):
+        # The minimum is exactly 1.0, and the first S visited is V - j, with
+        # theta 0.0 and only singleton pairs, each at 1.0: the witness must
+        # stay (empty, {0}), the first binding pair of all.
+        n = len(values).bit_length() - 1
+        f = SetFunction(n, values)
+        result = cumulative_ratio_detail(f)
+        assert result == (1.0, (0, 1)) and expansions[0] != 0
+        assert repr(result) == repr(reference_cumulative_scan(f.values, n))
+
+    def test_equal_minima_keep_the_smaller_subset(self, expansions):
+        # S = {0} and S = {2} both attain the minimum 0.5 bit for bit, and
+        # {2} has the smaller theta, so it is expanded first.
+        values = [0, 2, 4, 5, 2, 4, 5, 7, 1, 4, 8, 12, 3, 8, 9, 13]
+        f = SetFunction(4, [float(v) for v in values])
+        result = cumulative_ratio_detail(f)
+        assert result == (0.5, (1, 10))
+        assert expansions.index(4) < expansions.index(1)
+        assert repr(result) == repr(reference_cumulative_scan(f.values, 4))
+
+    def test_zero_minimum_returns_at_the_first_binding_pair(self, expansions):
+        # f({0}) = f({1}) = f(empty), so (empty, {0, 1}) binds first, at ratio
+        # +0.0, which no pair can undercut: no S is expanded.
+        values = bounded_values(6, random.Random("zero-minimum"))
+        values[1] = values[2] = values[0]
+        f = SetFunction(6, values)
+        result = cumulative_ratio_detail(f)
+        assert repr(result) == repr((0.0, (0, 3))) and expansions == []
+        assert repr(result) == repr(reference_cumulative_scan(f.values, 6))
 
     def test_skip_is_exact(self):
         # Whenever the per-S test skips S at a running minimum b, every pair
