@@ -294,7 +294,7 @@ def brute_force_optimum(
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     _check_inputs(f, matroid, cardinality)
-    bases = matroid.truncate(cardinality).enumerate_bases()
+    bases = matroid._independent_sets(cardinality, cardinality)
     values = [f.values[mask] for mask in bases]
     with f._lock:
         f._eval_count += len(bases)

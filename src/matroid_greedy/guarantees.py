@@ -168,10 +168,10 @@ def strong_curvature_detail(
     c >= max(alpha, 1 - gamma). Also returns the induced forward bound
     1 / (1 - c) and reverse bound 1 - c.
 
-    The extremes are the ones the monotonicity scan (or the ratio scan that
-    settled monotonicity) kept, read after the input checks; the first
-    element with the smallest ratio binds, and only its marginal list is
-    built again, for the first S at each extreme.
+    The extremes are the ones the marginal pass kept, whether
+    ``check_monotone`` or the ratio scan ran it, read after the input
+    checks; the first element with the smallest ratio binds, and only its
+    marginal list is built again, for the first S at each extreme.
     """
     _require_increasing(f)
     _check_value_range(f)
@@ -209,7 +209,9 @@ def _strict_min(
     where ``best`` is None (``first`` None: nothing binds). Later entries
     that bind nothing must hold +inf, which never wins. The builtin ``min``
     runs that very loop, so ties keep the first entry with the sign of its
-    zero, and a nan wins only where the loop starts.
+    zero, and a nan wins only where the loop starts. ``setfunc._first_min``
+    ranks (value, R) tuples instead, so there an equal value at a smaller R
+    wins; one helper for both would have to branch on its caller.
     """
     if best is None:
         if first is None:
@@ -236,25 +238,24 @@ def forward_greedy_ratios_detail(
     Cheaper than, and never worse than, (gamma, alpha).
 
     The pairs are (T - s, s) for the independent T with 1 <= |T| <= N and s
-    in T, taken from the bases of the truncations at 1..N, so the family
-    makes no independence test. Each element's T, ascending, list its S
-    ascending, and its ratios in one list. A loop over all pairs in witness
-    order would start at its first binding pair. Where some non-loop element
-    has a positive marg_s(empty), that pair is (empty, s0) for the smallest
-    such s0 in both families, at ratio 1.0, or nan where the marginal
-    overflows. Each element's list is ranked against that start, and the
-    smallest (value, S, s) strictly below it, if any, is where the loop
-    ends; a nan start is kept. With no such s0 no curvature pair binds and
-    every ratio is a zero, so +inf stands in for the start.
+    in T, taken from one walk over the independent sets of those sizes, so
+    the family makes no independence test. Each element's T, ascending,
+    list its S ascending, and its ratios in one list. A loop over all pairs
+    in witness order would start at its first binding pair. Where some
+    non-loop element has a positive marg_s(empty), that pair is (empty, s0)
+    for the smallest such s0 in both families, at ratio 1.0, or nan where
+    the marginal overflows. Each element's list is ranked against that
+    start, and the smallest (value, S, s) strictly below it, if any, is
+    where the loop ends; a nan start is kept. With no such s0 no curvature
+    pair binds and every ratio is a zero, so +inf stands in for the start.
     """
     _check_inputs(f, matroid, cardinality)
     _require_increasing(f)
     vals = f.values
     empty = vals[0]
-    levels = [matroid.truncate(k).enumerate_bases() for k in range(1, cardinality + 1)]
-    sets = sorted(itertools.chain.from_iterable(levels))
+    sets = matroid._independent_sets(1, cardinality)
     # The mask of {s0}, or 0 where no s0 exists; the singletons ascend.
-    single = next((t for t in levels[0] if vals[t] - empty > 0.0), 0) if levels else 0
+    single = next((t for t in sets if not t & (t - 1) and vals[t] - empty > 0.0), 0)
     start = (vals[single] - empty) / (vals[single] - empty) if single else INF
     g_hits: list[tuple[float, int, int]] = []
     a_hits: list[tuple[float, int, int]] = []
@@ -385,9 +386,11 @@ def reverse_greedy_ratios(
 
 
 def _leq(lhs: float, rhs: float, tol: float) -> bool:
+    """lhs <= rhs up to a relative tolerance; an infinite gap is never within it."""
     if lhs <= rhs:
         return True
-    return lhs - rhs <= tol * max(1.0, abs(lhs), abs(rhs))
+    gap = lhs - rhs
+    return gap < INF and gap <= tol * max(1.0, abs(lhs), abs(rhs))
 
 
 def verify_forward(

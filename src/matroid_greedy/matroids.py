@@ -90,28 +90,33 @@ class Matroid:
         return self._rank(subset)
 
     def enumerate_bases(self) -> list[int]:
-        """All independent sets of full rank, in ascending mask order.
+        """All independent sets of full rank, in ascending mask order."""
+        return self._independent_sets(self.rank_full, self.rank_full)
+
+    def _independent_sets(self, smallest: int, largest: int) -> list[int]:
+        """The independent sets of size smallest..largest, in ascending mask order.
 
         The elements split at n // 2 into a low and a high half. A high part
-        whose rank is below its size lies in no base, by heredity, so one
-        rank call skips all its completions; every other high part that the
-        low half can fill up to r elements is completed by the low masks of
-        the missing size, ascending. High parts ascend too, so the list comes
-        out ascending.
+        whose rank is below its size lies in no independent set, by
+        heredity, so one rank call skips all its completions; every other
+        high part that some low masks bring into the size range is completed
+        by those low masks, ascending, each kept where its leaf rank equals
+        its size. High parts ascend too, so the list comes out ascending.
         """
         check_size(self.n, MAX_TABLE_N, "base enumeration")
-        r = self.rank_full
         rank = self._rank
         half = self.n // 2
-        lows: list[list[int]] = [[] for _ in range(half + 1)]
-        for low in range(1 << half):
-            lows[low.bit_count()].append(low)
-        bases: list[int] = []
+        # The low masks that complete a high part of each size, ascending.
+        fits = [
+            [low for low in range(1 << half) if smallest <= size + low.bit_count() <= largest]
+            for size in range(self.n - half + 1)
+        ]
+        sets: list[int] = []
         for high in range(0, 1 << self.n, 1 << half):
             size = high.bit_count()
-            if 0 <= r - size <= half and rank(high) == size:
-                bases += [m for low in lows[r - size] if rank(m := high | low) == r]
-        return bases
+            if fits[size] and rank(high) == size:
+                sets += [m for low in fits[size] if rank(m := high | low) == m.bit_count()]
+        return sets
 
     def dual(self) -> "Matroid":
         """Matroid whose bases are the complements of this one's: r*(S) = |S| + r(V∖S) − r(V)."""

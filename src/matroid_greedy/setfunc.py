@@ -16,6 +16,8 @@ import math
 import sys
 import threading
 from bisect import bisect_left, bisect_right
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress, cycle
 from operator import neg, sub
@@ -58,8 +60,8 @@ class SetFunction:
         self._eval_count = 0
         self._lock = threading.Lock()
         self._monotone: MonotonicityReport | None = None
-        # (min, max) of each element's marginals, kept by whichever scan
-        # settles monotonicity, since that scan builds every list.
+        # (min, max) of each element's marginals, kept by the marginal pass
+        # that settles monotonicity, since that pass builds every list.
         self._extremes: list[tuple[float, float]] | None = None
         self._ratios: RatioScan | None = None
 
@@ -126,60 +128,45 @@ class MonotonicityReport:
 def check_monotone(f: SetFunction) -> MonotonicityReport:
     """Scan every (S, j not in S) pair for negative or zero marginals.
 
-    The scan takes one element j at a time: the builtin ``min`` over all of
-    j's marginals settles whether j has an offending pair, and only then is
-    the first offending S found and mapped back to its mask. The smallest
-    (S, j) tuple over all elements is the witness, which is the first
-    offending pair in mask-then-element order. The table is immutable, so
-    the report is computed once per function, and the same pass keeps each
-    element's smallest and largest marginal.
+    The scan is the one marginal pass, :func:`_scan_monotone`, drained: the
+    builtin ``min`` over all of j's marginals settles whether j has an
+    offending pair, and only then is the first offending S found and mapped
+    back to its mask. The smallest (S, j) tuple over all elements is the
+    witness, which is the first offending pair in mask-then-element order.
+    The table is immutable, so the report is computed once per function,
+    and the same pass keeps each element's smallest and largest marginal.
     """
     if f._monotone is None:
-        _scan_monotone(f)
+        deque(_scan_monotone(f), maxlen=0)
     return f._monotone  # type: ignore[return-value]
 
 
-def _scan_monotone(f: SetFunction) -> None:
-    """Store the monotonicity report and the per-element marginal extremes on f."""
+def _scan_monotone(f: SetFunction) -> Iterator[tuple[int, list[float], float, float]]:
+    """Yield (j, d, min(d), max(d)) for each element j, d its marginal list.
+
+    Once exhausted, the pass has stored the monotonicity report and the
+    per-element marginal extremes on f. It drops d before it builds the next
+    list, so a consumer that drops its own copy keeps one list alive.
+    """
     flat: list[tuple[int, int]] = []
     negative: list[tuple[int, int]] = []
     extremes = []
     for j in range(f.n):
         d = _marginals(f.values, j)
         low = min(d)
-        _monotone_share(d, low, j, flat, negative)
-        extremes.append((low, max(d)))
-    f._monotone = _monotone_report(flat, negative)
+        high = max(d)
+        if low <= 0.0:
+            first = next(i for i, x in enumerate(d) if x <= 0.0)
+            flat.append((_subset_at(first, j), j))
+            if low < 0.0:
+                first = next(i for i, x in enumerate(d) if x < 0.0)
+                negative.append((_subset_at(first, j), j))
+        extremes.append((low, high))
+        yield j, d, low, high
+        del d
+    # Every negative pair is flat too, so flat is empty only if negative is.
+    f._monotone = MonotonicityReport(not negative, not flat, min(negative or flat, default=None))
     f._extremes = extremes
-
-
-def _monotone_share(
-    d: list[float],
-    low: float,
-    j: int,
-    flat: list[tuple[int, int]],
-    negative: list[tuple[int, int]],
-) -> None:
-    """Append element j's first zero-or-negative and first negative (S, j) pairs.
-
-    ``low`` is ``min(d)``.
-    """
-    if low <= 0.0:
-        first = next(i for i, x in enumerate(d) if x <= 0.0)
-        flat.append((_subset_at(first, j), j))
-        if low < 0.0:
-            first = next(i for i, x in enumerate(d) if x < 0.0)
-            negative.append((_subset_at(first, j), j))
-
-
-def _monotone_report(
-    flat: list[tuple[int, int]], negative: list[tuple[int, int]]
-) -> MonotonicityReport:
-    if negative:
-        return MonotonicityReport(False, False, min(negative))
-    if flat:
-        return MonotonicityReport(True, False, min(flat))
-    return MonotonicityReport(True, True, None)
 
 
 def _require_increasing(f: SetFunction) -> None:
@@ -272,6 +259,10 @@ def _first_min(
     """Fold the first minimum of element j's per-R ratios into (minimum, first R).
 
     ``ratios`` is indexed like :func:`_marginals`; equal minima keep the smaller R.
+    The fold ranks (value, R) tuples, so an equal value at a smaller R from a
+    later element wins. ``guarantees._strict_min`` replays a strict ``<`` loop
+    instead, where ties keep the earlier entry and a nan start is kept; one
+    helper for both would have to branch on its caller.
     """
     low = min(ratios)
     if low == _INF:
@@ -349,11 +340,12 @@ def ratio_scan(f: SetFunction) -> RatioScan:
     first R attaining each minimum are then scanned in witness order, up to
     the first triple at the minimum.
 
-    When the monotonicity report is not yet known, the same marginal lists
-    settle it and give the per-element extremes that strong curvature reads,
-    and a non-increasing function still raises NonMonotoneError before an
-    overflowing value range raises ValueError. The table is immutable, so
-    the scan runs once per function.
+    The lists come from the one marginal pass, :func:`_scan_monotone`, so
+    they also settle monotonicity and keep the per-element extremes that
+    strong curvature reads. Where the monotonicity report is already known,
+    a non-increasing function raises before any list is built. Either way
+    NonMonotoneError comes before an overflowing value range raises
+    ValueError. The table is immutable, so the scan runs once per function.
     """
     if f._ratios is None:
         f._ratios = _ratio_scan(f)
@@ -375,42 +367,31 @@ _PAIR_BUDGET = 4
 
 
 def _ratio_scan(f: SetFunction) -> RatioScan:
-    fused = f._monotone is None
-    if not fused:
+    if f._monotone is not None:
         _require_increasing(f)
         _check_value_range(f)
     n = f.n
     vals = f.values
-    ranged = math.isfinite(vals[-1] - vals[0])
+    walk = math.isfinite(vals[-1] - vals[0])
     budget = _PAIR_BUDGET << (n - 1)
-    flat: list[tuple[int, int]] = []
-    negative: list[tuple[int, int]] = []
-    extremes = []
     g_first = a_first = (_INF, -1)
-    for j in range(n):
-        d = _marginals(vals, j)
-        low = min(d)
-        high = max(d)
-        if fused:
-            _monotone_share(d, low, j, flat, negative)
-            extremes.append((low, high))
-        if not negative and ranged:
-            bound = max(g_first[0], a_first[0])
-            # Every ratio of j is at least low / high; an equal one still walks,
-            # since it may be attained at a smaller R.
-            if high > 0.0 and not low / high > bound:
-                rising, falling = _walk_orders(d, low, high, bound)
-                g_first = _element_min(g_first, d, rising, falling, j, budget, curvature=False)
-                a_first = _element_min(a_first, d, rising, falling, j, budget, curvature=True)
-                # Free this element's lists before the next ones are built, so
-                # one marginal list and one order are alive at a time.
-                del rising, falling
+    for j, d, low, high in _scan_monotone(f):
+        # A negative marginal fails the table after the loop, so no element
+        # is walked from there on.
+        walk = walk and low >= 0.0
+        bound = max(g_first[0], a_first[0])
+        # Every ratio of j is at least low / high; an equal one still walks,
+        # since it may be attained at a smaller R.
+        if walk and high > 0.0 and not low / high > bound:
+            rising, falling = _walk_orders(d, low, high, bound)
+            g_first = _element_min(g_first, d, rising, falling, j, budget, curvature=False)
+            a_first = _element_min(a_first, d, rising, falling, j, budget, curvature=True)
+            # Free this element's lists before the next ones are built, so
+            # one marginal list and one order are alive at a time.
+            del rising, falling
         del d
-    if fused:
-        f._monotone = _monotone_report(flat, negative)
-        f._extremes = extremes
-        _require_increasing(f)
-        _check_value_range(f)
+    _require_increasing(f)
+    _check_value_range(f)
     g_best, g_wit = _pairs_min(vals, n, g_first, curvature=False)
     a_best, a_wit = _pairs_min(vals, n, a_first, curvature=True)
     gamma = 1.0 if g_best is None else _clamp_ratio(g_best, "submodularity-ratio")

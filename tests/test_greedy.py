@@ -5,6 +5,7 @@ import pytest
 
 from matroid_greedy import (
     InfeasibleError,
+    Matroid,
     OptimumRecord,
     PartitionSpec,
     SetFunction,
@@ -255,6 +256,18 @@ class TestOrderingWitness:
 
 
 class TestBruteForce:
+    def test_walks_no_truncation(self, monkeypatch):
+        # The bases of the truncation at N are the independent sets of size N.
+        specs = [make(8, random.Random(kind)) for kind, make in ENUMERATION_SPECS.items()]
+        matroids = [build_matroid(spec, 8) for spec in specs]
+        calls = []
+        monkeypatch.setattr(Matroid, "truncate", lambda self, q: calls.append(q))
+        for matroid in matroids:
+            f = SetFunction(8, [float(m.bit_count() ^ m) for m in range(1 << 8)])
+            for cardinality in range(matroid.rank_full + 1):
+                brute_force_optimum(f, matroid, cardinality)
+        assert calls == []
+
     def test_t3_uniform(self, t3_function, t3_matroid):
         record = brute_force_optimum(t3_function, t3_matroid, 2, "min")
         assert record.optimum_set == mask_of([0, 1])

@@ -7,6 +7,7 @@ from matroid_greedy import (
     InfeasibleError,
     Matroid,
     NonMonotoneError,
+    OptimumRecord,
     PartitionSpec,
     SetFunction,
     TraceMismatchError,
@@ -272,6 +273,15 @@ class TestGreedyRestrictedRatios:
         trace = reverse_greedy_as_forward(modular123, t3_matroid, 2)
         assert reverse_greedy_ratios(modular123, t3_matroid, 2, trace) == (1.0, 0.0)
 
+    def test_forward_walks_no_truncation(self, monkeypatch):
+        cases = [case for kind in sorted(ENUMERATION_SPECS) for case in restricted_cases(kind)]
+        calls = []
+        monkeypatch.setattr(Matroid, "truncate", lambda self, q: calls.append(q))
+        for f, matroid, _ in cases:
+            for cardinality in range(matroid.rank_full + 1):
+                forward_greedy_ratios_detail(f, matroid, cardinality)
+        assert calls == []
+
     @pytest.mark.parametrize("kind", sorted(ENUMERATION_SPECS))
     def test_forward_matches_reference(self, kind):
         # repr tells -0.0 from 0.0, so equal reprs mean equal bits.
@@ -425,6 +435,20 @@ class TestVerification:
         rev = verify_reverse(f, matroid, 2)
         assert fwd.achieved_ratio == 1.0 and fwd.satisfied
         assert rev.achieved_ratio == 1.0 and rev.satisfied
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-9, 0.5])
+    def test_infinite_achieved_ratio_is_never_within_tolerance(self, t3, tolerance):
+        # An optimum at f(empty) that the greedy misses makes the ratio +inf.
+        optimum = OptimumRecord(0b011, 0.0, 3)
+        record = verify_forward(t3.function, t3.matroid(), 2, tolerance=tolerance, optimum=optimum)
+        assert (record.achieved_ratio, record.bound, record.satisfied) == (INF, 4.0, False)
+
+    def test_infinite_gap_is_never_within_tolerance(self):
+        assert not guarantees._leq(INF, 4.0, 1e-9)
+        assert not guarantees._leq(1.0, -INF, 1e-9)
+        assert not guarantees._leq(1e308, -1e308, 1.0)
+        assert guarantees._leq(INF, INF, 0.0)
+        assert guarantees._leq(1.0 + 1e-12, 1.0, 1e-9)
 
     def test_random_instances_all_satisfied(self):
         for inst in random_suite(40, 4, 8, seed=2026):

@@ -227,6 +227,19 @@ class TestBases:
         assert bases == reference_bases(graph.rank, n, 6)
         assert len(calls) < math.comb(n, 6)
 
+    @pytest.mark.parametrize("kind", sorted(ENUMERATION_SPECS))
+    @pytest.mark.parametrize("n", [4, 7, 8])
+    def test_independent_sets_by_size_range(self, n, kind):
+        m = build_matroid(ENUMERATION_SPECS[kind](n, random.Random(n)), n)
+        family = [s for s in range(1 << n) if m.is_independent(s)]
+        for smallest in range(n + 1):
+            for largest in range(smallest, n + 1):
+                expected = [s for s in family if smallest <= s.bit_count() <= largest]
+                assert m._independent_sets(smallest, largest) == expected
+        # The forward family at N = 0 asks for the empty range 1..0.
+        assert m._independent_sets(1, 0) == []
+        assert m.enumerate_bases() == m._independent_sets(m.rank_full, m.rank_full)
+
     def test_size_cap(self):
         # A matroid can be built at any n; enumeration stops at the table cap.
         m = build_matroid(UniformSpec(1), 21)

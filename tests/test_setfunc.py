@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -546,6 +547,49 @@ class TestPrunedRatioScan:
         report = f._monotone
         expected = reference_monotone(list(f.values), f.n)
         assert (report.increasing, report.strictly_increasing, report.witness) == expected
+
+    def test_known_non_increasing_table_fails_before_any_list(self, monkeypatch):
+        f = SetFunction(2, [0.0, 1.0, 2.0, 0.5])
+        assert not check_monotone(f).increasing
+        calls = []
+        monkeypatch.setattr(setfunc, "_marginals", lambda vals, j: calls.append(j))
+        with pytest.raises(NonMonotoneError, match=r"adding element 1 to \[0\]"):
+            ratio_scan(f)
+        assert calls == []
+
+    def test_marginal_pass_yields_each_list_then_settles(self):
+        f = SetFunction(9, tie_values("stepped", 9, random.Random(5)))
+        yielded = []
+        for j, d, low, high in setfunc._scan_monotone(f):
+            assert f._monotone is None
+            assert repr(d) == repr(setfunc._marginals(f.values, j))
+            assert (low, high) == (min(d), max(d))
+            yielded.append(j)
+        assert yielded == list(range(9))
+        report = f._monotone
+        expected = reference_monotone(list(f.values), 9)
+        assert (report.increasing, report.strictly_increasing, report.witness) == expected
+        lists = [setfunc._marginals(f.values, j) for j in range(9)]
+        assert f._extremes == [(min(d), max(d)) for d in lists]
+
+    @pytest.mark.parametrize("scan", [check_monotone, ratio_scan])
+    def test_one_marginal_list_alive_at_a_time(self, monkeypatch, scan):
+        # What keeps the peak memory of an n=20 scan at one list of 2^19 floats.
+        class Tracked(list):
+            pass
+
+        built = []
+        marginals = setfunc._marginals
+
+        def tracked_marginals(vals, j):
+            assert all(ref() is None for ref in built), f"a list is alive when list {j} is built"
+            d = Tracked(marginals(vals, j))
+            built.append(weakref.ref(d))
+            return d
+
+        monkeypatch.setattr(setfunc, "_marginals", tracked_marginals)
+        scan(gen_bounded_marginal(8, 1.0, 2.0, 3))
+        assert len(built) == 8
 
     @pytest.mark.parametrize("known", [False, True])
     def test_non_monotone_error_comes_before_the_range_error(self, known):
