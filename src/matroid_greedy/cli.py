@@ -3,7 +3,8 @@
 All stdout payloads are JSON or CSV; diagnostics go to stderr. Exit codes:
 0 success, 1 verification failure, 2 input/schema problems, 3 infeasible,
 4 non-monotone function, 5 size over a cap; ``EXIT_CODES`` maps each
-error kind to its code. ``verify --tol`` sets the relative verification
+error kind to its code, and an ``--out`` path that cannot be written is an
+input problem (2). ``verify --tol`` sets the relative verification
 tolerance, 1e-9 by default.
 """
 
@@ -36,10 +37,10 @@ from .guarantees import (
 )
 from .instances import (
     Instance,
+    _instance_text,
     gen_bounded_marginal,
     gen_explicit_random,
     gen_modular,
-    instance_to_json,
     load_instance,
     random_suite,
     save_instance,
@@ -66,7 +67,10 @@ PASSES = {"forward": forward_greedy, "reverse": reverse_greedy}
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise SchemaError(f"{out}: cannot write output file ({exc})") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -225,7 +229,7 @@ def cmd_gen(args) -> int:
         save_instance(inst, args.out)
         _dump({"path": args.out, "id": inst.id}, None)
     else:
-        _dump(instance_to_json(inst), None)
+        sys.stdout.writelines(_instance_text(inst))
     return 0
 
 

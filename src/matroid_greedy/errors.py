@@ -38,4 +38,4 @@ class TraceMismatchError(MatroidGreedyError):
 
 
 class SchemaError(MatroidGreedyError):
-    """An instance file does not conform to the JSON schema."""
+    """An instance file does not conform to the JSON schema, or a file cannot be read or written."""

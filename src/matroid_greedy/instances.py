@@ -3,8 +3,12 @@
 An instance bundles a set function (always materialized as an explicit
 table), a matroid spec, and a target cardinality. Generators are
 deterministic given their seed, and every generated instance is strictly
-increasing and feasible by construction. Files are UTF-8 JSON; floats rely
-on Python's shortest round-trip repr, so load(save(x)) is exact.
+increasing and feasible by construction. Files are UTF-8 JSON with two-space
+indent, sorted keys and one value per line, the layout of ``json.dumps(...,
+indent=2, sort_keys=True)``; the value table is written by one C-level join
+rather than json's pure-Python indenting encoder. Floats rely on Python's
+shortest round-trip repr, so load(save(x)) is exact. A file that cannot be
+read or written is a SchemaError.
 """
 
 from __future__ import annotations
@@ -318,11 +322,38 @@ def instance_from_json(obj) -> Instance:
     return inst
 
 
+def _instance_text(inst: Instance) -> tuple[str, str, str]:
+    """The file text of ``inst`` as head, value table and tail, to be written in turn.
+
+    Together they are ``json.dumps(instance_to_json(inst), indent=2,
+    sort_keys=True) + "\\n"`` byte for byte. json skips its C encoder
+    whenever ``indent`` is set, so the table does not go through it: the rest
+    is rendered around an empty table, and the table is one C-level join of
+    ``float.__repr__``, which is what json writes for a finite float (a
+    SetFunction holds no other). Sorted keys put "N", an int, and then
+    "function" first, so its table is the first '"values": []' in the text;
+    json escapes every quote inside a string, so an id cannot match it.
+    """
+    obj = instance_to_json(inst)
+    obj["function"]["values"] = []
+    head, _, tail = json.dumps(obj, indent=2, sort_keys=True).partition('"values": []')
+    # One value per line, six spaces in; the closing bracket four spaces in.
+    table = ",\n      ".join(map(float.__repr__, inst.function.values))
+    return head + '"values": [\n      ', table, "\n    ]" + tail + "\n"
+
+
 def save_instance(inst: Instance, path) -> None:
-    Path(path).write_text(
-        json.dumps(instance_to_json(inst), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    """Write ``inst`` to ``path`` in the layout of :func:`_instance_text`.
+
+    The text is rendered before the file is opened, so a spec that cannot be
+    written leaves an existing file as it was.
+    """
+    parts = _instance_text(inst)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot write instance file ({exc})") from exc
 
 
 def load_instance(path) -> Instance:

@@ -118,6 +118,24 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--instance", str(tmp_path / "nope.json"))
         assert code == 2 and "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--instance", "{t3}"],
+            ["ratios", "--instance", "{t3}"],
+            ["verify", "--instance", "{t3}"],
+            ["region", "--fstar", "0", "--grid", "3"],
+        ],
+        ids=["run", "ratios", "verify", "region"],
+    )
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, t3_path, argv):
+        target = tmp_path / "missing" / "out.json"
+        argv = [a.replace("{t3}", t3_path) for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {target}: cannot write output file (")
+        assert err.count("\n") == 1
+
     def test_infeasible_exits_3(self, capsys, tmp_path):
         import json as j
 
@@ -628,6 +646,32 @@ class TestGen:
             assert code == 0
             assert json.loads(out) == {"path": str(target), "id": "bounded-n6-s9"}
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "modular", "--n", "3", "--weights", "1,2,3"],
+            ["--kind", "bounded", "--n", "7", "--seed", "4", "--id", 'q"\u00e9'],
+            ["--kind", "explicit", "--n", "1", "--seed", "2"],
+        ],
+    )
+    def test_stdout_equals_out_file(self, capsys, tmp_path, argv):
+        code, out, _ = run_cli(capsys, "gen", *argv)
+        assert code == 0
+        path = tmp_path / "gen.json"
+        code, _, _ = run_cli(capsys, "gen", *argv, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            capsys, "gen", "--kind", "modular", "--n", "3", "--weights", "1,2,3",
+            "--out", str(target),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {target}: cannot write instance file (")
+        assert err.count("\n") == 1
 
     def test_bad_bounds_exit_2(self, capsys):
         code, _, err = run_cli(

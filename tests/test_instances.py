@@ -4,10 +4,15 @@ import pytest
 
 from matroid_greedy import (
     DualSpec,
+    ExplicitSpec,
+    GraphicSpec,
     GroundSetTooLargeError,
     InfeasibleInstanceError,
     Instance,
+    InvalidSpecError,
+    PartitionSpec,
     SchemaError,
+    SetFunction,
     TruncateSpec,
     UniformSpec,
     check_monotone,
@@ -17,6 +22,7 @@ from matroid_greedy import (
     save_instance,
     submodularity_ratio,
 )
+from matroid_greedy.caps import MAX_SPEC_DEPTH
 from matroid_greedy.instances import (
     canonical_t3,
     gen_bounded_marginal,
@@ -256,3 +262,91 @@ class TestPersistence:
             obj["function"]["values"][i] += 5.0
         loaded = instance_from_json(obj)
         assert loaded.function.values[0] == 5.0
+
+
+def reference_text(inst):
+    """The instance file text as json's own indenting encoder writes it."""
+    return json.dumps(instance_to_json(inst), indent=2, sort_keys=True) + "\n"
+
+
+def nested_spec(depth):
+    spec = UniformSpec(2)
+    for level in range(depth):
+        spec = DualSpec(spec) if level % 2 else TruncateSpec(spec, 2)
+    return spec
+
+
+WRITER_SPECS = {
+    "uniform": UniformSpec(2),
+    "partition": PartitionSpec(((0, 2), (1,)), (1, 1)),
+    "graphic": GraphicSpec(3, ((0, 1), (1, 2), (0, 2))),
+    "explicit": ExplicitSpec(frozenset({0, 1, 2, 4, 3, 5})),
+    "dual": DualSpec(UniformSpec(1)),
+    "truncate": TruncateSpec(UniformSpec(3), 2),
+    "nested-to-cap": nested_spec(MAX_SPEC_DEPTH),
+}
+
+
+class TestWriter:
+    """save_instance writes exactly the bytes of json's indenting encoder."""
+
+    def check(self, inst, tmp_path):
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        assert path.read_bytes() == reference_text(inst).encode("utf-8")
+        assert load_instance(path) == inst
+
+    @pytest.mark.parametrize("kind", WRITER_SPECS)
+    def test_every_spec_kind(self, tmp_path, kind):
+        inst = canonical_t3()
+        self.check(Instance(kind, 3, inst.function, WRITER_SPECS[kind], 1), tmp_path)
+
+    @pytest.mark.parametrize("seed", [None, 0, 7, 2**31 - 1])
+    def test_seed(self, tmp_path, seed):
+        inst = canonical_t3()
+        self.check(Instance("T3", 3, inst.function, UniformSpec(2), 2, seed=seed), tmp_path)
+
+    @pytest.mark.parametrize(
+        "inst_id",
+        ["h\u00e9llo-\u2211-\U0001f600", 'say "hi"', "back\\slash\\", '"values": []', "", "tab\tnl\n"],
+    )
+    def test_awkward_ids(self, tmp_path, inst_id):
+        inst = canonical_t3()
+        self.check(Instance(inst_id, 3, inst.function, UniformSpec(2), 2), tmp_path)
+
+    def test_extreme_and_integral_values(self, tmp_path):
+        values = [-0.0, 5e-324, 1.7976931348623157e308, 1.0, 2.0, 1e16, -3.0, 0.1]
+        self.check(Instance("x", 3, SetFunction(3, values), UniformSpec(1), 1), tmp_path)
+
+    @pytest.mark.parametrize("values", [[0.0, 1.0], [-0.0, 5e-324], [2.5, 1.7976931348623157e308]])
+    def test_single_element(self, tmp_path, values):
+        self.check(Instance("one", 1, SetFunction(1, values), UniformSpec(1), 1), tmp_path)
+
+    def test_generated_tables(self, tmp_path):
+        for inst in random_suite(12, 1, 10, seed=5):
+            self.check(inst, tmp_path)
+        f = gen_bounded_marginal(12, 1.0, 2.5, seed=3)
+        self.check(Instance("b12", 12, f, nested_spec(3), 2, seed=3), tmp_path)
+
+    def test_golden_file_bytes_kept(self, tmp_path):
+        golden = GOLDEN_DIR / "explicit_random_n3_seed42.json"
+        path = tmp_path / "resaved.json"
+        save_instance(load_instance(golden), path)
+        assert path.read_bytes() == golden.read_bytes()
+
+    def test_rejected_spec_leaves_file_alone(self, tmp_path):
+        path = tmp_path / "kept.json"
+        save_instance(canonical_t3(), path)
+        before = path.read_bytes()
+        inst = canonical_t3()
+        bad = Instance("bad", 3, inst.function, "not a spec", 2)
+        with pytest.raises(InvalidSpecError, match="unknown matroid spec"):
+            save_instance(bad, path)
+        assert path.read_bytes() == before
+
+    def test_unwritable_path_is_schema_error(self, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        with pytest.raises(SchemaError, match="cannot write instance file") as info:
+            save_instance(canonical_t3(), path)
+        assert str(path) in str(info.value)
+        assert not path.parent.exists()
