@@ -222,8 +222,9 @@ def cmd_gen(args) -> int:
     rank_full = inst.matroid().rank_full
     # The loader's rule: 1 <= N <= rank, so every command accepts the file.
     if not 1 <= cardinality <= rank_full:
+        source = "" if args.cardinality is not None else " from --rank (no --cardinality given)"
         raise ValueError(
-            f"cardinality must lie in 1..{rank_full}, the matroid rank, got {cardinality}"
+            f"cardinality must lie in 1..{rank_full}, the matroid rank, got {cardinality}{source}"
         )
     if args.out:
         save_instance(inst, args.out)

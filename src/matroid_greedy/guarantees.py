@@ -43,7 +43,7 @@ from .setfunc import (
     cumulative_ratio_detail,
     ratio_scan,
 )
-from .subsets import elements, full_mask
+from .subsets import elements, full_mask, mask_of
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -291,6 +291,40 @@ def forward_greedy_ratios(f: SetFunction, matroid: Matroid, cardinality: int) ->
     return g, a
 
 
+def _kept_sets(n: int, base: int, pool: int, rest: int, size: int) -> list[int]:
+    """The distinct base - (P & pool) over the ``size``-element subsets P of
+    pool | rest, each listed once, in the order of the first P that leaves it.
+
+    ``pool`` lies in ``base`` and ``rest`` outside it. P acts only through
+    D = P & pool, and the first P in ``itertools.combinations`` order with a
+    given D is D plus the size - |D| smallest elements of ``rest``. Among
+    sets of one size, sorted element tuples ascend as bit-reversed masks
+    descend, since the smallest element where two sets differ decides both.
+    So each kept set is keyed by its first P, bit-reversed into bits
+    n..2n-1, above base - D in the low n bits, and one descending sort lists
+    the kept sets in order.
+    """
+    top = 2 * n - 1
+    outside = [1 << (top - e) for e in range(n) if rest >> e & 1]
+    # heads[j]: the key bits of the j smallest elements of rest.
+    heads = list(itertools.accumulate(outside, initial=0))
+    # An element of D adds its key bit and leaves base.
+    drops = [(1 << (top - e)) - (1 << e) for e in range(n) if pool >> e & 1]
+    keys: list[int] = []
+    for d in range(max(0, size - len(outside)), min(size, len(drops)) + 1):
+        start = base + heads[size - d]
+        keys += map(sum, itertools.combinations(drops, d), itertools.repeat(start))
+    keys.sort(reverse=True)
+    low = full_mask(n)
+    return [key & low for key in keys]
+
+
+def _first_padding(kept: int, base: int, rest: int, size: int) -> int:
+    """The first P that leaves ``kept``, as in :func:`_kept_sets`."""
+    dropped = base ^ kept
+    return dropped | mask_of(elements(rest)[: size - dropped.bit_count()])
+
+
 def reverse_greedy_ratios_detail(
     f: SetFunction, matroid: Matroid, cardinality: int, trace: GreedyTrace
 ) -> tuple[float, float, tuple[int, int] | None, tuple[int, int, int] | None]:
@@ -307,9 +341,18 @@ def reverse_greedy_ratios_detail(
     first in (t, padding in ``itertools.combinations`` order, element)
     order at each minimum. Inputs are checked as by the greedy passes.
 
-    The padding masks of each size are built once; those avoiding a pick
-    keep their order. Each step of each family is one list of ratios, in
-    witness order, ranked against the running minimum.
+    A padding P enters only through the kept set it leaves: K^(t-1) - P in
+    the ratio family, so only D = P & K^(t-1) matters, and final - P in the
+    curvature family, so only D = P & final does. Paddings with one D give
+    the same ratios, so a repeat never falls strictly below a minimum its
+    first occurrence already met, nor binds first: the loop over all
+    paddings ends where the loop over the first padding of each D ends.
+    That first padding, in ``itertools.combinations`` order, is D plus the
+    |P| - |D| smallest elements outside the kept set's base and the pick.
+    Each step therefore lists its distinct kept sets once, ordered by their
+    first paddings, ranks the ratios of all of them in witness order
+    against the running minimum, and reports the first padding of the kept
+    set the minimum falls on.
     """
     _check_inputs(f, matroid, cardinality)
     _require_increasing(f)
@@ -324,11 +367,9 @@ def reverse_greedy_ratios_detail(
             "trace does not match a reverse run of this instance"
         )
     vals = f.values
-    kept_sets = [full_mask(n)] + [step.set_after for step in trace.steps]
+    full = full_mask(n)
+    kept_sets = [full] + [step.set_after for step in trace.steps]
     final = trace.final_set
-    bits = [1 << e for e in range(n)]
-    # The masks of the combinations of each size, in combinations order.
-    pads = [list(map(sum, itertools.combinations(bits, k))) for k in range(removed_total + 1)]
     g_best: float | None = None
     a_best: float | None = None
     g_wit: tuple[int, int] | None = None
@@ -340,38 +381,33 @@ def reverse_greedy_ratios_detail(
         denom = vals[before] - vals[before & ~bit]
         if denom <= 0.0:
             continue
-        avoiding = [pad for pad in pads[removed_total] if not pad & bit]
-        kept = [before & ~pad for pad in avoiding]
-        ratios = [(vals[k] - vals[k & ~bit]) / denom for k in kept]
+        rest = full & ~before & ~bit
+        kepts = _kept_sets(n, before, before & ~bit, rest, removed_total)
+        ratios = [(vals[k] - vals[k & ~bit]) / denom for k in kepts]
         hit = _strict_min(g_best, ratios, 0 if ratios else None)
         if hit:
-            g_best, g_wit = hit[0], (t, avoiding[hit[1]])
+            g_best, i = hit
+            g_wit = (t, _first_padding(kepts[i], before, rest, removed_total))
 
+    rest = full & ~final
+    finals = elements(final)
     for t in range(1, removed_total + 1):
         before = kept_sets[t - 1]
-        gains = [vals[before] - vals[before & ~b] for b in bits]
-        # A padding P enters only through K = final - P, so the ratios of
-        # each K are worked out once, then listed per P in witness order.
-        kepts = [final & ~pad for pad in pads[t - 1]]
-        members = {k: elements(k) for k in set(kepts)}
-        denoms = {k: [vals[k] - vals[k & ~(1 << r)] for r in rs] for k, rs in members.items()}
-        ratios_of = {
-            k: [gains[r] / x if x > 0.0 else INF for r, x in zip(members[k], xs)]
-            for k, xs in denoms.items()
-        }
-        ratios = list(itertools.chain.from_iterable(map(ratios_of.__getitem__, kepts)))
+        top = vals[before]
+        # Only elements of the final set are ever r.
+        gains = {r: top - vals[before & ~(1 << r)] for r in finals}
+        kepts = _kept_sets(n, final, final, rest, t - 1)
+        pairs = [(k, r) for k in kepts for r in finals if k >> r & 1]
+        denoms = [vals[k] - vals[k & ~(1 << r)] for k, r in pairs]
+        ratios = [gains[r] / x if x > 0.0 else INF for (_, r), x in zip(pairs, denoms)]
         first = None
         if a_best is None:
-            binding = itertools.chain.from_iterable(map(denoms.__getitem__, kepts))
-            first = next((i for i, x in enumerate(binding) if x > 0.0), None)
+            first = next((i for i, x in enumerate(denoms) if x > 0.0), None)
         hit = _strict_min(a_best, ratios, first)
         if hit:
             a_best, i = hit
-            for pad, k in zip(pads[t - 1], kepts):
-                if i < len(members[k]):
-                    break
-                i -= len(members[k])
-            a_wit = (t, pad, members[k][i])
+            k, r = pairs[i]
+            a_wit = (t, _first_padding(k, final, rest, t - 1), r)
 
     gamma_rg = 1.0 if g_best is None else min(1.0, max(0.0, g_best))
     alpha_rg = 0.0 if a_best is None else min(1.0, max(0.0, 1.0 - a_best))

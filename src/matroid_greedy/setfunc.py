@@ -690,9 +690,14 @@ def _subset_bounds(
         max([0.0] + [(level_max[m + k] - tops[m]) / (k - 2) for k in range(3, n - m + 1)])
         for m in range(n + 1)
     ]
-    halves = [(top - v) * 0.5 for top, v in zip(map(tops.__getitem__, levels), vals)]
-    denoms = [h if h > s else s for h, s in zip(halves, map(slopes.__getitem__, levels))]
-    return [(u - v) / d if d >= _TINY else 0.0 for u, v, d in zip(up, vals, denoms)]
+    # One pass over S at level m: h = half the rise of f(S) to level_max[m + 2],
+    # d = h or Delta_m, whichever is larger, then theta = (up[S] - f(S)) / d.
+    return [
+        (u - v) / d
+        if (d := h if (h := (tops[m] - v) * 0.5) > (s := slopes[m]) else s) >= _TINY
+        else 0.0
+        for u, v, m in zip(up, vals, levels)
+    ]
 
 
 def _cannot_lower(

@@ -691,9 +691,14 @@ class TestGen:
             pytest.param(
                 "2", "0", "cardinality must lie in 1..2, the matroid rank, got 0", id="zero"
             ),
-            # A uniform rank above n has matroid rank n; the default N is the given rank.
+            # A uniform rank above n has matroid rank n; the default N is the
+            # given rank, and the message says so.
             pytest.param(
-                "5", None, "cardinality must lie in 1..3, the matroid rank, got 5", id="rank-above-n"
+                "5",
+                None,
+                "cardinality must lie in 1..3, the matroid rank, got 5"
+                " from --rank (no --cardinality given)",
+                id="rank-above-n",
             ),
         ],
     )
@@ -703,6 +708,15 @@ class TestGen:
             argv += ["--cardinality", cardinality]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("rank,bound", [("9", 4), ("0", 0)])
+    def test_default_cardinality_names_rank(self, capsys, rank, bound):
+        code, out, err = run_cli(capsys, "gen", "--kind", "bounded", "--n", "4", "--rank", rank)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: cardinality must lie in 1..{bound}, the matroid rank, got {rank}"
+            " from --rank (no --cardinality given)\n"
+        )
 
     def test_explicit_kind(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--kind", "explicit", "--n", "4", "--seed", "2")

@@ -2,8 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroid_greedy import (
+    GraphicSpec,
+    GreedyStep,
+    GreedyTrace,
     InfeasibleError,
     Matroid,
     NonMonotoneError,
@@ -42,7 +46,7 @@ from matroid_greedy.instances import (
     random_instance,
     random_suite,
 )
-from matroid_greedy.setfunc import ratio_scan
+from matroid_greedy.setfunc import check_monotone, ratio_scan
 
 from conftest import ENUMERATION_SPECS
 from oracles import (
@@ -407,6 +411,144 @@ class TestGreedyRestrictedRatios:
             # and the induced bounds are never weaker
             assert forward_bound(gamma_fg, alpha_fg) <= forward_bound(gamma, alpha) + 1e-9
             assert reverse_bound(gamma_rg, alpha_rg) >= reverse_bound(gamma, alpha) - 1e-9
+
+
+def reverse_case(n, values, spec, cardinality, run=reverse_greedy):
+    """(result, reference) of the reverse family on one reverse run, for repr comparison."""
+    f = SetFunction(n, values)
+    matroid = build_matroid(spec, n)
+    trace = run(f, matroid, cardinality)
+    picks = [step.chosen for step in trace.steps]
+    got = reverse_greedy_ratios_detail(f, matroid, cardinality, trace)
+    return got, reference_reverse_greedy_ratios(f.values, n, picks)
+
+
+class CountingValues(tuple):
+    """A value table that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        type(self).reads += 1
+        return tuple.__getitem__(self, index)
+
+
+@st.composite
+def tables_and_picks(draw, max_n=8):
+    """A tie-heavy increasing table, zeros of either sign, and the picks of
+    a random reverse trace (any order, not the greedy one) with its N."""
+    n = draw(st.integers(1, max_n))
+    size = 1 << n
+    steps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=size, max_size=size))
+    values = [0.0] * size
+    for mask in range(1, size):
+        values[mask] = max(values[mask ^ 1 << j] for j in range(n) if mask >> j & 1) + steps[mask]
+    signs = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    values = [-0.0 if v == 0.0 and neg else v for v, neg in zip(values, signs)]
+    cardinality = draw(st.integers(0, n))
+    picks = draw(st.permutations(range(n)))[: n - cardinality]
+    return n, values, cardinality, picks
+
+
+class TestReverseKeptSets:
+    """The reverse family walks each step's distinct kept sets in the order
+    of their first paddings; these cases pin where that order decides."""
+
+    def test_ratio_tie_goes_to_the_earlier_first_padding(self):
+        # Step 2 keeps {0, 1, 3} and picks 1. Paddings {0, 3} and {2, 3}
+        # both give 1/3; D = {3} has fewer elements than D = {0, 3}, but
+        # its first padding {2, 3} comes later than {0, 3}.
+        values = [0.0, 0.0, 1.0, 1.0, 2.0, 4.0, 4.0, 6.0, 0.0, 0.0, 3.0, 3.0, 4.0, 6.0, 4.0, 8.0]
+        got, expected = reverse_case(4, values, UniformSpec(2), 2)
+        assert repr(got) == repr(expected) == "(0.3333333333333333, 0.0, (2, 9), None)"
+
+    def test_curvature_tie_goes_to_the_earlier_first_padding(self):
+        # Final set {0, 3}; at step 2 the kept sets {3} (padding {0}) and
+        # {0, 3} (first padding {1}, D empty) both give 0.0 at r = 3.
+        values = [0.0, 0.0, 1.0, 1.0, 1.0, 3.0, 2.0, 3.0, 1.0, 1.0, 3.0, 3.0, 2.0, 3.0, 4.0, 6.0]
+        got, expected = reverse_case(4, values, UniformSpec(2), 2)
+        assert repr(got) == repr(expected) == "(0.3333333333333333, 1.0, (1, 9), (2, 1, 3))"
+
+    def test_kept_set_met_again_reports_its_first_padding(self):
+        # Final set {2, 4}; at step 3 the minimum 0.5 is at kept set {2},
+        # which paddings {0, 4}, {1, 4} and {3, 4} all leave, after other
+        # kept sets have been listed.
+        values = [
+            0.0, -0.0, 0.0, 1.0, 2.0, 2.0, 3.0, 3.0, 2.0, 4.0, 2.0, 6.0, 2.0, 5.0, 4.0, 6.0,
+            1.0, 2.0, 2.0, 4.0, 2.0, 3.0, 3.0, 6.0, 4.0, 4.0, 5.0, 7.0, 6.0, 6.0, 7.0, 9.0,
+        ]
+        got, expected = reverse_case(5, values, UniformSpec(2), 2)
+        assert repr(got) == repr(expected) == "(0.0, 0.5, (1, 21), (3, 17, 2))"
+
+    def test_negative_zero_minimum_keeps_its_padding(self):
+        # Step 1's ratios are -0.0, 1.0 and 0.0, at paddings {0, 1}, {0, 3}
+        # and {1, 3}; the -0.0 comes first and holds against the later 0.0.
+        values = [-0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 3.0, 4.0, 0.0, 2.0, 1.0, 2.0, -0.0, 3.0, 3.0, 4.0]
+        got, expected = reverse_case(4, values, UniformSpec(2), 2)
+        assert repr(got) == repr(expected) == "(0.0, 1.0, (1, 3), (2, 1, 1))"
+
+    @pytest.mark.parametrize("run", [reverse_greedy, reverse_greedy_as_forward])
+    def test_infinite_ratio_binding_first(self, run):
+        # The pass removes 2. The curvature family's first pair, r = 0 past
+        # {0, 1}, binds nothing; the next, r = 1, has the overflowing gain
+        # 1.5e308 - -1e308 = inf over 1e308, so it starts the minimum at inf
+        # and stays it, and the clamp maps 1 - inf to 0.0.
+        values = [-1e308, -1e308, 0.0, 0.0, -1e308, -1e308, 1e308, 1.5e308]
+        spec = PartitionSpec(((1,), (0, 2)), (1, 1))
+        got, expected = reverse_case(3, values, spec, 2, run)
+        assert repr(got) == repr(expected) == "(0.0, 0.0, (1, 2), (1, 0, 1))"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            UniformSpec(6),
+            # Rank 5: block (1, 4) holds one element.
+            PartitionSpec(((0, 2), (1, 4), (3, 5)), (2, 1, 2)),
+            # A tree (rank 6) and a graph with one triangle (rank 5).
+            GraphicSpec(7, ((0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (4, 6))),
+            GraphicSpec(6, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5))),
+        ],
+        ids=["uniform", "partition", "graphic-tree", "graphic-cycle"],
+    )
+    def test_extreme_cardinalities_match_reference(self, spec):
+        rng = random.Random(6)
+        rank = build_matroid(spec, 6).rank_full
+        for make_table in (*TABLES, overflowing_table):
+            values = make_table(6, rng)
+            for cardinality in sorted({1, 5, 6} & set(range(rank + 1))):
+                for run in (reverse_greedy, reverse_greedy_as_forward):
+                    got, expected = reverse_case(6, values, spec, cardinality, run)
+                    assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "cardinality,reads",
+        # A walk over every padding that reads the gains of all n elements
+        # at each curvature step makes 330 and 3,264 reads here.
+        [(1, 88), (4, 1870)],
+    )
+    def test_table_reads_at_n12(self, cardinality, reads):
+        f = gen_bounded_marginal(12, 0.5, 2.0, 7)
+        matroid = build_matroid(UniformSpec(cardinality), 12)
+        trace = reverse_greedy_as_forward(f, matroid, cardinality)
+        check_monotone(f)
+        f.values = CountingValues(f.values)
+        CountingValues.reads = 0
+        reverse_greedy_ratios_detail(f, matroid, cardinality, trace)
+        assert CountingValues.reads == reads
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(tables_and_picks())
+    def test_random_traces_match_reference(self, case):
+        n, values, cardinality, picks = case
+        f = SetFunction(n, values)
+        kept = full = (1 << n) - 1
+        steps = []
+        for t, pick in enumerate(picks, 1):
+            kept &= ~(1 << pick)
+            steps.append(GreedyStep(t, pick, f.values[kept | 1 << pick] - f.values[kept], kept))
+        trace = GreedyTrace("reverse", n, tuple(steps), (), kept, f.values[full], f.values[kept])
+        got = reverse_greedy_ratios_detail(f, build_matroid(UniformSpec(n), n), cardinality, trace)
+        assert repr(got) == repr(reference_reverse_greedy_ratios(f.values, n, picks))
 
 
 class TestVerification:
