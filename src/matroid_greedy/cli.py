@@ -73,8 +73,6 @@ def _emit(text: str, out: str | None) -> None:
             raise SchemaError(f"{out}: cannot write output file ({exc})") from exc
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _dump(payload, out: str | None) -> None:
@@ -103,14 +101,6 @@ def trace_to_json(trace: GreedyTrace) -> dict:
     }
 
 
-def _witness_json(witness) -> object:
-    if witness is None:
-        return None
-    if isinstance(witness, tuple):
-        return list(witness)
-    return witness
-
-
 def cmd_run(args) -> int:
     inst = load_instance(args.instance)
     matroid = inst.matroid()
@@ -134,7 +124,7 @@ def cmd_ratios(args) -> int:
     )
     payload = {k: v for k, v in asdict(report).items() if v is not None}
     payload["id"] = inst.id
-    payload["witnesses"] = {k: _witness_json(v) for k, v in witnesses.items()}
+    payload["witnesses"] = witnesses
     _dump(payload, args.out)
     return 0
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InfeasibleError, WitnessFailureError
+from .errors import InfeasibleError, TraceMismatchError, WitnessFailureError
 from .matroids import Matroid
 from .setfunc import SetFunction
 from .subsets import elements, full_mask
@@ -95,6 +95,37 @@ def _check_inputs(f: SetFunction, matroid: Matroid, cardinality: int) -> None:
     if matroid.rank_full < cardinality:
         raise InfeasibleError(
             f"matroid rank {matroid.rank_full} is below the target cardinality {cardinality}"
+        )
+
+
+def _check_trace_sets(trace: GreedyTrace) -> None:
+    """Raise TraceMismatchError unless the trace's sets follow its picks.
+
+    Every pick lies in 0..n-1, each ``set_after`` is the set before it with
+    the pick inserted (forward, from the empty set) or removed (both reverse
+    kinds, from the full set), and ``final_set`` is the last set. So no set
+    reaches outside the ground set. ``trace.algorithm`` must be one of the
+    three passes.
+    """
+    n = trace.n
+    forward = trace.algorithm == FORWARD
+    current = 0 if forward else full_mask(n)
+    for step in trace.steps:
+        if not 0 <= step.chosen < n:
+            raise TraceMismatchError(
+                f"trace step {step.t} picks {step.chosen}, outside the ground set of n={n}"
+            )
+        bit = 1 << step.chosen
+        if bool(current & bit) == forward or step.set_after != current ^ bit:
+            action = "inserted" if forward else "removed"
+            raise TraceMismatchError(
+                f"trace step {step.t} holds set {step.set_after}, not the set before it "
+                f"with {step.chosen} {action}"
+            )
+        current = step.set_after
+    if trace.final_set != current:
+        raise TraceMismatchError(
+            f"trace final set {trace.final_set} is not its last set {current}"
         )
 
 
@@ -221,7 +252,8 @@ def ordering_witness(
     objects the trace was produced from, on its ground set (else ValueError).
     A reverse trace is read as forward greedy on the reflected function over
     the dual of the truncated matroid, so the base must be a base of that
-    dual. Raises WitnessFailureError if no feasible element exists or a
+    dual. Raises TraceMismatchError if the trace's sets do not follow its
+    picks, and WitnessFailureError if no feasible element exists or a
     dominance inequality fails, either of which would signal an
     implementation bug.
     """
@@ -241,6 +273,7 @@ def ordering_witness(
         flip = full_mask(n)
     else:
         raise ValueError(f"unknown trace algorithm {trace.algorithm!r}")
+    _check_trace_sets(trace)
     sets_before = [0] + [flip ^ s.set_after for s in trace.steps[:-1]]
     if base.bit_count() != steps or not work_m.is_independent(base):
         raise ValueError(

@@ -27,6 +27,7 @@ from .greedy import (
     GreedyTrace,
     OptimumRecord,
     _check_inputs,
+    _check_trace_sets,
     brute_force_optimum,
     forward_greedy,
     reverse_greedy,
@@ -175,16 +176,14 @@ def strong_curvature_detail(
     """
     _require_increasing(f)
     _check_value_range(f)
-    worst: float | None = None
-    at = -1
-    for j, (lo, hi) in enumerate(f._extremes):  # type: ignore[arg-type]
-        if hi > 0.0:
-            ratio = lo / hi
-            if worst is None or ratio < worst:
-                worst, at = ratio, j
-    if worst is None:
+    extremes: list[tuple[float, float]] = f._extremes  # type: ignore[assignment]
+    ratios = [lo / hi if hi > 0.0 else INF for lo, hi in extremes]
+    first = next((j for j, (_, hi) in enumerate(extremes) if hi > 0.0), None)
+    hit = _strict_min(None, ratios, first)
+    if hit is None:
         return 0.0, 1.0, 1.0, None
-    lo, hi = f._extremes[at]  # type: ignore[index]
+    worst, at = hit
+    lo, hi = extremes[at]
     # list.index keeps the first extreme in ascending S, as min and max do.
     d = _marginals(f.values, at)
     witness = (at, _subset_at(d.index(hi), at), _subset_at(d.index(lo), at))
@@ -339,7 +338,8 @@ def reverse_greedy_ratios_detail(
     exceed the unit interval on these restricted families and are clamped.
     Witnesses are (t, padding mask) and (t, padding mask, element), the
     first in (t, padding in ``itertools.combinations`` order, element)
-    order at each minimum. Inputs are checked as by the greedy passes.
+    order at each minimum. Inputs are checked as by the greedy passes, and a
+    trace whose sets do not follow its picks raises TraceMismatchError.
 
     A padding P enters only through the kept set it leaves: K^(t-1) - P in
     the ratio family, so only D = P & K^(t-1) matters, and final - P in the
@@ -366,6 +366,7 @@ def reverse_greedy_ratios_detail(
         raise TraceMismatchError(
             "trace does not match a reverse run of this instance"
         )
+    _check_trace_sets(trace)
     vals = f.values
     full = full_mask(n)
     kept_sets = [full] + [step.set_after for step in trace.steps]

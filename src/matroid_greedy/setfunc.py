@@ -325,9 +325,9 @@ def ratio_scan(f: SetFunction) -> RatioScan:
     least 1 > b: a walk that runs past a cut stops there after the same
     pair tests as on the full order, so the same elements fall back.
 
-    A walk's own threshold, at most b, is always a ratio some pair attains:
-    at first the best of a few seed pairs from the two ends of d and of its
-    running minimum, then each new best ratio. Candidate R are walked best
+    A walk's threshold, at most b, is +inf or a ratio some pair attains: at
+    first the running minimum carried from earlier elements, +inf before
+    any element binds, then each new best ratio. Candidate R are walked best
     first until their filter fails at that threshold; for each, candidate S
     are walked best first until the ratio against R exceeds it, so the
     first subset of R met gives R's extreme marg_j(S) over S <= R. Every
@@ -352,17 +352,10 @@ def ratio_scan(f: SetFunction) -> RatioScan:
     return f._ratios
 
 
-# The seed pairs of an element join its _SEED_K smallest and largest
-# marginals, plus the pairs through the empty set and V - j, which always
-# bind when some marginal is positive, so the threshold is finite from the
-# first element on. Without the extremes the scan of random n = 10..12
-# tables took about three times as long; more than two of them bought nothing
-# at n = 10..16 and cost time below n = 8. With picked lists one extreme
-# was slower at n = 4..12 and three or four bought nothing. An element's
-# walk may test _PAIR_BUDGET * 2^(n-1) pairs, about what one subset
-# transform of its 2^(n-1) marginals costs; past that the element is
-# transformed instead.
-_SEED_K = 2
+# An element's walk may test _PAIR_BUDGET * 2^(n-1) pairs, about what one
+# subset transform of its 2^(n-1) marginals costs; past that the element is
+# transformed instead. The budget is checked after each R, whose pairs number
+# at most 2^(n-1), so it bounds every walk, from whatever threshold it starts.
 _PAIR_BUDGET = 4
 
 
@@ -443,21 +436,12 @@ def _element_min(
     ``rising`` and ``falling`` come from :func:`_walk_orders` at a threshold
     of at least ``first[0]``. The ratio is d(S) / d(R) for gamma and
     d(R) / d(S) for alpha (``curvature``), over S <= R with a positive
-    denominator. ``first[0]`` and the seed pairs set the starting threshold;
-    see :func:`ratio_scan` for the walk and why it is exact.
+    denominator. The walk starts at the running minimum ``first[0]``, +inf
+    before any element binds; see :func:`ratio_scan` for the walk and why it
+    is exact.
     """
     low, high = d[rising[0]], d[falling[0]]
-    # Seed ratios d(a) / d(b): a from the bottom of the order is S for gamma
-    # and R for alpha, b from the top is the other one.
-    bottoms = rising[:_SEED_K] + [len(d) - 1 if curvature else 0]
-    tops = falling[:_SEED_K] + [0 if curvature else len(d) - 1]
-    seeds = [
-        d[a] / d[b]
-        for a in bottoms
-        for b in tops
-        if d[b] > 0.0 and not (b & ~a if curvature else a & ~b)
-    ]
-    best, best_big = min(seeds + [first[0]]), -1
+    best, best_big = first[0], -1
     bigs, smalls = (rising, falling) if curvature else (falling, rising)
     tests = 0
     for big in bigs:

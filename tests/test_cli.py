@@ -296,6 +296,72 @@ class TestLoaderFuzz:
         assert (code == 0) == (text == "")
 
 
+def t3_doc(**fields):
+    """The T3 instance document with ``fields`` replaced."""
+    doc = instance_to_json(canonical_t3())
+    doc.update(fields)
+    return doc
+
+
+class TestLoaderRejections:
+    """Malformed files and ``gen`` arguments: exit 2 with one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            pytest.param([1, 2], "expected a JSON object", id="not-object"),
+            pytest.param(t3_doc(n=0), "n must be in 1..20, got 0", id="n-0"),
+            pytest.param(t3_doc(n=21), "n must be in 1..20, got 21", id="n-21"),
+            pytest.param(
+                t3_doc(function={"kind": "table", "values": [0.0] * 8}),
+                "only kind 'explicit' is supported",
+                id="function-kind",
+            ),
+            pytest.param(t3_doc(N=0), "N must be >= 1, got 0", id="N-0"),
+            pytest.param(t3_doc(seed="7"), "seed must be an int or null", id="seed-str"),
+            pytest.param(t3_doc(seed=1.5), "seed must be an int or null", id="seed-float"),
+            pytest.param(t3_doc(seed=True), "seed must be an int or null", id="seed-bool"),
+            pytest.param(
+                t3_doc(matroid={"kind": "uniform", "rank": -1}),
+                "uniform rank must be >= 0, got -1",
+                id="rank-negative",
+            ),
+            pytest.param(
+                t3_doc(matroid={"kind": "partition", "blocks": [[0, 1], [2]], "capacities": [-1, 1]}),
+                "block capacity must be >= 0, got -1",
+                id="capacity-negative",
+            ),
+            pytest.param(
+                t3_doc(matroid={"kind": "graphic", "vertices": 0, "edges": [[0, 1], [1, 2], [1, 2]]}),
+                "graph needs at least one vertex, got 0",
+                id="graphic-no-vertex",
+            ),
+            pytest.param(
+                t3_doc(matroid={"kind": "explicit", "independent": [0, 1, 2, 8]}),
+                "independent-set mask 8 out of range for n=3",
+                id="mask-out-of-range",
+            ),
+            pytest.param(
+                t3_doc(matroid={"kind": "explicit", "independent": [1, 2, 3]}),
+                "explicit family must contain the empty set",
+                id="family-without-empty",
+            ),
+        ],
+    )
+    def test_file_exits_2(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--instance", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert "Traceback" not in err
+
+    def test_gen_modular_without_weights_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--kind", "modular", "--n", "3")
+        assert code == 2 and out == ""
+        assert err == "error: gen --kind modular needs --weights\n"
+
+
 class TestExplicitFamily:
     @pytest.mark.parametrize(
         "argv",
@@ -498,6 +564,24 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--random", "--count", count)
         assert code == 2 and out == ""
         assert err.startswith("error: --count") and err.count("\n") == 1
+
+
+class TestGoldenStdout:
+    """The stdout bytes of ``ratios`` and ``verify`` on two fixed instances."""
+
+    @pytest.mark.parametrize("name", ["t3", "bounded_n8_s3"])
+    @pytest.mark.parametrize(
+        "command,flags", [("ratios", ("--greedy-variants", "--strong")), ("verify", ())]
+    )
+    def test_bytes(self, capsys, tmp_path, t3_path, name, command, flags):
+        path = t3_path
+        if name == "bounded_n8_s3":
+            path = str(tmp_path / "bounded.json")
+            gen = ("gen", "--kind", "bounded", "--n", "8", "--seed", "3", "--out", path)
+            assert run_cli(capsys, *gen)[0] == 0
+        code, out, _ = run_cli(capsys, command, "--instance", path, *flags)
+        assert code == 0
+        assert out == (GOLDEN_DIR / f"{command}_{name}.json").read_text(encoding="utf-8")
 
 
 class TestParser:

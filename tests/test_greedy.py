@@ -15,10 +15,18 @@ from matroid_greedy import (
     forward_greedy,
     mask_of,
     ordering_witness,
+    TraceMismatchError,
+    full_mask,
     reverse_greedy,
     reverse_greedy_as_forward,
 )
-from matroid_greedy.instances import gen_modular, random_matroid_spec, random_suite
+from matroid_greedy.guarantees import reverse_greedy_ratios_detail
+from matroid_greedy.instances import (
+    gen_bounded_marginal,
+    gen_modular,
+    random_matroid_spec,
+    random_suite,
+)
 
 from conftest import ENUMERATION_SPECS, random_modular_instances, trace_payload
 from oracles import reference_reverse_greedy
@@ -253,6 +261,70 @@ class TestOrderingWitness:
         trace = forward_greedy(t3_function, t3_matroid, 2)
         with pytest.raises(ValueError, match="n=4, 3 and 3"):
             ordering_witness(trace, gen_modular(4, [1, 2, 3, 4]), trace.final_set, t3_matroid)
+
+
+def read_trace(reader, trace, f, matroid, cardinality):
+    """Feed a trace to one of its two readers; the witness takes the greedy base."""
+    if reader == "ratios":
+        return reverse_greedy_ratios_detail(f, matroid, cardinality, trace)
+    flip = 0 if trace.algorithm == "forward" else full_mask(trace.n)
+    return ordering_witness(trace, f, flip ^ trace.final_set, matroid)
+
+
+def with_step(trace, index, **fields):
+    """``trace`` with ``fields`` replaced in its step at ``index``."""
+    steps = list(trace.steps)
+    steps[index] = dataclasses.replace(steps[index], **fields)
+    return dataclasses.replace(trace, steps=tuple(steps))
+
+
+class TestTraceCheck:
+    """Both trace readers reject a trace whose sets do not follow its picks."""
+
+    # A reverse run that removes 4, 3 and then 0: kept sets 15, 7, 6.
+    F5 = gen_bounded_marginal(5, 1.0, 2.0, 3)
+
+    @pytest.mark.parametrize("reader", ["ratios", "witness"])
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            pytest.param({"chosen": 5}, "picks 5, outside the ground set of n=5", id="pick-above-n"),
+            pytest.param({"chosen": -1}, "picks -1, outside the ground set", id="pick-negative"),
+            pytest.param({"set_after": 1 << 9}, "holds set 512, not", id="mask-outside"),
+            pytest.param({"set_after": 0b00011}, "holds set 3, not", id="mask-not-removal"),
+            pytest.param({"chosen": 4}, "with 4 removed", id="pick-already-removed"),
+        ],
+    )
+    def test_broken_step(self, reader, fields, message):
+        matroid = build_matroid(UniformSpec(2), 5)
+        trace = reverse_greedy(self.F5, matroid, 2)
+        assert [s.chosen for s in trace.steps] == [4, 3, 0]
+        with pytest.raises(TraceMismatchError, match=message):
+            read_trace(reader, with_step(trace, 1, **fields), self.F5, matroid, 2)
+
+    @pytest.mark.parametrize("reader", ["ratios", "witness"])
+    @pytest.mark.parametrize("rank,final", [(2, 7), (5, 0)], ids=["last-step", "no-steps"])
+    def test_final_set_not_last(self, reader, rank, final):
+        matroid = build_matroid(UniformSpec(rank), 5)
+        trace = reverse_greedy_as_forward(self.F5, matroid, rank)
+        broken = dataclasses.replace(trace, final_set=final)
+        with pytest.raises(TraceMismatchError, match=f"final set {final} is not its last set"):
+            read_trace(reader, broken, self.F5, matroid, rank)
+
+    def test_forward_pick_already_held(self, t3_function, t3_matroid):
+        trace = forward_greedy(t3_function, t3_matroid, 2)
+        broken = with_step(trace, 1, chosen=trace.steps[0].chosen)
+        with pytest.raises(TraceMismatchError, match="inserted"):
+            read_trace("witness", broken, t3_function, t3_matroid, 2)
+
+    def test_traces_of_every_pass_are_read(self):
+        for inst in random_suite(20, 3, 8, 5):
+            f, matroid, cardinality = inst.function, inst.matroid(), inst.cardinality
+            read_trace("witness", forward_greedy(f, matroid, cardinality), f, matroid, cardinality)
+            for run in (reverse_greedy, reverse_greedy_as_forward):
+                trace = run(f, matroid, cardinality)
+                for reader in ("ratios", "witness"):
+                    read_trace(reader, trace, f, matroid, cardinality)
 
 
 class TestBruteForce:

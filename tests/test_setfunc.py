@@ -335,9 +335,13 @@ def tie_values(kind, n, rng):
 
     ``modular``: integer weights, some 0; ``stepped``: integer steps of 0..2
     over the best subset below; ``signed-zero``: stepped, each zero value of
-    either sign; ``flat``: every value a zero of either sign.
+    either sign; ``flat``: every value a zero of either sign;
+    ``supermodular``: |S|^2, whose every element has its smallest marginal
+    at S = {} and the same marginals at every S of one size.
     """
     size = 1 << n
+    if kind == "supermodular":
+        return [float(m.bit_count() ** 2) for m in range(size)]
     if kind == "modular":
         weights = [rng.randint(0, 3) for _ in range(n)]
         values = [sum(w for j, w in enumerate(weights) if m >> j & 1) for m in range(size)]
@@ -409,7 +413,7 @@ class TestPrunedRatioScan:
             assert repr(scan) == repr(reference_fold_ratio_scan(f.values, f.n)), inst.id
             fold_calls.clear()
 
-    @pytest.mark.parametrize("kind", ["modular", "stepped", "signed-zero", "flat"])
+    @pytest.mark.parametrize("kind", ["modular", "stepped", "signed-zero", "flat", "supermodular"])
     @pytest.mark.parametrize("n", range(1, 10))
     def test_tie_heavy_tables_match_direct_scan(self, kind, n):
         rng = random.Random(f"{kind}-{n}")
