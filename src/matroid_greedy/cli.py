@@ -80,25 +80,11 @@ def _dump(payload, out: str | None) -> None:
 
 
 def trace_to_json(trace: GreedyTrace) -> dict:
-    return {
-        "algorithm": trace.algorithm,
-        "n": trace.n,
-        "steps": [
-            {
-                "t": s.t,
-                "chosen": s.chosen,
-                "marginal": s.marginal,
-                "set_after": elements(s.set_after),
-            }
-            for s in trace.steps
-        ],
-        "rejected": [
-            {"before_step": r.before_step, "element": r.element} for r in trace.rejected
-        ],
-        "final_set": elements(trace.final_set),
-        "f_initial": trace.f_initial,
-        "f_final": trace.f_final,
-    }
+    record = asdict(trace)
+    for step in record["steps"]:
+        step["set_after"] = elements(step["set_after"])
+    record["final_set"] = elements(record["final_set"])
+    return record
 
 
 def cmd_run(args) -> int:

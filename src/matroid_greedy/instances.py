@@ -31,7 +31,7 @@ from .matroids import (
     UniformSpec,
     build_matroid,
 )
-from .setfunc import SetFunction
+from .setfunc import SetFunction, _check_table_n
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,7 @@ def gen_modular(n: int, weights) -> SetFunction:
         raise ValueError(f"need {n} weights, got {len(ws)}")
     if any(w <= 0 for w in ws):
         raise ValueError("weights must be positive")
+    _check_table_n(n)
     values = [0.0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask

@@ -124,17 +124,12 @@ class Matroid:
         return Matroid(self.n, DualSpec(self.spec), lambda s: s.bit_count() + inner(full ^ s) - r)
 
     def truncate(self, q: int) -> "Matroid":
-        """Intersection with the cardinality-q uniform matroid: ranks capped at q.
-
-        For q >= r(V) the cap never binds, min(q, r(S)) = r(S), so the result
-        keeps this matroid's rank function under its own TruncateSpec.
-        """
+        """Intersection with the cardinality-q uniform matroid: ranks capped at q."""
         _check_int(q, "truncation bound")
         if q < 0:
             raise InvalidSpecError(f"truncation bound must be >= 0, got {q}")
         inner = self._rank
-        rank = inner if q >= self.rank_full else lambda s: min(q, inner(s))
-        return Matroid(self.n, TruncateSpec(self.spec, q), rank)
+        return Matroid(self.n, TruncateSpec(self.spec, q), lambda s: min(q, inner(s)))
 
     def __repr__(self) -> str:
         return f"Matroid(n={self.n}, rank={self.rank_full}, spec={self.spec!r})"
@@ -309,6 +304,7 @@ def _validate_explicit(spec: ExplicitSpec, n: int) -> None:
             raise InvalidSpecError(f"independent-set mask {m} out of range for n={n}")
     if 0 not in fam:
         raise InvalidSpecError("explicit family must contain the empty set")
+    check_size(n, MAX_AXIOM_N, "explicit matroid validation")
     h_wit, e_wit = _axiom_scan(fam)
     if h_wit is not None:
         big, sub = h_wit

@@ -31,6 +31,11 @@ _log = logging.getLogger(__name__)
 _INF = float("inf")
 
 
+def _check_table_n(n: int) -> None:
+    if not 1 <= n <= MAX_TABLE_N:
+        raise ValueError(f"ground set size must be in 1..{MAX_TABLE_N}, got {n}")
+
+
 class SetFunction:
     """Total real-valued function on all subsets of {0..n-1}.
 
@@ -43,8 +48,7 @@ class SetFunction:
     __slots__ = ("n", "values", "_eval_count", "_lock", "_monotone", "_extremes", "_ratios")
 
     def __init__(self, n: int, values) -> None:
-        if not 1 <= n <= MAX_TABLE_N:
-            raise ValueError(f"ground set size must be in 1..{MAX_TABLE_N}, got {n}")
+        _check_table_n(n)
         try:
             vals = tuple(map(float, values))
         except OverflowError as exc:
@@ -265,8 +269,6 @@ def _first_min(
     helper for both would have to branch on its caller.
     """
     low = min(ratios)
-    if low == _INF:
-        return first
     return min(first, (low, _subset_at(ratios.index(low), j)))
 
 
@@ -509,8 +511,8 @@ def cumulative_ratio_detail(f: SetFunction) -> tuple[float, tuple[int, int] | No
     least L_k, the k smallest m_j added in ascending value order, and D is
     at most U_k = level_max[|S| + k] - f(S). S is skipped when the running
     minimum b satisfies tiny <= b <= 1 (tiny the smallest normal float), S
-    has two or more outside elements, the two lowest of them have positive
-    marginals, and L_k / U_k > b * (1 + 1e-9) for every k >= 2.
+    has two or more outside elements, its second-smallest marginal is
+    positive, and L_k / U_k > b * (1 + 1e-9) for every k >= 2.
     Then no pair of S has a ratio below b, and no pair with k >= 2 one equal
     to it, so the first minimum, with its sign, is the full scan's.
 
@@ -525,8 +527,8 @@ def cumulative_ratio_detail(f: SetFunction) -> tuple[float, tuple[int, int] | No
       order, and T >= L_k * (1 - 32u). The test requires the last sum, over
       all of S's marginals, to be finite, which keeps every L_k finite; a T
       that overflows gives an infinite ratio.
-    - The two positive marginals make every U_k positive, since U_k is at
-      least either of them.
+    - The positive second-smallest marginal makes every U_k positive, since
+      U_k is at least every m_j.
     - b is normal, so b * (1 + 1e-9) and every quotient above it are normal
       and off by a factor of at most 1 + u; a quotient that overflows is
       above every b.
@@ -535,10 +537,8 @@ def cumulative_ratio_detail(f: SetFunction) -> tuple[float, tuple[int, int] | No
       higher.
 
     A zero or subnormal running minimum, where b * (1 + 1e-9) may round
-    back to b, skips nothing. The test first tries k = 2 on the two lowest
-    outside elements, whose sum is at least L_2; where that fails, as on
-    modular tables, whose ratios all sit at 1 up to rounding, it builds no
-    list. Modular tables skip no S and cost the 3^n of the full scan;
+    back to b, skips nothing. Modular tables, whose ratios all sit at 1 up
+    to rounding, skip no S and cost the 3^n of the full scan;
     bounded-marginal tables skip nearly all of them.
 
     Ahead of that per-S test, one bound theta(S), computed for the whole table
@@ -701,18 +701,13 @@ def _cannot_lower(
     if not (cut < _INF and rest & (rest - 1)):
         return False
     base = vals[small]
-    # level_max[level] bounds the sets S | R with |R| = 2.
-    level = small.bit_count() + 2
-    first = rest & -rest
-    upper = rest ^ first
-    m0 = vals[small | first] - base
-    m1 = vals[small | (upper & -upper)] - base
-    if not (m0 > 0.0 and m1 > 0.0 and (m0 + m1) / (level_max[level] - base) > cut):
-        return False
     low = [vals[small | bit] - base for bit in bits if rest & bit]
     low.sort()
+    if not low[1] > 0.0:
+        return False
     total = low[0]
-    for top, marg in zip(level_max[level:], low[1:]):
+    # level_max[|S| + k] bounds the sets S | R with |R| = k, from k = 2.
+    for top, marg in zip(level_max[small.bit_count() + 2 :], low[1:]):
         total += marg
         if not total / (top - base) > cut:
             return False

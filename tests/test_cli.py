@@ -384,6 +384,23 @@ class TestExplicitFamily:
         assert code == 0 and err == ""
         assert scanned == [family]
 
+    @pytest.mark.parametrize(
+        "family,code,message",
+        [
+            pytest.param([0, 1], 5, "explicit matroid validation is capped at n=10", id="over-cap"),
+            pytest.param([0, 1 << 11], 2, "independent-set mask 2048 out of range", id="bad-mask"),
+        ],
+    )
+    def test_n11_family(self, capsys, tmp_path, monkeypatch, family, code, message):
+        doc = instance_to_json(Instance("E11", 11, gen_modular(11, [1.0] * 11), UniformSpec(1), 1))
+        doc["matroid"] = {"kind": "explicit", "independent": family}
+        path = tmp_path / "e11.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.setattr(matroids, "_axiom_scan", None)
+        got, out, err = run_cli(capsys, "run", "--instance", str(path))
+        assert got == code and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
 
 class TestRatios:
     def test_base_fields(self, capsys, t3_path):
@@ -564,6 +581,15 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--random", "--count", count)
         assert code == 2 and out == ""
         assert err.startswith("error: --count") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "bounds", [["--n-min", "5", "--n-max", "3"], ["--n-min", "0"]], ids=["reversed", "zero"]
+    )
+    def test_bad_random_bounds_exit_2(self, capsys, bounds):
+        code, out, err = run_cli(capsys, "verify", "--random", *bounds)
+        assert code == 2 and out == ""
+        assert err.startswith("error: need 1 <= n_min <= n_max") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestGoldenStdout:
@@ -762,6 +788,12 @@ class TestGen:
             capsys, "gen", "--kind", "bounded", "--n", "4", "--lo", "0", "--hi", "1"
         )
         assert code == 2 and err != ""
+
+    def test_modular_over_table_cap_exits_2(self, capsys):
+        argv = ["gen", "--kind", "modular", "--n", "21", "--weights", ",".join(["1"] * 21)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: ground set size must be in 1..20, got 21\n"
 
     @pytest.mark.parametrize(
         "rank,cardinality,message",

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -73,6 +74,17 @@ class TestModular:
             gen_modular(2, [1.0])
         with pytest.raises(ValueError):
             gen_modular(2, [1.0, 0.0])
+
+    def test_size_checked_before_the_table(self):
+        # A 2^21 table would take 16 MB; the check comes before any of it.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^ground set size must be in 1\.\.20, got 21$"):
+                gen_modular(21, [1.0] * 21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestBoundedMarginal:

@@ -20,6 +20,7 @@ from matroid_greedy import (
     full_mask,
     mask_of,
 )
+from matroid_greedy import matroids
 from matroid_greedy.instances import MAX_SPEC_DEPTH, random_matroid_spec
 from matroid_greedy.matroids import _axiom_scan, _graphic_rank
 
@@ -94,6 +95,15 @@ class TestBuild:
     def test_explicit_rank_one_family_ok(self):
         m = build_matroid(ExplicitSpec(frozenset([0, 1, 2])), 2)
         assert m.rank_full == 1
+
+    def test_explicit_family_over_axiom_cap(self, monkeypatch):
+        # The exchange pass costs |F|^2, so the family is refused before it.
+        monkeypatch.setattr(matroids, "_axiom_scan", None)
+        with pytest.raises(GroundSetTooLargeError, match="explicit matroid validation"):
+            build_matroid(ExplicitSpec(frozenset({0})), 11)
+        # Mask errors still come first.
+        with pytest.raises(InvalidSpecError, match="out of range"):
+            build_matroid(ExplicitSpec(frozenset({0, 1 << 11})), 11)
 
     def test_graphic_edge_count_must_match(self):
         with pytest.raises(InvalidSpecError):

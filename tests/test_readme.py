@@ -1,7 +1,9 @@
-"""The README's library quick tour runs and gives the values its comments state."""
+"""The README's quick tour gives the values its comments state, and its cap list is complete."""
 
 import re
 from pathlib import Path
+
+from matroid_greedy import caps
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -23,3 +25,15 @@ def test_quick_tour_values():
     record = scope["record"]
     assert (record.achieved_ratio, record.bound) == (1.0, 4.0)
     assert record.satisfied
+
+
+def test_cap_table_lists_every_cap():
+    text = README.read_text(encoding="utf-8")
+    limits = {
+        name: value
+        for name, value in vars(caps).items()
+        if name.startswith("MAX_") and type(value) is int
+    }
+    assert limits
+    for name, value in limits.items():
+        assert f"`{name} = {value}`" in text, name
