@@ -5,7 +5,8 @@ All stdout payloads are JSON or CSV; diagnostics go to stderr. Exit codes:
 4 non-monotone function, 5 size over a cap; ``EXIT_CODES`` maps each
 error kind to its code, and an ``--out`` path that cannot be written is an
 input problem (2). ``verify --tol`` sets the relative verification
-tolerance, 1e-9 by default.
+tolerance, 1e-9 by default. Output cut off by a closed pipe (``gen ... |
+head``) ends the command with exit 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -51,7 +53,8 @@ from .subsets import elements
 
 #: Exit code of each error kind reported as one ``error:`` line, first match
 #: wins; any other exception (WitnessFailureError, TraceMismatchError, ...)
-#: propagates.
+#: propagates. A reader that closes stdout early (BrokenPipeError) ends
+#: ``console_main`` with exit 1, Python's own code for it, and no message.
 EXIT_CODES = {
     SchemaError: 2,
     InvalidSpecError: 2,
@@ -279,7 +282,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        # Flush here, so a closed pipe raises inside this try.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush cannot raise as well (the SIGPIPE note in the signal docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -5,16 +5,20 @@ table), a matroid spec, and a target cardinality. Generators are
 deterministic given their seed, and every generated instance is strictly
 increasing and feasible by construction. Files are UTF-8 JSON with two-space
 indent, sorted keys and one value per line, the layout of ``json.dumps(...,
-indent=2, sort_keys=True)``; the value table is written by one C-level join
-rather than json's pure-Python indenting encoder. Floats rely on Python's
-shortest round-trip repr, so load(save(x)) is exact. A file that cannot be
-read or written is a SchemaError.
+indent=2, sort_keys=True)``; the value table is streamed in blocks of
+``_BLOCK`` values, each one C-level join, rather than through json's
+pure-Python indenting encoder, so writing never holds the whole table as
+text. Floats rely on Python's shortest round-trip repr, so load(save(x)) is
+exact. A file that cannot be read or written, or is not UTF-8 text, is a
+SchemaError.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -269,10 +273,15 @@ def _spec_from_json(obj, where: str, depth: int) -> MatroidSpec:
 
 
 def instance_to_json(inst: Instance) -> dict:
+    return _instance_obj(inst, list(inst.function.values))
+
+
+def _instance_obj(inst: Instance, values: list) -> dict:
+    """The JSON object of ``inst`` with ``values`` as its function's table."""
     return {
         "id": inst.id,
         "n": inst.n,
-        "function": {"kind": "explicit", "values": list(inst.function.values)},
+        "function": {"kind": "explicit", "values": values},
         "matroid": spec_to_json(inst.matroid_spec),
         "N": inst.cardinality,
         "seed": inst.seed,
@@ -323,31 +332,50 @@ def instance_from_json(obj) -> Instance:
     return inst
 
 
-def _instance_text(inst: Instance) -> tuple[str, str, str]:
-    """The file text of ``inst`` as head, value table and tail, to be written in turn.
+#: Values per block of the written table: enough that each join is one long
+#: C-level pass, few enough that a block's text stays well under a megabyte.
+_BLOCK = 1 << 14
+
+
+def _instance_text(inst: Instance) -> Iterator[str]:
+    """The file text of ``inst`` in pieces, to be written in turn.
 
     Together they are ``json.dumps(instance_to_json(inst), indent=2,
     sort_keys=True) + "\\n"`` byte for byte. json skips its C encoder
     whenever ``indent`` is set, so the table does not go through it: the rest
-    is rendered around an empty table, and the table is one C-level join of
-    ``float.__repr__``, which is what json writes for a finite float (a
-    SetFunction holds no other). Sorted keys put "N", an int, and then
-    "function" first, so its table is the first '"values": []' in the text;
-    json escapes every quote inside a string, so an id cannot match it.
+    is rendered around an empty table, and the table follows in blocks of
+    ``_BLOCK`` values, each one C-level join of ``float.__repr__``, which is
+    what json writes for a finite float (a SetFunction holds no other).
+    Sorted keys put "N", an int, and then "function" first, so its table is
+    the first '"values": []' in the text; json escapes every quote inside a
+    string, so an id cannot match it. The text around the table is rendered
+    before this returns, so only it can raise, and the blocks are joined as
+    they are read.
     """
-    obj = instance_to_json(inst)
-    obj["function"]["values"] = []
-    head, _, tail = json.dumps(obj, indent=2, sort_keys=True).partition('"values": []')
+    text = json.dumps(_instance_obj(inst, []), indent=2, sort_keys=True)
+    head, _, tail = text.partition('"values": []')
     # One value per line, six spaces in; the closing bracket four spaces in.
-    table = ",\n      ".join(map(float.__repr__, inst.function.values))
-    return head + '"values": [\n      ', table, "\n    ]" + tail + "\n"
+    return itertools.chain(
+        [head + '"values": [\n      '],
+        _table_text(inst.function.values),
+        ["\n    ]" + tail + "\n"],
+    )
+
+
+def _table_text(values) -> Iterator[str]:
+    sep = ",\n      "
+    for k in range(0, len(values), _BLOCK):
+        if k:
+            yield sep
+        yield sep.join(map(float.__repr__, values[k:k + _BLOCK]))
 
 
 def save_instance(inst: Instance, path) -> None:
     """Write ``inst`` to ``path`` in the layout of :func:`_instance_text`.
 
-    The text is rendered before the file is opened, so a spec that cannot be
-    written leaves an existing file as it was.
+    The text around the table is rendered before the file is opened, so a
+    spec that cannot be written leaves an existing file as it was; the table
+    is written block by block.
     """
     parts = _instance_text(inst)
     try:
@@ -362,10 +390,14 @@ def load_instance(path) -> Instance:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read instance file ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise SchemaError(f"{path}: JSON nests too deeply to parse") from exc
+    # The text is dead once parsed; free it before the table is built.
+    del text
     return instance_from_json(obj)

@@ -356,6 +356,13 @@ class TestLoaderRejections:
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert "Traceback" not in err
 
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"id": "\xff"}')
+        code, out, err = run_cli(capsys, "run", "--instance", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: not UTF-8 text (") and err.count("\n") == 1
+
     def test_gen_modular_without_weights_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "gen", "--kind", "modular", "--n", "3")
         assert code == 2 and out == ""
@@ -780,6 +787,32 @@ class TestGen:
         code, _, _ = run_cli(capsys, "gen", *argv, "--out", str(path))
         assert code == 0
         assert path.read_bytes() == out.encode("utf-8")
+
+    def test_stdout_equals_out_file_past_one_block(self, capsys, tmp_path):
+        # 2^15 values: two of the writer's blocks.
+        argv = ["gen", "--kind", "modular", "--n", "15", "--weights", ",".join("1" * 15)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "gen.json"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # 2^15 values are far more text than a pipe buffers, so the writer is
+        # still at work when the reader goes away.
+        src = str(Path(matroid_greedy.__file__).resolve().parent.parent)
+        code = f"import sys; sys.path.insert(0, {src!r}); from matroid_greedy import cli; cli.console_main()"
+        argv = ["gen", "--kind", "modular", "--n", "15", "--weights", ",".join("1" * 15)]
+        proc = subprocess.Popen(
+            [sys.executable, "-I", "-c", code, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        assert proc.stdout.read(20) == b'{\n  "N": 7,\n  "funct'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""  # no traceback, and no error line either
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"

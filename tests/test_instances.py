@@ -23,6 +23,7 @@ from matroid_greedy import (
     save_instance,
     submodularity_ratio,
 )
+from matroid_greedy import instances
 from matroid_greedy.caps import MAX_SPEC_DEPTH
 from matroid_greedy.instances import (
     canonical_t3,
@@ -367,3 +368,23 @@ class TestWriter:
             save_instance(canonical_t3(), path)
         assert str(path) in str(info.value)
         assert not path.parent.exists()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_block_boundaries(self, tmp_path, monkeypatch, n):
+        # 2, 4, 8 and 32 values against blocks of 4: below, at and above one
+        # block, and across several.
+        monkeypatch.setattr(instances, "_BLOCK", 4)
+        f = gen_bounded_marginal(n, 1.0, 2.5, seed=n)
+        self.check(Instance("blocks", n, f, UniformSpec(1), 1, seed=n), tmp_path)
+
+    def test_save_peak_memory(self, tmp_path):
+        # The n=16 table is 0.8 MB of text in 65,536 repr strings; writing
+        # it in blocks never holds all of either (about 4.8 MB in one join).
+        inst = Instance("m16", 16, gen_modular(16, range(1, 17)), UniformSpec(8), 8)
+        tracemalloc.start()
+        try:
+            save_instance(inst, tmp_path / "m16.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_500_000
