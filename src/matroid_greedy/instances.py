@@ -8,16 +8,20 @@ indent, sorted keys and one value per line, the layout of ``json.dumps(...,
 indent=2, sort_keys=True)``; the value table is streamed in blocks of
 ``_BLOCK`` values, each one C-level join, rather than through json's
 pure-Python indenting encoder, so writing never holds the whole table as
-text. Floats rely on Python's shortest round-trip repr, so load(save(x)) is
-exact. A file that cannot be read or written, or is not UTF-8 text, is a
-SchemaError.
+text. Reading streams too: a file in that layout has its table read and
+parsed in blocks of ``_READ_BYTES`` bytes, so loading never holds the whole
+file as bytes or text, and any other layout is read whole. Floats rely on
+Python's shortest round-trip repr, so load(save(x)) is exact. A file that
+cannot be read or written, or is not UTF-8 text, is a SchemaError.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -385,7 +389,118 @@ def save_instance(inst: Instance, path) -> None:
         raise SchemaError(f"{path}: cannot write instance file ({exc})") from exc
 
 
+#: Bytes per read of an instance file's value table: small beside a 27 MB
+#: n=20 file, and large enough that its 400-odd pieces cost nothing next to
+#: parsing them (loading that file took the same time, within noise, at every
+#: size from 16 KiB to 4 MiB).
+_READ_BYTES = 1 << 16
+
+#: The head of the writer's layout, up to the value table's opening bracket,
+#: with JSON whitespace (each space in the pattern) before and between its
+#: tokens. It is matched on one read of ``_HEAD_BYTES``, whatever the block
+#: size, with room for any indent json's encoder writes.
+_WRITER_HEAD = re.compile(
+    rb' \{ "N" : -?[0-9]+ , "function" : \{ "kind" : "explicit" , "values" : \['.replace(
+        b" ", rb"[ \t\n\r]*"
+    )
+)
+_HEAD_BYTES = 1 << 10
+
+
 def load_instance(path) -> Instance:
+    """Read the instance file at ``path``, reading the writer's layout in blocks.
+
+    A regular file whose head is in the writer's layout (``{"N": <int>,
+    "function": {"kind": "explicit", "values": [``, JSON whitespace allowed,
+    matched on the first ``_HEAD_BYTES`` bytes) has its value table read in
+    blocks of ``_READ_BYTES`` and parsed piece by piece: each piece is the
+    buffer up to its last comma, decoded as strict UTF-8 (a comma or bracket
+    byte is never inside a multi-byte character) and parsed as
+    ``json.loads("[" + piece + "]")``. The first ``]`` ends the table, and the
+    text after it, with the head around an empty table, is parsed with every
+    object's keys required to be distinct; the table is then put in place.
+    So neither the file's bytes nor its text is ever held whole.
+
+    This gives what ``json.loads`` of the whole text gives, because:
+
+    * a piece parses only if every comma it was cut at sits at the table's
+      top level: a cut inside a string leaves the string unterminated, and a
+      cut inside a nested array or object leaves a bracket open;
+    * the first ``]`` closes the table only if the last piece parses;
+    * a piece that parses to an empty list is refused unless it is the whole
+      table, since it means a comma with no value before or after it;
+    * a duplicate key, where json would keep the last value, is refused.
+
+    Any other layout, and a file that is not a regular file (a pipe cannot
+    be read twice), goes to the whole-file reader, as does any failure on the
+    way: ``OSError``, ``UnicodeDecodeError``, ``ValueError`` (which includes
+    ``json.JSONDecodeError``), ``RecursionError`` or a refused piece. That
+    reader parses the whole text with ``json.loads``, so it accepts any JSON
+    layout, and every error, its type and its message are its own.
+    """
+    try:
+        obj = _read_blocks(path)
+    except (OSError, ValueError, RecursionError):
+        obj = None
+    if obj is None:
+        return _load_whole(path)
+    return instance_from_json(obj)
+
+
+def _read_blocks(path):
+    """The JSON object of a writer-layout file read in blocks, or None if refused."""
+    if not os.path.isfile(path):
+        return None
+    with open(path, "rb") as fh:
+        match = _WRITER_HEAD.match(fh.read(_HEAD_BYTES))
+        if match is None:
+            return None
+        head = match.group().decode("ascii")
+        fh.seek(match.end())
+        table = []
+        buf = b""
+        # Before ``new``, buf holds neither a comma nor a "]", so only the
+        # bytes of each block are searched.
+        while True:
+            new = len(buf)
+            block = fh.read(_READ_BYTES)
+            buf += block
+            end = buf.find(b"]", new)
+            if end >= 0:
+                last = _piece(buf[:end])
+                # Empty after earlier pieces: a comma with no value after it.
+                if table and not last:
+                    return None
+                table += last
+                tail = (buf[end + 1:] + fh.read()).decode("utf-8")
+                break
+            if not block:
+                return None
+            comma = buf.rfind(b",", new)
+            if comma >= 0:
+                piece = _piece(buf[:comma])
+                if not piece:
+                    return None
+                table += piece
+                buf = buf[comma + 1:]
+    obj = json.loads(head + "]" + tail, object_pairs_hook=_distinct_keys)
+    obj["function"]["values"] = table
+    return obj
+
+
+def _piece(data: bytes) -> list:
+    return json.loads("[" + data.decode("utf-8") + "]")
+
+
+def _distinct_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("duplicate key")
+    return obj
+
+
+def _load_whole(path) -> Instance:
+    """Read and parse the whole file at once: any JSON layout, and every load error."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -396,6 +511,9 @@ def load_instance(path) -> Instance:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:
+        # An integer past Python's digit limit for int conversion.
+        raise SchemaError(f"{path}: cannot parse JSON ({exc})") from exc
     except RecursionError as exc:
         raise SchemaError(f"{path}: JSON nests too deeply to parse") from exc
     # The text is dead once parsed; free it before the table is built.

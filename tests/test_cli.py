@@ -285,15 +285,17 @@ class TestLoaderFuzz:
     @given(mutated_t3())
     def test_run_exits_cleanly(self, fuzz_dir, doc):
         path = fuzz_dir / "mutated.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["run", "--instance", str(path)])
-        text = err.getvalue()
-        assert code in (0, 2, 3, 4, 5), text
-        assert sum(line.startswith("error:") for line in text.splitlines()) <= 1
-        assert "Traceback" not in text
-        assert (code == 0) == (text == "")
+        # One line, and the writer's layout, whose head takes the block reader.
+        for layout in (json.dumps(doc), json.dumps(doc, indent=2, sort_keys=True)):
+            path.write_text(layout, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["run", "--instance", str(path)])
+            text = err.getvalue()
+            assert code in (0, 2, 3, 4, 5), text
+            assert sum(line.startswith("error:") for line in text.splitlines()) <= 1
+            assert "Traceback" not in text
+            assert (code == 0) == (text == "")
 
 
 def t3_doc(**fields):
@@ -362,6 +364,15 @@ class TestLoaderRejections:
         code, out, err = run_cli(capsys, "run", "--instance", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}: not UTF-8 text (") and err.count("\n") == 1
+
+    def test_integer_past_digit_limit_exits_2(self, capsys, tmp_path):
+        doc = t3_doc()
+        doc["function"]["values"][1] = 1234.5
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(doc).replace("1234.5", "9" * 5001), encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--instance", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: cannot parse JSON (") and err.count("\n") == 1
 
     def test_gen_modular_without_weights_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "gen", "--kind", "modular", "--n", "3")
@@ -483,7 +494,7 @@ class TestRatios:
         assert calls == list(range(8)) + [witness[0]]
 
     def test_nan_value_exits_2(self, capsys, tmp_path, t3_path):
-        obj = json.loads(open(t3_path).read())
+        obj = json.loads(Path(t3_path).read_text(encoding="utf-8"))
         obj["function"]["values"][1] = float("nan")
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
@@ -491,7 +502,7 @@ class TestRatios:
         assert code == 2 and out == "" and "finite" in err
 
     def test_non_monotone_exits_4(self, capsys, tmp_path, t3_path):
-        obj = json.loads(open(t3_path).read())
+        obj = json.loads(Path(t3_path).read_text(encoding="utf-8"))
         obj["function"]["values"] = [0, 2, 1, 1, 1, 1, 1, 1]
         path = tmp_path / "nonmono.json"
         path.write_text(json.dumps(obj), encoding="utf-8")

@@ -1,7 +1,12 @@
 import json
+import os
+import random
+import threading
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroid_greedy import (
     DualSpec,
@@ -11,6 +16,7 @@ from matroid_greedy import (
     InfeasibleInstanceError,
     Instance,
     InvalidSpecError,
+    MatroidGreedyError,
     PartitionSpec,
     SchemaError,
     SetFunction,
@@ -273,6 +279,18 @@ class TestPersistence:
         with pytest.raises(SchemaError):
             load_instance(path)
 
+    @pytest.mark.parametrize("indent", [None, 2], ids=["one-line", "writer-layout"])
+    def test_integer_past_digit_limit_is_schema_error(self, tmp_path, indent):
+        # json refuses an int of over 4,300 digits with a plain ValueError.
+        obj = instance_to_json(canonical_t3())
+        obj["function"]["values"][1] = 1234.5
+        path = tmp_path / "digits.json"
+        text = json.dumps(obj, indent=indent, sort_keys=True).replace("1234.5", "7" * 5001)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            load_instance(path)
+        assert str(info.value).startswith(f"{path}: cannot parse JSON (Exceeds the limit (4300 digits)")
+
     def test_empty_value_not_forced_to_zero(self):
         obj = instance_to_json(canonical_t3())
         obj["function"]["values"][0] = 5.0
@@ -388,3 +406,193 @@ class TestWriter:
         finally:
             tracemalloc.stop()
         assert peak < 2_500_000
+
+    def test_load_peak_memory(self, tmp_path):
+        # The n=16 file is 1.7 MB, and the table it loads into about 2 MB of
+        # floats and list. Read in blocks, the whole text is never held beside
+        # them: 2.7 MB at peak, against 3.8 MB for the whole-file reader.
+        rng = random.Random(16)
+        values = [1.5 * m.bit_count() + rng.uniform(0.0, 0.25) if m else 0.0 for m in range(1 << 16)]
+        path = tmp_path / "r16.json"
+        save_instance(Instance("r16", 16, SetFunction(16, values), UniformSpec(8), 8), path)
+        assert path.stat().st_size > 1_500_000
+        tracemalloc.start()
+        try:
+            load_instance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_300_000
+
+
+def writer_file(path, n, seed=0):
+    """A valid instance saved in the writer's layout, with its file bytes."""
+    inst = Instance(f"w{n}", n, gen_bounded_marginal(n, 1.0, 2.5, seed), UniformSpec(1), 1)
+    save_instance(inst, path)
+    return inst, path.read_bytes()
+
+
+def table_span(data):
+    """Offsets of the first byte of the table's contents and of its closing bracket."""
+    start = data.index(b'"values": [') + len(b'"values": [')
+    return start, data.index(b"]", start)
+
+
+def outcome(load, path):
+    """An instance with the repr of its table, or the type and text of the load error."""
+    try:
+        inst = load(path)
+    except MatroidGreedyError as exc:
+        return type(exc), str(exc)
+    return inst, repr(inst.function.values)
+
+
+def block_obj(path):
+    """What the block reader makes of ``path``: an object, or None for the fallback."""
+    try:
+        return instances._read_blocks(path)
+    except (OSError, ValueError, RecursionError):
+        return None
+
+
+BLOCK_SIZES = [1, 2, 3, 7]
+
+
+class TestBlockReader:
+    """load_instance reads the writer's layout in blocks and gives what the whole-file reader gives."""
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_whole_file(self, tmp_path, monkeypatch, n, size):
+        monkeypatch.setattr(instances, "_READ_BYTES", size)
+        path = tmp_path / "w.json"
+        inst, _ = writer_file(path, n, seed=n)
+        assert block_obj(path) is not None
+        assert outcome(load_instance, path) == outcome(instances._load_whole, path)
+        assert load_instance(path) == inst
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    def test_signed_zero_and_extremes(self, tmp_path, monkeypatch, size):
+        monkeypatch.setattr(instances, "_READ_BYTES", size)
+        values = [-0.0, 5e-324, 1.7976931348623157e308, 1.0, 2.0, 1e16, -3.0, 0.1]
+        path = tmp_path / "x.json"
+        save_instance(Instance("x", 3, SetFunction(3, values), UniformSpec(1), 1), path)
+        assert block_obj(path) is not None
+        assert repr(load_instance(path).function.values) == repr(tuple(values))
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            pytest.param(b"[\n      0.0,", b"[,\n      0.0,", id="leading"),
+            pytest.param(b"0.0,\n", b"0.0,,\n", id="doubled"),
+            pytest.param(b"\n    ]", b",\n    ]", id="trailing"),
+        ],
+    )
+    def test_stray_comma_is_not_swallowed(self, tmp_path, monkeypatch, size, old, new):
+        # On a block edge the stray comma cuts off an empty piece; the block
+        # path must refuse it, not load the table without it.
+        monkeypatch.setattr(instances, "_READ_BYTES", size)
+        path = tmp_path / "comma.json"
+        _, data = writer_file(path, 1)
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
+        assert block_obj(path) is None
+        with pytest.raises(SchemaError, match="not valid JSON") as info:
+            load_instance(path)
+        assert outcome(instances._load_whole, path) == (SchemaError, str(info.value))
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    def test_character_split_across_blocks(self, tmp_path, monkeypatch, size):
+        monkeypatch.setattr(instances, "_READ_BYTES", size)
+        path = tmp_path / "split.json"
+        _, data = writer_file(path, 2)
+        path.write_bytes(data.replace(b"[\n      0.0,", '[\n      "é",'.encode("utf-8")))
+        assert block_obj(path)["function"]["values"][0] == "é"
+        with pytest.raises(SchemaError, match=r"values\[0\] is not a number"):
+            load_instance(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_whole(self, tmp_path):
+        # A pipe cannot be read twice, so it never takes the block path.
+        _, data = writer_file(tmp_path / "w.json", 3)
+        fifo = tmp_path / "pipe.json"
+        os.mkfifo(fifo)
+        loaded = []
+
+        def read():
+            loaded.append(load_instance(fifo))
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert loaded == [load_instance(tmp_path / "w.json")]
+
+
+#: Bytes a mutation inserts: brackets, a string holding a comma and a bracket,
+#: literals json accepts and the loader refuses, a nested array, non-UTF-8.
+INSERTS = [b"]", b"[", b'"a,]b"', b"true", b"NaN", b"1e400", b"[1,2]", b"\xff"]
+
+
+@st.composite
+def mutated_writer_bytes(draw):
+    """Writer-layout bytes of a valid instance under one mutation."""
+    n, seed = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    inst = Instance("m", n, gen_bounded_marginal(n, 1.0, 2.5, seed), UniformSpec(1), 1)
+    data = reference_text(inst).encode("utf-8")
+    start, end = table_span(data)
+    inside = st.integers(start, end)
+    op = draw(st.sampled_from(
+        ["lead", "trail", "double", "insert", "split", "truncate", "garbage", "values", "function"]
+    ))
+    if op == "lead":
+        data = data[:start] + b"," + data[start:]
+    elif op == "trail":
+        data = data[:end] + b"," + data[end:]
+    elif op == "double":
+        at = draw(st.sampled_from([i for i in range(start, end) if data[i] == ord(",")] or [start]))
+        data = data[:at] + b"," + data[at:]
+    elif op == "insert":
+        at = draw(inside | st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(INSERTS)) + data[at:]
+    elif op == "split":
+        at = draw(inside)
+        data = data[:at] + '"é",'.encode("utf-8") + data[at:]
+    elif op == "truncate":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif op == "garbage":
+        data += draw(st.sampled_from([b"x", b",", b"]", b"}", b" 1"]))
+    else:
+        # A second table of the same size, which the whole-file reader
+        # loads, since json keeps the last value of a repeated key.
+        twice = json.dumps([2.0 * v for v in inst.function.values]).encode()
+        if op == "values":
+            data = data[: end + 1] + b', "values": ' + twice + data[end + 1:]
+        else:
+            last = data.rindex(b"}")
+            more = b', "function": {"kind": "explicit", "values": ' + twice + b"}"
+            data = data[:last] + more + data[last:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+class TestBlockReaderFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mutated_writer_bytes(), st.sampled_from(BLOCK_SIZES + [64, 1 << 16]))
+    def test_same_outcome_as_whole_file(self, mutation_dir, data, size):
+        path = mutation_dir / "mutated.json"
+        path.write_bytes(data)
+        with mock.patch.object(instances, "_READ_BYTES", size):
+            obj = block_obj(path)
+            got = outcome(load_instance, path)
+        assert got == outcome(instances._load_whole, path)
+        if obj is not None:
+            # Whatever the block path accepts, json accepts whole, and alike.
+            assert repr(obj) == repr(json.loads(data.decode("utf-8")))
