@@ -6,11 +6,14 @@ submodularity ratio gamma and the curvature alpha: the forward pass satisfies
 and the reverse pass satisfies
 (f(full) - f(greedy)) / (f(full) - f(opt)) >= (1 - alpha) / (1 + (1 - gamma) * (1 - alpha)).
 
+Both are checked by one path, which measures a pass's achieved ratio from
+its start set and compares it with that pass's closed form;
+``verify_forward`` and ``verify_reverse`` name its two sides.
+
 Alongside them: a size-dependent alternative forward bound, a
 cardinality-constraint alternative reverse bound, strong-curvature bounds,
-the cheaper greedy-restricted ratio families for both passes, brute-force
-verification records, and the region sweep that compares the two guarantees
-across the (alpha, gamma) square.
+the cheaper greedy-restricted ratio families for both passes, and the region
+sweep that compares the two guarantees across the (alpha, gamma) square.
 """
 
 from __future__ import annotations
@@ -430,6 +433,39 @@ def _leq(lhs: float, rhs: float, tol: float) -> bool:
     return gap < INF and gap <= tol * max(1.0, abs(lhs), abs(rhs))
 
 
+def _verify(
+    f: SetFunction,
+    matroid: Matroid,
+    cardinality: int,
+    reverse: bool,
+    instance_id: str,
+    tolerance: float,
+    optimum: OptimumRecord | None,
+) -> VerificationRecord:
+    """Both verify functions: one pass, its achieved ratio, and its bound.
+
+    Each gain is taken from the pass's start set in its own operand order,
+    so a reverse ratio of zero stays +0.0.
+    """
+    if optimum is not None and not math.isfinite(optimum.optimum_value):
+        raise ValueError(f"optimum value must be finite, got {optimum.optimum_value}")
+    scan = ratio_scan(f)
+    trace = (reverse_greedy if reverse else forward_greedy)(f, matroid, cardinality)
+    opt = optimum if optimum is not None else brute_force_optimum(f, matroid, cardinality, "min")
+    start, got, best = trace.f_initial, trace.f_final, opt.optimum_value
+    gain, room = (start - got, start - best) if reverse else (got - start, best - start)
+    if room == 0.0:
+        achieved = 1.0 if gain == 0.0 else 0.0 if reverse else INF
+    else:
+        achieved = gain / room
+    bound = (reverse_bound if reverse else forward_bound)(scan.gamma, scan.alpha)
+    satisfied = _leq(bound, achieved, tolerance) if reverse else _leq(achieved, bound, tolerance)
+    return VerificationRecord(
+        instance_id, trace.algorithm, achieved, bound, satisfied,
+        f.values[0], f.values[-1], got, best,
+    )
+
+
 def verify_forward(
     f: SetFunction,
     matroid: Matroid,
@@ -445,31 +481,10 @@ def verify_forward(
     empty-set value the ratio is 1 if the greedy matched it and +inf
     otherwise. (gamma, alpha) come from the function's memoized
     :func:`ratio_scan`; ``optimum`` may carry the minimizing brute-force
-    record to skip the base enumeration.
+    record to skip the base enumeration, and a non-finite optimum value
+    raises ValueError.
     """
-    scan = ratio_scan(f)
-    trace = forward_greedy(f, matroid, cardinality)
-    opt = optimum if optimum is not None else brute_force_optimum(f, matroid, cardinality, "min")
-    numerator = trace.f_final - trace.f_initial
-    denominator = opt.optimum_value - trace.f_initial
-    if denominator == 0.0:
-        achieved = 1.0 if numerator == 0.0 else INF
-    else:
-        achieved = numerator / denominator
-    bound = forward_bound(scan.gamma, scan.alpha)
-    satisfied = bound == INF or _leq(achieved, bound, tolerance)
-    full = full_mask(matroid.n)
-    return VerificationRecord(
-        instance_id,
-        "forward",
-        achieved,
-        bound,
-        satisfied,
-        trace.f_initial,
-        f.values[full],
-        trace.f_final,
-        opt.optimum_value,
-    )
+    return _verify(f, matroid, cardinality, False, instance_id, tolerance, optimum)
 
 
 def verify_reverse(
@@ -487,28 +502,7 @@ def verify_reverse(
     full-set value the ratio is 1 if the greedy matched it and 0 otherwise.
     (gamma, alpha) and ``optimum`` are as in ``verify_forward``.
     """
-    scan = ratio_scan(f)
-    trace = reverse_greedy(f, matroid, cardinality)
-    opt = optimum if optimum is not None else brute_force_optimum(f, matroid, cardinality, "min")
-    numerator = trace.f_initial - trace.f_final
-    denominator = trace.f_initial - opt.optimum_value
-    if denominator == 0.0:
-        achieved = 1.0 if numerator == 0.0 else 0.0
-    else:
-        achieved = numerator / denominator
-    bound = reverse_bound(scan.gamma, scan.alpha)
-    satisfied = _leq(bound, achieved, tolerance)
-    return VerificationRecord(
-        instance_id,
-        "reverse",
-        achieved,
-        bound,
-        satisfied,
-        f.values[0],
-        trace.f_initial,
-        trace.f_final,
-        opt.optimum_value,
-    )
+    return _verify(f, matroid, cardinality, True, instance_id, tolerance, optimum)
 
 
 def region_compare(

@@ -605,6 +605,41 @@ class TestVerification:
             assert verify_forward(f, matroid, k, optimum=optimum) == verify_forward(f, matroid, k)
             assert verify_reverse(f, matroid, k, optimum=optimum) == verify_reverse(f, matroid, k)
 
+    @pytest.mark.parametrize("check", [verify_forward, verify_reverse])
+    @pytest.mark.parametrize("value", [math.nan, INF, -INF])
+    def test_non_finite_optimum_raises(self, check, value):
+        # gamma = 0 here, so the forward bound is +inf and a nan ratio once passed.
+        f = SetFunction(2, [0, 0, 0, 1])
+        matroid = build_matroid(UniformSpec(1), 2)
+        with pytest.raises(ValueError, match=f"optimum value must be finite, got {value}"):
+            check(f, matroid, 1, optimum=OptimumRecord(1, value, 1))
+
+    def test_reverse_zero_ratio_is_positive_zero(self):
+        # The pass ends on the plateau at 2, below which the optimum lies at 1;
+        # the forward operand order would give 0.0 / -1.0 == -0.0.
+        f = SetFunction(3, [0, 1, 2, 2, 2, 2, 2, 2])
+        record = verify_reverse(f, build_matroid(UniformSpec(1), 3), 1)
+        assert repr(record.achieved_ratio) == "0.0"
+        assert repr(record.bound) == "0.0" and record.satisfied
+        assert (record.f_greedy, record.f_opt) == (2.0, 1.0)
+
+    @pytest.mark.parametrize("tolerance, satisfied", [(0.0, False), (1e-9, False), (0.5, True)])
+    def test_reverse_optimum_at_full_set_value_missed(self, t3, tolerance, satisfied):
+        optimum = OptimumRecord(0b110, 4.0, 3)
+        record = verify_reverse(t3.function, t3.matroid(), 2, tolerance=tolerance, optimum=optimum)
+        assert repr(record.achieved_ratio) == "0.0"
+        assert record.bound == pytest.approx(0.4, rel=1e-12)
+        assert record.satisfied is satisfied
+
+    @pytest.mark.parametrize("reverse_first", [False, True])
+    def test_oracle_calls(self, t3, reverse_first):
+        f, matroid = t3.function, t3.matroid()
+        calls = [(verify_forward, 15), (verify_reverse, 11)]
+        for check, count in reversed(calls) if reverse_first else calls:
+            before = f.eval_count
+            check(f, matroid, 2)
+            assert f.eval_count - before == count, check.__name__
+
 
 class TestRegionCompare:
     def test_validation(self):

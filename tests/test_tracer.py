@@ -12,6 +12,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from tracer import METHOD_COUNTS, METHOD_SPANS, MODULES, SPANS, Tracer  # noqa: E402
 
+from matroid_greedy import canonical_t3, cli, save_instance  # noqa: E402
+
 
 def snapshot():
     holders = list(MODULES) + [cls for cls, _, _ in METHOD_SPANS + METHOD_COUNTS]
@@ -34,3 +36,25 @@ def test_install_patches_and_uninstall_restores_everything():
     after = snapshot()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_cli_verify_goes_through_the_traced_verify_functions(tmp_path, capsys):
+    # A CLI that called guarantees._verify would bypass the verify spans.
+    path = tmp_path / "t3.json"
+    save_instance(canonical_t3(), path)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["verify", "--instance", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    spans = tracer.spans
+    names = [span[0] for span in spans]
+    verifies = [i for i, name in enumerate(names) if name == "guarantees.verify"]
+    passes = sorted(
+        [span[0] for span in spans if span[3] == i and span[0].startswith("greedy.")]
+        for i in verifies
+    )
+    assert passes == [["greedy.forward"], ["greedy.reverse"]]
+    assert names.count("greedy.brute_force") == 1
