@@ -451,7 +451,19 @@ def _verify(
         raise ValueError(f"optimum value must be finite, got {optimum.optimum_value}")
     scan = ratio_scan(f)
     trace = (reverse_greedy if reverse else forward_greedy)(f, matroid, cardinality)
-    opt = optimum if optimum is not None else brute_force_optimum(f, matroid, cardinality, "min")
+    if optimum is None:
+        opt = brute_force_optimum(f, matroid, cardinality, "min")
+    else:
+        # The pass has checked f, matroid and cardinality against each other.
+        # The range test comes first: no rank oracle takes a negative mask.
+        mask = optimum.optimum_set
+        if not (0 <= mask < 1 << f.n and mask.bit_count() == cardinality
+                and matroid.is_independent(mask)):
+            raise ValueError(
+                f"optimum record {optimum}: its set is no independent set of "
+                f"{cardinality} elements in 0..{f.n - 1}"
+            )
+        opt = optimum
     start, got, best = trace.f_initial, trace.f_final, opt.optimum_value
     gain, room = (start - got, start - best) if reverse else (got - start, best - start)
     if room == 0.0:
@@ -481,8 +493,9 @@ def verify_forward(
     empty-set value the ratio is 1 if the greedy matched it and +inf
     otherwise. (gamma, alpha) come from the function's memoized
     :func:`ratio_scan`; ``optimum`` may carry the minimizing brute-force
-    record to skip the base enumeration, and a non-finite optimum value
-    raises ValueError.
+    record to skip the base enumeration. A non-finite optimum value raises
+    ValueError, as does an optimum set outside the ground set, not of
+    ``cardinality`` elements, or not independent in ``matroid``.
     """
     return _verify(f, matroid, cardinality, False, instance_id, tolerance, optimum)
 

@@ -303,16 +303,7 @@ def instance_from_json(obj) -> Instance:
     if _expect(fn, "kind", str, "instance.function") != "explicit":
         raise SchemaError("instance.function: only kind 'explicit' is supported")
     values = _expect(fn, "values", list, "instance.function")
-    if len(values) != 1 << n:
-        raise SchemaError(
-            f"instance.function: need {1 << n} values for n={n}, got {len(values)}"
-        )
-    # Plain JSON numbers pass at once; only another type (a bool, a string,
-    # a subclass) needs the per-value pass that names the offending index.
-    if not set(map(type, values)) <= {int, float}:
-        for i, v in enumerate(values):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise SchemaError(f"instance.function: values[{i}] is not a number")
+    # SetFunction checks the length, then each value's type, then finiteness.
     try:
         function = SetFunction(n, values)
     except ValueError as exc:

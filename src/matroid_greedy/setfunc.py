@@ -20,6 +20,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress, cycle
+from numbers import Real
 from operator import neg, sub
 
 from .caps import MAX_CUMULATIVE_N, MAX_TABLE_N, check_size
@@ -42,19 +43,31 @@ class SetFunction:
     Evaluation is pure: the table is frozen at construction and every call
     returns the same float for the same mask. ``eval_count`` tracks oracle
     calls and may be bumped concurrently from threads sharing one instance.
-    Values must be finite: NaN and infinities raise ValueError.
+    Values must be finite real numbers. A bool or a non-number raises
+    ValueError naming its index; NaN and infinities raise ValueError too.
     """
 
     __slots__ = ("n", "values", "_eval_count", "_lock", "_monotone", "_extremes", "_ratios")
 
     def __init__(self, n: int, values) -> None:
         _check_table_n(n)
-        try:
-            vals = tuple(map(float, values))
-        except OverflowError as exc:
-            raise ValueError(f"set-function values must be finite ({exc})") from exc
+        # One exact-size copy of a list; a tuple is taken as it is.
+        vals = tuple(values)
         if len(vals) != 1 << n:
             raise ValueError(f"need {1 << n} values for n={n}, got {len(vals)}")
+        kinds = set(map(type, vals))
+        # Plain ints and floats pass at once; only another type (a bool, a
+        # string, a subclass) needs the pass that names the offending index.
+        if not kinds <= {int, float}:
+            for i, v in enumerate(vals):
+                if isinstance(v, bool) or not isinstance(v, Real):
+                    raise ValueError(f"values[{i}] is not a number")
+        # A table of floats, as the loader and the generators build, is kept.
+        if kinds != {float}:
+            try:
+                vals = tuple(map(float, vals))
+            except OverflowError as exc:
+                raise ValueError(f"set-function values must be finite ({exc})") from exc
         # A finite sum proves every value finite; only an overflowing or
         # non-finite sum needs the per-value pass.
         if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):

@@ -8,6 +8,11 @@ carries over between kinds, and the ``repr`` of its result, or the type and
 message of the error it raises, goes into its group's hash. ``repr``
 round-trips floats and keeps the sign of zero, so a digest pins every bit.
 
+The ``cli`` group hashes the exit code and stdout of in-process
+``cli.main`` runs, one digest per command: ``run``, ``ratios`` and
+``verify`` on a few seeded instance files written by ``save_instance``,
+then one ``verify --random`` and one ``gen`` run.
+
 ``tests/test_corpus.py`` compares the digests against
 ``tests/golden/corpus.json``. To rewrite that file, run::
 
@@ -18,10 +23,13 @@ Re-pin only a group whose contract the change alters, and name it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -46,7 +54,12 @@ from matroid_greedy.guarantees import (  # noqa: E402
     reverse_greedy_ratios_detail,
     strong_curvature_detail,
 )
-from matroid_greedy.instances import random_matroid_spec  # noqa: E402
+from matroid_greedy import cli  # noqa: E402
+from matroid_greedy.instances import (  # noqa: E402
+    random_instance,
+    random_matroid_spec,
+    save_instance,
+)
 from matroid_greedy.setfunc import cumulative_ratio_detail  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "corpus.json"
@@ -138,15 +151,61 @@ def _outcome(output, f, matroid, cardinality, case_id) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
+#: Ground-set sizes of the instance files the ``cli`` group runs on.
+CLI_FILE_NS = (3, 5, 6, 8)
+
+#: CLI commands run on each instance file, by group name.
+CLI_FILE_RUNS = {
+    "run": ["run", "--algo", "both"],
+    "ratios": ["ratios", "--greedy-variants", "--strong"],
+    "verify": ["verify"],
+}
+
+#: CLI runs that take no instance file, by group name.
+CLI_RUNS = {
+    "verify-random": ["verify", "--random", "--count", "5", "--n-min", "4", "--n-max", "6",
+                      "--seed", "7"],
+    "gen": ["gen", "--kind", "explicit", "--n", "4", "--seed", "1"],
+}
+
+
+def _cli_outcome(argv: list[str]) -> str:
+    """Exit code and stdout of one in-process ``cli.main`` run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return f"{code} {out.getvalue()}"
+
+
+def cli_digests() -> dict[str, str]:
+    """{CLI group: SHA-256 hex digest} over the seeded CLI runs."""
+    hashes = {group: hashlib.sha256() for group in [*CLI_FILE_RUNS, *CLI_RUNS]}
+    rng = random.Random("corpus-cli")
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, n in enumerate(CLI_FILE_NS):
+            inst = random_instance(n, rng, f"cli-{index}")
+            path = str(Path(tmp) / f"{inst.id}.json")
+            save_instance(inst, path)
+            for group, argv in CLI_FILE_RUNS.items():
+                line = _cli_outcome([*argv, "--instance", path])
+                hashes[group].update(f"{inst.id} {line}\n".encode())
+    for group, argv in CLI_RUNS.items():
+        hashes[group].update(_cli_outcome(argv).encode())
+    return {group: h.hexdigest() for group, h in hashes.items()}
+
+
 def digests() -> dict[str, dict[str, str]]:
-    """{output kind: {table kind: SHA-256 hex digest}} over every case."""
+    """{output kind: {table kind: SHA-256 hex digest}} over every case, and the
+    ``cli`` group's {command: digest}."""
     hashes = {out: {kind: hashlib.sha256() for kind in TABLES} for out in OUTPUTS}
     for kind in TABLES:
         for case_id, n, values, matroid, cardinality in cases(kind):
             for out, output in OUTPUTS.items():
                 line = _outcome(output, SetFunction(n, values), matroid, cardinality, case_id)
                 hashes[out][kind].update(f"{case_id} {line}\n".encode())
-    return {out: {kind: h.hexdigest() for kind, h in row.items()} for out, row in hashes.items()}
+    result = {out: {kind: h.hexdigest() for kind, h in row.items()} for out, row in hashes.items()}
+    result["cli"] = cli_digests()
+    return result
 
 
 def main(argv: list[str]) -> int:

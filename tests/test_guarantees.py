@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -613,6 +614,19 @@ class TestVerification:
         matroid = build_matroid(UniformSpec(1), 2)
         with pytest.raises(ValueError, match=f"optimum value must be finite, got {value}"):
             check(f, matroid, 1, optimum=OptimumRecord(1, value, 1))
+
+    @pytest.mark.parametrize("check", [verify_forward, verify_reverse])
+    @pytest.mark.parametrize("mask", [-1, 8, 0b111, 0b001, 0b011])
+    def test_stale_optimum_set_raises(self, t3_function, check, mask):
+        # Below and above 0..7, three and one elements, and dependent: elements
+        # 0 and 1 share a block of capacity 1. The bases are {0, 2} and {1, 2}.
+        matroid = build_matroid(PartitionSpec(((0, 1), (2,)), (1, 1)), 3)
+        optimum = OptimumRecord(mask, 3.0, 2)
+        message = re.escape(
+            f"optimum record {optimum}: its set is no independent set of 2 elements in 0..2"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(t3_function, matroid, 2, optimum=optimum)
 
     def test_reverse_zero_ratio_is_positive_zero(self):
         # The pass ends on the plateau at 2, below which the optimum lies at 1;

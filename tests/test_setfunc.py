@@ -4,6 +4,7 @@ import random
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +128,33 @@ class TestSetFunctionBasics:
     def test_finite_values_with_overflowing_sum_accepted(self):
         f = SetFunction(2, [0.0, 1e308, 1e308, 1.5e308])
         assert f.values[3] == 1.5e308
+
+    @pytest.mark.parametrize("bad", [True, "1.5", None, [1.0]])
+    def test_rejects_non_numbers_by_index(self, bad):
+        with pytest.raises(ValueError, match=r"^values\[3\] is not a number$"):
+            SetFunction(2, [0.0, 1.0, 2.0, bad])
+
+    def test_real_numbers_become_exact_floats(self):
+        class Half(float):
+            pass
+
+        f = SetFunction(2, [0, Half(0.5), Fraction(5, 2), 2**53])
+        assert f.values == (0.0, 0.5, 2.5, 9007199254740992.0)
+        assert set(map(type, f.values)) == {float}
+
+    def test_float_tuple_kept_as_given(self):
+        values = (0.0, 1.0, -0.0, 2.0)
+        assert SetFunction(2, values).values is values
+
+    def test_length_checked_before_types(self):
+        with pytest.raises(ValueError, match="need 4 values for n=2, got 3"):
+            SetFunction(2, [0.0, "x", 1.0])
+
+    def test_types_checked_before_overflow(self):
+        with pytest.raises(ValueError, match=r"values\[3\] is not a number"):
+            SetFunction(2, [0, 10**400, 1, "x"])
+        with pytest.raises(ValueError, match="must be finite"):
+            SetFunction(2, [0, 1, 2, 10**400])
 
     def test_monotonicity_report_computed_once(self, t3_function):
         assert check_monotone(t3_function) is check_monotone(t3_function)
