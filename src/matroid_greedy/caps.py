@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from .errors import GroundSetTooLargeError
 
-#: Value tables (2^n floats), which SetFunction enforces, and so every scan in
-#: the n·2^n and n²·2^n classes: monotonicity, ratio_scan, strong curvature,
-#: both greedy-restricted ratio scans, base enumeration and brute force.
+#: Value tables (2^n floats), which SetFunction enforces, and so the three
+#: generators and every n·2^n and n²·2^n scan: monotonicity, ratio_scan, strong
+#: curvature, both greedy-restricted ratio scans, base enumeration, brute force.
 MAX_TABLE_N = 20
 #: The cumulative submodularity ratio: 3^n disjoint (S, R) pairs.
 #: Exact bounds skip most S of bounded tables, but modular ones still cost 3^n.
@@ -21,10 +21,8 @@ MAX_CUMULATIVE_N = 16
 #: The axiom check: all pairs of independent sets, up to 4^n; explicit
 #: families run it whenever they are built.
 MAX_AXIOM_N = 10
-#: The bounded-marginal generator and the random suites: a verify per instance.
-MAX_BOUNDED_N = 12
-#: The adversarial max-plus generator: n·2^n.
-MAX_EXPLICIT_RANDOM_N = 10
+#: The random suites: every table held at once, and a verify per instance.
+MAX_SUITE_N = 12
 #: The region sweep: grid_size^2 cells, each kept as an object.
 MAX_REGION_GRID = 1000
 #: Dual/truncate wrappers per spec (SchemaError past it): a guard on recursion

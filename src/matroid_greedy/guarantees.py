@@ -463,6 +463,11 @@ def _verify(
                 f"optimum record {optimum}: its set is no independent set of "
                 f"{cardinality} elements in 0..{f.n - 1}"
             )
+        if repr(optimum.optimum_value) != repr(f.values[mask]):
+            raise ValueError(
+                f"optimum record {optimum}: its value is not the table's "
+                f"{f.values[mask]!r} at its set"
+            )
         opt = optimum
     start, got, best = trace.f_initial, trace.f_final, opt.optimum_value
     gain, room = (start - got, start - best) if reverse else (got - start, best - start)
@@ -495,7 +500,9 @@ def verify_forward(
     :func:`ratio_scan`; ``optimum`` may carry the minimizing brute-force
     record to skip the base enumeration. A non-finite optimum value raises
     ValueError, as does an optimum set outside the ground set, not of
-    ``cardinality`` elements, or not independent in ``matroid``.
+    ``cardinality`` elements, or not independent in ``matroid``, and a value
+    that is not the table's own float at that set (by ``repr``, so -0.0 is
+    not 0.0).
     """
     return _verify(f, matroid, cardinality, False, instance_id, tolerance, optimum)
 

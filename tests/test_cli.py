@@ -27,6 +27,7 @@ from matroid_greedy.caps import MAX_SPEC_DEPTH
 from matroid_greedy.instances import (
     Instance,
     canonical_t3,
+    gen_bounded_marginal,
     gen_modular,
     instance_to_json,
     random_instance,
@@ -48,10 +49,9 @@ def t3_path(tmp_path):
 @pytest.fixture(scope="module")
 def n17_path(tmp_path_factory):
     """A strictly increasing, non-modular n=17 instance: above the cumulative cap only."""
-    rng = random.Random(17)
-    values = [1.5 * m.bit_count() + rng.uniform(0.0, 0.25) if m else 0.0 for m in range(1 << 17)]
+    f = gen_bounded_marginal(17, 1.25, 1.75, seed=17)
     path = tmp_path_factory.mktemp("n17") / "n17.json"
-    save_instance(Instance("n17", 17, SetFunction(17, values), UniformSpec(3), 3), path)
+    save_instance(Instance("n17", 17, f, UniformSpec(3), 3), path)
     return str(path)
 
 
@@ -846,6 +846,13 @@ class TestGen:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: ground set size must be in 1..20, got 21\n"
+
+    @pytest.mark.parametrize("kind", ["bounded", "explicit"])
+    @pytest.mark.parametrize("n", ["21", "-1"])
+    def test_generator_outside_table_cap_exits_2(self, capsys, kind, n):
+        code, out, err = run_cli(capsys, "gen", "--kind", kind, "--n", n)
+        assert code == 2 and out == ""
+        assert err == f"error: ground set size must be in 1..20, got {n}\n"
 
     @pytest.mark.parametrize(
         "rank,cardinality,message",

@@ -580,11 +580,16 @@ class TestVerification:
         assert rev.achieved_ratio == 1.0 and rev.satisfied
 
     @pytest.mark.parametrize("tolerance", [0.0, 1e-9, 0.5])
-    def test_infinite_achieved_ratio_is_never_within_tolerance(self, t3, tolerance):
+    def test_infinite_achieved_ratio_is_never_within_tolerance(self, tolerance):
         # An optimum at f(empty) that the greedy misses makes the ratio +inf.
-        optimum = OptimumRecord(0b011, 0.0, 3)
-        record = verify_forward(t3.function, t3.matroid(), 2, tolerance=tolerance, optimum=optimum)
-        assert (record.achieved_ratio, record.bound, record.satisfied) == (INF, 4.0, False)
+        # With the table's own optimum that needs gamma = 0: if gamma > 0, an
+        # element adding nothing at the empty set adds nothing anywhere, so the
+        # pass ends at f(empty) too. The bound is then +inf as well.
+        f = SetFunction(3, [0, 0, 0, 1, 0, 1, 0, 1])
+        record = verify_forward(f, build_matroid(UniformSpec(2), 3), 2, tolerance=tolerance)
+        assert (record.f_greedy, record.f_opt) == (1.0, 0.0)
+        assert (record.achieved_ratio, record.bound, record.satisfied) == (INF, INF, True)
+        assert not guarantees._leq(INF, 4.0, tolerance)
 
     def test_infinite_gap_is_never_within_tolerance(self):
         assert not guarantees._leq(INF, 4.0, 1e-9)
@@ -637,12 +642,36 @@ class TestVerification:
         assert repr(record.bound) == "0.0" and record.satisfied
         assert (record.f_greedy, record.f_opt) == (2.0, 1.0)
 
-    @pytest.mark.parametrize("tolerance, satisfied", [(0.0, False), (1e-9, False), (0.5, True)])
-    def test_reverse_optimum_at_full_set_value_missed(self, t3, tolerance, satisfied):
-        optimum = OptimumRecord(0b110, 4.0, 3)
-        record = verify_reverse(t3.function, t3.matroid(), 2, tolerance=tolerance, optimum=optimum)
+    @pytest.mark.parametrize("check", [verify_forward, verify_reverse])
+    @pytest.mark.parametrize(
+        "values, mask, value",
+        # f({0, 1}) is 3.0 on T3; f({1, 2}) is 0.0 on the second table.
+        [
+            pytest.param([0, 2, 1, 3, 1, 3, 3, 4], 0b011, 100.0, id="t3-100.0"),
+            pytest.param([0, 0, 0, 1, 0, 1, 0, 1], 0b110, -0.0, id="zero-as-minus-zero"),
+        ],
+    )
+    def test_forged_optimum_value_raises(self, check, values, mask, value):
+        f = SetFunction(3, values)
+        optimum = OptimumRecord(mask, value, 3)
+        message = re.escape(
+            f"optimum record {optimum}: its value is not the table's {f.values[mask]!r} at its set"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(f, build_matroid(UniformSpec(2), 3), 2, optimum=optimum)
+
+    @pytest.mark.parametrize(
+        "tolerance, satisfied", [(0.0, False), (1e-9, False), (0.5, False), (1.0, True)]
+    )
+    def test_reverse_optimum_at_full_set_value_missed(self, tolerance, satisfied):
+        # Element 0 adds nothing, so the base {1, 2} has the value of f(V); the
+        # pass ends below it, at 1, and the ratio is the degenerate 0.0.
+        f = SetFunction(3, [0, 0, 1, 1, 1, 1, 3, 3])
+        optimum = OptimumRecord(0b110, 3.0, 3)
+        matroid = build_matroid(UniformSpec(2), 3)
+        record = verify_reverse(f, matroid, 2, tolerance=tolerance, optimum=optimum)
         assert repr(record.achieved_ratio) == "0.0"
-        assert record.bound == pytest.approx(0.4, rel=1e-12)
+        assert record.bound == pytest.approx(2 / 3, rel=1e-12)
         assert record.satisfied is satisfied
 
     @pytest.mark.parametrize("reverse_first", [False, True])

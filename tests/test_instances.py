@@ -38,6 +38,7 @@ from matroid_greedy.instances import (
     gen_modular,
     instance_from_json,
     instance_to_json,
+    random_instance,
     random_suite,
     spec_from_json,
 )
@@ -123,8 +124,9 @@ class TestBoundedMarginal:
             gen_bounded_marginal(4, 2.0, 1.0, seed=1)
 
     def test_size_cap(self):
-        with pytest.raises(GroundSetTooLargeError):
-            gen_bounded_marginal(13, 1.0, 2.0, seed=1)
+        assert check_monotone(gen_bounded_marginal(13, 1.0, 2.0, seed=1)).strictly_increasing
+        with pytest.raises(ValueError, match=r"^ground set size must be in 1\.\.20, got 21$"):
+            gen_bounded_marginal(21, 1.0, 2.0, seed=1)
 
 
 class TestExplicitRandom:
@@ -150,6 +152,11 @@ class TestExplicitRandom:
         regenerated = gen_explicit_random(3, 42)
         assert regenerated.values == inst.function.values
 
+    def test_size_cap(self):
+        assert check_monotone(gen_explicit_random(11, seed=1)).strictly_increasing
+        with pytest.raises(ValueError, match=r"^ground set size must be in 1\.\.20, got 21$"):
+            gen_explicit_random(21, seed=1)
+
 
 class TestRandomSuite:
     def test_deterministic_and_feasible(self):
@@ -167,6 +174,19 @@ class TestRandomSuite:
     def test_size_cap(self):
         with pytest.raises(GroundSetTooLargeError):
             random_suite(1, 4, 30, seed=0)
+
+    def test_max_plus_only_up_to_n10(self):
+        # Seeded suites depend on this threshold and its short-circuit.
+        max_plus_at_10 = set()
+        for seed in range(6):
+            replay = random.Random(seed)
+            fn_seed = replay.randrange(1 << 31)
+            at_10 = random_instance(10, random.Random(seed), "x").function.values
+            max_plus_at_10.add(at_10 == gen_explicit_random(10, fn_seed).values)
+            # No coin is drawn above n=10: the next draw is the bounded table's hi.
+            at_11 = random_instance(11, random.Random(seed), "x").function.values
+            assert at_11 == gen_bounded_marginal(11, 1.0, replay.uniform(1.5, 3.0), fn_seed).values
+        assert max_plus_at_10 == {True, False}
 
 
 class TestPersistence:

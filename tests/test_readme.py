@@ -1,5 +1,5 @@
 """The README's quick tour gives the values its comments state, its CLI
-examples parse, and its cap list is complete."""
+examples parse, and its cap list is complete and names only caps."""
 
 import re
 import shlex
@@ -51,3 +51,15 @@ def test_cap_table_lists_every_cap():
     assert limits
     for name, value in limits.items():
         assert f"`{name} = {value}`" in text, name
+
+
+def test_cap_table_names_only_caps():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n- `MAX_")
+    bullets = text[start : text.index("\n\n", start)]
+    listed = re.findall(r"`(MAX_\w+) = (\d+)`", bullets)
+    assert listed
+    assert len(listed) == len(re.findall(r"`MAX_", bullets)), "a cap listed without its value"
+    for name, value in listed:
+        cap = getattr(caps, name, None)
+        assert type(cap) is int and cap == int(value), name

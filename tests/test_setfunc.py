@@ -343,14 +343,14 @@ class TestRatios:
 
 
 def bounded_values(n, rng):
-    """Bounded-marginal table, the formula of ``gen_bounded_marginal`` without its n cap."""
+    """Bounded-marginal table, the formula of ``gen_bounded_marginal`` on the caller's rng."""
     hi = rng.uniform(1.5, 3.0)
     mid, half = (1.0 + hi) / 2.0, (hi - 1.0) / 2.0
     return [0.0] + [mid * m.bit_count() + rng.uniform(0.0, half) for m in range(1, 1 << n)]
 
 
 def max_plus_values(n, rng):
-    """Max-plus table, the formula of ``gen_explicit_random`` without its n cap."""
+    """Max-plus table, the formula of ``gen_explicit_random`` on the caller's rng."""
     values = [0.0] * (1 << n)
     for mask in range(1, 1 << n):
         best = max(values[mask ^ 1 << j] for j in range(n) if mask >> j & 1)
