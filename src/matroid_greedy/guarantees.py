@@ -180,12 +180,12 @@ def strong_curvature_detail(
     _require_increasing(f)
     _check_value_range(f)
     extremes: list[tuple[float, float]] = f._extremes  # type: ignore[assignment]
+    # A binding ratio is at most 1, so +inf stands only for elements that bind nothing.
     ratios = [lo / hi if hi > 0.0 else INF for lo, hi in extremes]
-    first = next((j for j, (_, hi) in enumerate(extremes) if hi > 0.0), None)
-    hit = _strict_min(None, ratios, first)
-    if hit is None:
+    worst = min(ratios)
+    if worst == INF:
         return 0.0, 1.0, 1.0, None
-    worst, at = hit
+    at = ratios.index(worst)
     lo, hi = extremes[at]
     # list.index keeps the first extreme in ascending S, as min and max do.
     d = _marginals(f.values, at)
@@ -201,31 +201,6 @@ def strong_curvature(f: SetFunction) -> tuple[float, float, float]:
     return c, fwd, rev
 
 
-def _strict_min(
-    best: float | None, ratios: list[float], first: int | None = 0
-) -> tuple[float, int] | None:
-    """Where ``if best is None or r < best: best = r`` over the binding ratios ends.
-
-    Returns (value, index) of the entry the loop ends at, or None where it
-    keeps ``best``. ``ratios[first]`` is the first binding entry, read only
-    where ``best`` is None (``first`` None: nothing binds). Later entries
-    that bind nothing must hold +inf, which never wins. The builtin ``min``
-    runs that very loop, so ties keep the first entry with the sign of its
-    zero, and a nan wins only where the loop starts. ``setfunc._first_min``
-    ranks (value, R) tuples instead, so there an equal value at a smaller R
-    wins; one helper for both would have to branch on its caller.
-    """
-    if best is None:
-        if first is None:
-            return None
-        low = min(itertools.islice(ratios, first, None))
-        return low, ratios.index(low, first)
-    low = min([best, *ratios])
-    if low < best:
-        return low, ratios.index(low)
-    return None
-
-
 def forward_greedy_ratios_detail(
     f: SetFunction, matroid: Matroid, cardinality: int
 ) -> tuple[float, float, tuple[int, int] | None, tuple[int, int] | None]:
@@ -236,55 +211,50 @@ def forward_greedy_ratios_detail(
     gamma_fg = min marg_s(empty) / marg_s(S) and
     alpha_fg = 1 - min marg_s(S) / marg_s(empty), zero conventions as in the
     unrestricted scan; the witness is the first (S ascending, s ascending)
-    pair at each minimum. Inputs are checked as by the greedy passes.
+    pair at each minimum. Inputs are checked as by the greedy passes, then
+    as by the ratio scan: a non-increasing function raises
+    NonMonotoneError, and then an overflowing f(V) - f(empty) ValueError.
     Cheaper than, and never worse than, (gamma, alpha).
 
     The pairs are (T - s, s) for the independent T with 1 <= |T| <= N and s
     in T, taken from one walk over the independent sets of those sizes, so
     the family makes no independence test. Each element's T, ascending,
-    list its S ascending, and its ratios in one list. A loop over all pairs
-    in witness order would start at its first binding pair. Where some
-    non-loop element has a positive marg_s(empty), that pair is (empty, s0)
-    for the smallest such s0 in both families, at ratio 1.0, or nan where
-    the marginal overflows. Each element's list is ranked against that
-    start, and the smallest (value, S, s) strictly below it, if any, is
-    where the loop ends; a nan start is kept. With no such s0 no curvature
-    pair binds and every ratio is a zero, so +inf stands in for the start.
+    list its S ascending, and its ratios in one list; ``min`` and
+    ``list.index`` give the list's first minimum, and the smallest
+    (value, S, s) over the elements is the first pair at the family's
+    minimum. With a finite range no ratio is nan. A gamma pair that binds
+    nothing holds +inf, and an element with a binding pair has a ratio of
+    at most 1, at S = empty or a zero, so +inf marks an element that binds
+    nothing.
     """
     _check_inputs(f, matroid, cardinality)
     _require_increasing(f)
+    _check_value_range(f)
     vals = f.values
-    empty = vals[0]
     sets = matroid._independent_sets(1, cardinality)
-    # The mask of {s0}, or 0 where no s0 exists; the singletons ascend.
-    single = next((t for t in sets if not t & (t - 1) and vals[t] - empty > 0.0), 0)
-    start = (vals[single] - empty) / (vals[single] - empty) if single else INF
-    g_hits: list[tuple[float, int, int]] = []
-    a_hits: list[tuple[float, int, int]] = []
+    g_hits: list[tuple[float, tuple[int, int]]] = []
+    a_hits: list[tuple[float, tuple[int, int]]] = []
     for s in range(f.n):
         bit = 1 << s
         ts = [t for t in sets if t & bit]
+        # A loop, or a cardinality of 0, leaves s no pair.
+        if not ts:
+            continue
         d = [vals[t] - vals[t ^ bit] for t in ts]
-        d_empty = vals[bit] - empty
-        hit = _strict_min(start, [d_empty / x if x > 0.0 else INF for x in d])
-        if hit:
-            g_hits.append((hit[0], ts[hit[1]] ^ bit, s))
+        d_empty = vals[bit] - vals[0]
+        ratios = [d_empty / x if x > 0.0 else INF for x in d]
+        low = min(ratios)
+        if low < INF:
+            g_hits.append((low, (ts[ratios.index(low)] ^ bit, s)))
         if d_empty > 0.0:
-            hit = _strict_min(start, [x / d_empty for x in d])
-            if hit:
-                a_hits.append((hit[0], ts[hit[1]] ^ bit, s))
-    loop_start = (start, 0, single.bit_length() - 1) if single else None
-    g_best = min(g_hits, default=loop_start)
-    a_best = min(a_hits, default=loop_start)
-    if g_best is None:
-        gamma_fg, g_wit = 1.0, None
-    else:
-        gamma_fg, g_wit = _clamp_ratio(g_best[0], "forward-greedy ratio"), g_best[1:]
-    if a_best is None:
-        alpha_fg, a_wit = 0.0, None
-    else:
-        alpha_fg = 1.0 - _clamp_ratio(a_best[0], "forward-greedy curvature")
-        a_wit = a_best[1:]
+            ratios = [x / d_empty for x in d]
+            low = min(ratios)
+            a_hits.append((low, (ts[ratios.index(low)] ^ bit, s)))
+    # With nothing binding, a ratio of 1.0 gives gamma 1 and alpha 0.
+    g_low, g_wit = min(g_hits, default=(1.0, None))
+    a_low, a_wit = min(a_hits, default=(1.0, None))
+    gamma_fg = _clamp_ratio(g_low, "forward-greedy ratio")
+    alpha_fg = 1.0 - _clamp_ratio(a_low, "forward-greedy curvature")
     return gamma_fg, alpha_fg, g_wit, a_wit
 
 
@@ -341,7 +311,8 @@ def reverse_greedy_ratios_detail(
     exceed the unit interval on these restricted families and are clamped.
     Witnesses are (t, padding mask) and (t, padding mask, element), the
     first in (t, padding in ``itertools.combinations`` order, element)
-    order at each minimum. Inputs are checked as by the greedy passes, and a
+    order at each minimum. Inputs are checked as by the greedy passes, then
+    as by the ratio scan (increasing, then a finite f(V) - f(empty)), and a
     trace whose sets do not follow its picks raises TraceMismatchError.
 
     A padding P enters only through the kept set it leaves: K^(t-1) - P in
@@ -353,12 +324,16 @@ def reverse_greedy_ratios_detail(
     That first padding, in ``itertools.combinations`` order, is D plus the
     |P| - |D| smallest elements outside the kept set's base and the pick.
     Each step therefore lists its distinct kept sets once, ordered by their
-    first paddings, ranks the ratios of all of them in witness order
-    against the running minimum, and reports the first padding of the kept
-    set the minimum falls on.
+    first paddings, and takes the first minimum of their ratios with
+    ``min`` and ``list.index``; the curvature family lists only its binding
+    pairs. The smallest (value, t, ...) over the steps is the first pair at
+    the family's minimum, reported at the first padding of its kept set.
+    With a finite range no ratio is nan; one can be +inf where a
+    denominator is subnormal, and it still ranks by t like any other value.
     """
     _check_inputs(f, matroid, cardinality)
     _require_increasing(f)
+    _check_value_range(f)
     n = f.n
     removed_total = n - cardinality
     if (
@@ -374,10 +349,8 @@ def reverse_greedy_ratios_detail(
     full = full_mask(n)
     kept_sets = [full] + [step.set_after for step in trace.steps]
     final = trace.final_set
-    g_best: float | None = None
-    a_best: float | None = None
-    g_wit: tuple[int, int] | None = None
-    a_wit: tuple[int, int, int] | None = None
+    g_hits: list[tuple[float, tuple[int, int]]] = []
+    a_hits: list[tuple[float, tuple[int, int, int]]] = []
 
     for t, step in enumerate(trace.steps, 1):
         bit = 1 << step.chosen
@@ -388,10 +361,11 @@ def reverse_greedy_ratios_detail(
         rest = full & ~before & ~bit
         kepts = _kept_sets(n, before, before & ~bit, rest, removed_total)
         ratios = [(vals[k] - vals[k & ~bit]) / denom for k in kepts]
-        hit = _strict_min(g_best, ratios, 0 if ratios else None)
-        if hit:
-            g_best, i = hit
-            g_wit = (t, _first_padding(kepts[i], before, rest, removed_total))
+        # A cardinality of 0 leaves no padding of the final size.
+        if ratios:
+            low = min(ratios)
+            kept = kepts[ratios.index(low)]
+            g_hits.append((low, (t, _first_padding(kept, before, rest, removed_total))))
 
     rest = full & ~final
     finals = elements(final)
@@ -401,20 +375,22 @@ def reverse_greedy_ratios_detail(
         # Only elements of the final set are ever r.
         gains = {r: top - vals[before & ~(1 << r)] for r in finals}
         kepts = _kept_sets(n, final, final, rest, t - 1)
-        pairs = [(k, r) for k in kepts for r in finals if k >> r & 1]
-        denoms = [vals[k] - vals[k & ~(1 << r)] for k, r in pairs]
-        ratios = [gains[r] / x if x > 0.0 else INF for (_, r), x in zip(pairs, denoms)]
-        first = None
-        if a_best is None:
-            first = next((i for i, x in enumerate(denoms) if x > 0.0), None)
-        hit = _strict_min(a_best, ratios, first)
-        if hit:
-            a_best, i = hit
-            k, r = pairs[i]
-            a_wit = (t, _first_padding(k, final, rest, t - 1), r)
+        binding = [
+            (k, r, x) for k in kepts for r in finals
+            if k >> r & 1 and (x := vals[k] - vals[k & ~(1 << r)]) > 0.0
+        ]
+        if not binding:
+            continue
+        ratios = [gains[r] / x for _, r, x in binding]
+        low = min(ratios)
+        k, r, _ = binding[ratios.index(low)]
+        a_hits.append((low, (t, _first_padding(k, final, rest, t - 1), r)))
 
-    gamma_rg = 1.0 if g_best is None else min(1.0, max(0.0, g_best))
-    alpha_rg = 0.0 if a_best is None else min(1.0, max(0.0, 1.0 - a_best))
+    # With nothing binding, a ratio of 1.0 gives gamma 1 and alpha 0.
+    g_low, g_wit = min(g_hits, default=(1.0, None))
+    a_low, a_wit = min(a_hits, default=(1.0, None))
+    gamma_rg = min(1.0, max(0.0, g_low))
+    alpha_rg = min(1.0, max(0.0, 1.0 - a_low))
     return gamma_rg, alpha_rg, g_wit, a_wit
 
 
@@ -447,6 +423,9 @@ def _verify(
     Each gain is taken from the pass's start set in its own operand order,
     so a reverse ratio of zero stays +0.0.
     """
+    # An infinite tolerance would pass every finite violation.
+    if not 0.0 <= tolerance < INF:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     if optimum is not None and not math.isfinite(optimum.optimum_value):
         raise ValueError(f"optimum value must be finite, got {optimum.optimum_value}")
     scan = ratio_scan(f)
@@ -498,11 +477,11 @@ def verify_forward(
     empty-set value the ratio is 1 if the greedy matched it and +inf
     otherwise. (gamma, alpha) come from the function's memoized
     :func:`ratio_scan`; ``optimum`` may carry the minimizing brute-force
-    record to skip the base enumeration. A non-finite optimum value raises
-    ValueError, as does an optimum set outside the ground set, not of
-    ``cardinality`` elements, or not independent in ``matroid``, and a value
-    that is not the table's own float at that set (by ``repr``, so -0.0 is
-    not 0.0).
+    record to skip the base enumeration. A tolerance that is not finite and
+    >= 0 raises ValueError before any scan, as do a non-finite optimum
+    value, an optimum set outside the ground set, not of ``cardinality``
+    elements, or not independent in ``matroid``, and a value that is not
+    the table's own float at that set (by ``repr``, so -0.0 is not 0.0).
     """
     return _verify(f, matroid, cardinality, False, instance_id, tolerance, optimum)
 
@@ -585,7 +564,10 @@ def analyze_ratios(
 
     The greedy-restricted fields need the matroid and cardinality; the
     reverse pair is computed ex post from a fresh reverse-as-forward run.
+    Asking for them without both raises ValueError before any scan.
     """
+    if include_greedy and (matroid is None or cardinality is None):
+        raise ValueError("greedy-restricted ratios need the matroid and cardinality")
     # Within the cumulative cap the ratio scan runs first: its marginal lists
     # also settle monotonicity and keep the extremes strong curvature reads,
     # so no other stage builds them. Above the cap the cumulative scan fails
@@ -611,8 +593,6 @@ def analyze_ratios(
         fields["strong_c"] = c
         witnesses["strong_c"] = wit
     if include_greedy:
-        if matroid is None or cardinality is None:
-            raise ValueError("greedy-restricted ratios need the matroid and cardinality")
         g_fg, a_fg, gw, aw = forward_greedy_ratios_detail(f, matroid, cardinality)
         trace = reverse_greedy_as_forward(f, matroid, cardinality)
         g_rg, a_rg, gw2, aw2 = reverse_greedy_ratios_detail(f, matroid, cardinality, trace)

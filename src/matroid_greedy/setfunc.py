@@ -277,9 +277,7 @@ def _first_min(
 
     ``ratios`` is indexed like :func:`_marginals`; equal minima keep the smaller R.
     The fold ranks (value, R) tuples, so an equal value at a smaller R from a
-    later element wins. ``guarantees._strict_min`` replays a strict ``<`` loop
-    instead, where ties keep the earlier entry and a nan start is kept; one
-    helper for both would have to branch on its caller.
+    later element wins.
     """
     low = min(ratios)
     return min(first, (low, _subset_at(ratios.index(low), j)))

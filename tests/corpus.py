@@ -95,6 +95,16 @@ def _capped(n, rng):
     return [float(min(cap, v)) for v in gen_modular(n, weights).values]
 
 
+def overflowing_table(n, rng):
+    """Increasing table from -1e308 up to 1.5e308: where f(V) is 1e308 or
+    more, the value range and many marginals overflow to +inf."""
+    values = [-1e308] * (1 << n)
+    for mask in range(1, 1 << n):
+        below = max(values[mask & ~(1 << j)] for j in range(n) if mask >> j & 1)
+        values[mask] = max(below, rng.choice([-1e308, 0.0, 1e308, 1.5e308]))
+    return values
+
+
 #: Increasing value-table makers, by table kind.
 TABLES = {
     "bounded": _bounded,
@@ -103,6 +113,7 @@ TABLES = {
     "square": lambda n, rng: _counts(n, lambda k: k * k),
     "half-floor": lambda n, rng: _counts(n, lambda k: k // 2),
     "tiny": lambda n, rng: [v * 1e-300 for v in _bounded(n, rng)],
+    "overflow": overflowing_table,
     "capped": _capped,
     "signed-zero": _signed_zero,
 }

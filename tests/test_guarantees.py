@@ -47,9 +47,10 @@ from matroid_greedy.instances import (
     random_instance,
     random_suite,
 )
-from matroid_greedy.setfunc import check_monotone, ratio_scan
+from matroid_greedy.setfunc import check_monotone, cumulative_ratio_detail, ratio_scan
 
 from conftest import ENUMERATION_SPECS
+from corpus import overflowing_table
 from oracles import (
     naive_strong_curvature,
     reference_forward_greedy_ratios,
@@ -105,16 +106,6 @@ STRONG_TABLES = {
     "modular": lambda n, rng: gen_modular(n, [rng.choice([1, 2, 3]) for _ in range(n)]).values,
     "zero-marginal": zero_marginal_table,
 }
-
-
-def overflowing_table(n, rng):
-    """Increasing table from -1e308 up to 1.5e308, so the value range and
-    many marginals overflow to +inf, and some ratios are inf / inf = nan."""
-    values = [-1e308] * (1 << n)
-    for mask in range(1, 1 << n):
-        below = max(values[mask & ~(1 << j)] for j in range(n) if mask >> j & 1)
-        values[mask] = max(below, rng.choice([-1e308, 0.0, 1e308, 1.5e308]))
-    return values
 
 
 def benchmark_n12_instances(seed):
@@ -323,43 +314,70 @@ class TestGreedyRestrictedRatios:
                 assert repr(reverse_greedy_ratios_detail(f, matroid, k, trace)) == repr(expected)
 
     def test_forward_nan_start_is_kept(self):
-        # Pair (empty, 0) comes first, at inf / inf; a strict-< loop keeps it.
+        # Pair (empty, 0) would be inf / inf; the range check refuses the table.
         f = SetFunction(2, [-1e308, 1e308, 1e308, 1.5e308])
-        got = forward_greedy_ratios_detail(f, build_matroid(UniformSpec(2), 2), 2)
-        assert repr(got) == "(nan, nan, (0, 0), (0, 0))"
+        with pytest.raises(ValueError, match="overflows"):
+            forward_greedy_ratios_detail(f, build_matroid(UniformSpec(2), 2), 2)
 
     def test_forward_nan_pair_after_the_start_never_wins(self):
-        # Pairs in order: (empty, 0) at 1.0, (empty, 1) at nan, then ({0}, 1)
-        # at curvature ratio 1e308 / inf = 0.0, ahead of ({1}, 0) at 0.0.
+        # Pair (empty, 1) would be inf / inf after a finite start; refused too.
         f = SetFunction(2, [-1e308, 0.0, 1e308, 1e308])
-        got = forward_greedy_ratios_detail(f, build_matroid(UniformSpec(2), 2), 2)
-        assert repr(got) == "(1.0, 1.0, (0, 0), (1, 1))"
+        with pytest.raises(ValueError, match="overflows"):
+            forward_greedy_ratios_detail(f, build_matroid(UniformSpec(2), 2), 2)
 
     def test_reverse_nan_start_after_a_flat_pair_is_kept(self):
-        # The pass removes 2 (removing 1 breaks the rank). The first curvature
-        # pair, r = 0 past {0, 1}, has a zero marginal; the next one, r = 1,
-        # is inf / inf, so the loop keeps nan, which the clamp maps to 0.0.
+        # The pass removes 2 (removing 1 breaks the rank); its curvature pair
+        # r = 1 would be inf / inf, and the range check refuses the table.
         f = SetFunction(3, [-1e308, -1e308, 1e308, 1e308, -1e308, -1e308, 1.2e308, 1.5e308])
         matroid = build_matroid(PartitionSpec(((1,), (0, 2)), (1, 1)), 3)
         trace = reverse_greedy(f, matroid, 2)
         assert [step.chosen for step in trace.steps] == [2]
-        got = reverse_greedy_ratios_detail(f, matroid, 2, trace)
-        assert repr(got) == "(0.0, 0.0, (1, 2), (1, 0, 1))"
-        assert repr(got) == repr(reference_reverse_greedy_ratios(f.values, 3, [2]))
+        with pytest.raises(ValueError, match="overflows"):
+            reverse_greedy_ratios_detail(f, matroid, 2, trace)
 
     def test_reverse_overflowing_range_matches_reference(self):
+        # Every one of these tables reaches f(V) >= 1e308 from -1e308, so
+        # each run is refused with the ratio scan's own error.
         rng = random.Random(308)
         for n in range(2, 8):
             f = SetFunction(n, overflowing_table(n, rng))
+            with pytest.raises(ValueError) as scan_error:
+                ratio_scan(f)
             for rank in range(1, n + 1):
                 matroid = build_matroid(UniformSpec(rank), n)
                 for cardinality in range(rank + 1):
                     for run in (reverse_greedy, reverse_greedy_as_forward):
                         trace = run(f, matroid, cardinality)
-                        picks = [step.chosen for step in trace.steps]
-                        expected = reference_reverse_greedy_ratios(f.values, n, picks)
-                        got = reverse_greedy_ratios_detail(f, matroid, cardinality, trace)
-                        assert repr(got) == repr(expected)
+                        with pytest.raises(ValueError) as error:
+                            reverse_greedy_ratios_detail(f, matroid, cardinality, trace)
+                        assert str(error.value) == str(scan_error.value)
+
+    @pytest.mark.parametrize(
+        "values,error",
+        [
+            ([-1e308, 1e308, 1e308, 1.5e308], ValueError),
+            # {0, 1} falls below {1}, and the range still overflows.
+            ([-1e308, 1e308, 1.5e308, 1e308], NonMonotoneError),
+        ],
+        ids=["overflowing", "non-increasing-and-overflowing"],
+    )
+    def test_one_input_rule_for_every_ratio_function(self, values, error):
+        matroid = build_matroid(UniformSpec(2), 2)
+        trace = reverse_greedy(SetFunction(2, values), matroid, 1)
+        runs = {
+            "ratio_scan": ratio_scan,
+            "cumulative": cumulative_ratio_detail,
+            "strong_curvature": strong_curvature_detail,
+            "forward_family": lambda f: forward_greedy_ratios_detail(f, matroid, 1),
+            "reverse_family": lambda f: reverse_greedy_ratios_detail(f, matroid, 1, trace),
+        }
+        messages = {}
+        for name, run in runs.items():
+            with pytest.raises(Exception) as caught:
+                run(SetFunction(2, values))
+            assert type(caught.value) is error, name
+            messages[name] = str(caught.value)
+        assert len(set(messages.values())) == 1, messages
 
     def test_forward_makes_no_independence_test(self, monkeypatch):
         calls = []
@@ -490,14 +508,14 @@ class TestReverseKeptSets:
 
     @pytest.mark.parametrize("run", [reverse_greedy, reverse_greedy_as_forward])
     def test_infinite_ratio_binding_first(self, run):
-        # The pass removes 2. The curvature family's first pair, r = 0 past
-        # {0, 1}, binds nothing; the next, r = 1, has the overflowing gain
-        # 1.5e308 - -1e308 = inf over 1e308, so it starts the minimum at inf
-        # and stays it, and the clamp maps 1 - inf to 0.0.
-        values = [-1e308, -1e308, 0.0, 0.0, -1e308, -1e308, 1e308, 1.5e308]
+        # The pass removes 2 and keeps {0, 1}. Both curvature pairs past
+        # {0, 1} have the subnormal denominator 5e-324, so r = 0 (gain 1.0)
+        # and r = 1 (gain 2.0) overflow to +inf; the first binding pair
+        # keeps the minimum, and the clamp maps 1 - inf to 0.0.
+        values = [0.0, 0.0, 0.0, 5e-324, 0.0, 0.0, 1.0, 2.0]
         spec = PartitionSpec(((1,), (0, 2)), (1, 1))
         got, expected = reverse_case(3, values, spec, 2, run)
-        assert repr(got) == repr(expected) == "(0.0, 0.0, (1, 2), (1, 0, 1))"
+        assert repr(got) == repr(expected) == "(0.0, 0.0, (1, 2), (1, 0, 0))"
 
     @pytest.mark.parametrize(
         "spec",
@@ -514,7 +532,7 @@ class TestReverseKeptSets:
     def test_extreme_cardinalities_match_reference(self, spec):
         rng = random.Random(6)
         rank = build_matroid(spec, 6).rank_full
-        for make_table in (*TABLES, overflowing_table):
+        for make_table in TABLES:
             values = make_table(6, rng)
             for cardinality in sorted({1, 5, 6} & set(range(rank + 1))):
                 for run in (reverse_greedy, reverse_greedy_as_forward):
@@ -525,7 +543,8 @@ class TestReverseKeptSets:
         "cardinality,reads",
         # A walk over every padding that reads the gains of all n elements
         # at each curvature step makes 330 and 3,264 reads here.
-        [(1, 88), (4, 1870)],
+        # Two more read f(empty) and f(V) for the value-range check.
+        [(1, 90), (4, 1872)],
     )
     def test_table_reads_at_n12(self, cardinality, reads):
         f = gen_bounded_marginal(12, 0.5, 2.0, 7)
@@ -597,6 +616,15 @@ class TestVerification:
         assert not guarantees._leq(1e308, -1e308, 1.0)
         assert guarantees._leq(INF, INF, 0.0)
         assert guarantees._leq(1.0 + 1e-12, 1.0, 1e-9)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, INF, -1.0])
+    @pytest.mark.parametrize("check", [verify_forward, verify_reverse])
+    def test_tolerance_must_be_finite_and_nonnegative(self, t3_matroid, check, tolerance):
+        # At tolerance inf, _leq(5.0, 1.0, inf) would read a violation as met.
+        f = SetFunction(3, [0, 1, 1, 2, 1, 3, 2, 4])
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            check(f, t3_matroid, 2, tolerance=tolerance)
+        assert f._monotone is None and f._ratios is None
 
     def test_random_instances_all_satisfied(self):
         for inst in random_suite(40, 4, 8, seed=2026):
@@ -730,3 +758,10 @@ class TestAnalyzeRatios:
     def test_greedy_fields_need_constraint(self, t3_function):
         with pytest.raises(ValueError):
             analyze_ratios(t3_function, include_greedy=True)
+
+    def test_missing_constraint_fails_before_any_scan(self):
+        # Even a non-increasing table gets the argument error, and no scan runs.
+        f = SetFunction(2, [0, 2, 1, 1])
+        with pytest.raises(ValueError, match="need the matroid and cardinality"):
+            analyze_ratios(f, include_greedy=True)
+        assert f._monotone is None and f._ratios is None
