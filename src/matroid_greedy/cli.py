@@ -93,11 +93,18 @@ def trace_to_json(trace: GreedyTrace) -> dict:
 def cmd_run(args) -> int:
     inst = load_instance(args.instance)
     matroid = inst.matroid()
-    traces = {
-        name: trace_to_json(run(inst.function, matroid, inst.cardinality))
-        for name, run in PASSES.items()
-        if args.algo in (name, "both")
-    }
+    traces = {}
+    for name, run in PASSES.items():
+        if args.algo in (name, "both"):
+            trace = run(inst.function, matroid, inst.cardinality)
+            # A table's values are finite, but a marginal between two of
+            # them can overflow, and JSON has no number for infinity.
+            for step in trace.steps:
+                if not math.isfinite(step.marginal):
+                    raise ValueError(
+                        f"{name} step {step.t}: marginal {step.marginal} overflows a float"
+                    )
+            traces[name] = trace_to_json(trace)
     _dump(traces if args.algo == "both" else traces[args.algo], args.out)
     return 0
 

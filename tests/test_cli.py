@@ -136,6 +136,30 @@ class TestRun:
         assert err.startswith(f"error: {target}: cannot write output file (")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "values,algo",
+        [
+            ([-1e308, 1e308, 1e308, 1.5e308], "forward"),
+            ([-1e308, 1e308, 1e308, 1.5e308], "both"),
+            ([0.0, -1e308, -1e308, 1e308], "reverse"),
+            ([0.0, -1e308, -1e308, 1e308], "both"),
+        ],
+        ids=["forward", "both", "reverse-not-increasing", "both-not-increasing"],
+    )
+    def test_overflowing_marginal_exits_2(self, capsys, tmp_path, values, algo):
+        # On the second table f(V) - f(empty) is finite, yet the reverse
+        # pass's marginal f(V) - f(V - 0) is not.
+        path = tmp_path / "overflow.json"
+        save_instance(Instance("big", 2, SetFunction(2, values), UniformSpec(1), 1), path)
+        out_path = tmp_path / "out.json"
+        code, out, err = run_cli(
+            capsys, "run", "--instance", str(path), "--algo", algo, "--out", str(out_path)
+        )
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err.startswith("error: ") and "overflows a float" in err
+        assert err.count("\n") == 1
+        assert run_cli(capsys, "run", "--instance", str(path), "--algo", algo)[:2] == (2, "")
+
     def test_infeasible_exits_3(self, capsys, tmp_path):
         import json as j
 

@@ -1,8 +1,12 @@
 import json
 import os
 import random
+import subprocess
+import sys
 import threading
 import tracemalloc
+from array import array
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -603,16 +607,278 @@ def mutation_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("mutated")
 
 
+def check_mutation(mutation_dir, data, size):
+    path = mutation_dir / "mutated.json"
+    path.write_bytes(data)
+    with mock.patch.object(instances, "_READ_BYTES", size):
+        obj = block_obj(path)
+        got = outcome(load_instance, path)
+    assert got == outcome(instances._load_whole, path)
+    if obj is not None:
+        # Whatever the block path accepts, json accepts whole, and alike.
+        assert repr(obj) == repr(json.loads(data.decode("utf-8")))
+
+
 class TestBlockReaderFuzz:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(mutated_writer_bytes(), st.sampled_from(BLOCK_SIZES + [64, 1 << 16]))
     def test_same_outcome_as_whole_file(self, mutation_dir, data, size):
-        path = mutation_dir / "mutated.json"
+        check_mutation(mutation_dir, data, size)
+
+
+@pytest.fixture(scope="class")
+def split_everywhere():
+    with mock.patch.object(instances, "_SPLIT_BYTES", 1):
+        yield
+
+
+@pytest.mark.usefixtures("split_everywhere")
+class TestSplitBlockReader(TestBlockReader):
+    """The block reader's cases with every table split between this process and a child."""
+
+
+class TestSplitBlockReaderFuzz:
+    """The mutation fuzz with every table split between this process and a child."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mutated_writer_bytes(), st.sampled_from(BLOCK_SIZES + [64, 1 << 16]))
+    def test_same_outcome_as_whole_file(self, mutation_dir, data, size):
+        with mock.patch.object(instances, "_SPLIT_BYTES", 1):
+            check_mutation(mutation_dir, data, size)
+        assert_no_children()
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def table_commas(data):
+    start, end = table_span(data)
+    return [i for i in range(start, end) if data[i] == ord(",")]
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """The cut of every split load, with every table split."""
+    monkeypatch.setattr(instances, "_SPLIT_BYTES", 1)
+    cuts = []
+    split = instances._read_split
+
+    def recording(fd, start, cut, table):
+        cuts.append(cut)
+        return split(fd, start, cut, table)
+
+    monkeypatch.setattr(instances, "_read_split", recording)
+    return cuts
+
+
+class TestSplit:
+    """A table split at a chosen comma gives what the whole-file reader gives."""
+
+    def check(self, path, data, splits):
         path.write_bytes(data)
-        with mock.patch.object(instances, "_READ_BYTES", size):
-            obj = block_obj(path)
-            got = outcome(load_instance, path)
+        got = outcome(load_instance, path)
+        assert_no_children()
         assert got == outcome(instances._load_whole, path)
-        if obj is not None:
-            # Whatever the block path accepts, json accepts whole, and alike.
-            assert repr(obj) == repr(json.loads(data.decode("utf-8")))
+        assert len(splits) == 1
+        return got
+
+    def split_after(self, data, k):
+        """``data`` with whitespace after the table's comma ``k``, and the comma it is cut at.
+
+        The whitespace is twice the length of ``data``, so the table's
+        midpoint falls in it and the cut is the first comma after it.
+        """
+        at = table_commas(data)[k] + 1
+        data = data[:at] + b" " * (2 * len(data)) + data[at:]
+        return data, data.index(b",", at)
+
+    def test_cut_at_last_comma(self, tmp_path, splits):
+        inst, data = writer_file(tmp_path / "w.json", 3)
+        data, cut = self.split_after(data, -2)
+        assert self.check(tmp_path / "w.json", data, splits)[0] == inst
+        # The child's half is the last value alone.
+        assert splits == [cut] and b"," not in data[cut + 1 : data.index(b"]", cut)]
+
+    def test_cut_right_before_bracket(self, tmp_path, splits):
+        _, data = writer_file(tmp_path / "w.json", 3)
+        data = data.replace(b"\n    ]", b",\n    ]")
+        data, cut = self.split_after(data, -2)
+        assert data[cut + 1:].lstrip().startswith(b"]")
+        assert self.check(tmp_path / "w.json", data, splits)[0] is SchemaError
+        assert splits == [cut]
+
+    def test_bracket_string_in_parent_half(self, tmp_path, splits):
+        _, data = writer_file(tmp_path / "w.json", 3)
+        data, _ = self.split_after(data, 3)
+        data = data.replace(b"[\n      0.0,", b'[\n      "a,]b",')
+        got = self.check(tmp_path / "w.json", data, splits)
+        assert got[0] is SchemaError and "values[0] is not a number" in got[1]
+
+    @pytest.mark.parametrize(
+        "value",
+        [b"3", b"true", b'"x"', b"7" * 5000, b"NaN", b"1e400", b"-0.0", b"5e-324"],
+        ids=["int", "true", "string", "5000-digits", "nan", "1e400", "-0.0", "5e-324"],
+    )
+    def test_value_in_child_half(self, tmp_path, splits, value):
+        _, data = writer_file(tmp_path / "w.json", 3)
+        commas = table_commas(data)
+        data = data[: commas[5] + 1] + b" " + value + data[commas[6]:]
+        data, cut = self.split_after(data, 2)
+        got = self.check(tmp_path / "w.json", data, splits)
+        assert splits == [cut] and cut < data.index(value, cut)
+        if value in (b"-0.0", b"5e-324"):
+            assert repr(got[0].function.values[6]) == value.decode()
+
+    def test_truncated_in_child_half(self, tmp_path, splits):
+        _, data = writer_file(tmp_path / "w.json", 3)
+        data, cut = self.split_after(data, 2)
+        assert self.check(tmp_path / "w.json", data[: cut + 12], splits)[0] is SchemaError
+
+    def test_duplicate_key_after_table(self, tmp_path, splits):
+        inst, data = writer_file(tmp_path / "w.json", 3)
+        data, cut = self.split_after(data, 2)
+        end = data.index(b"]", cut)
+        twice = json.dumps([2.0 * v for v in inst.function.values]).encode()
+        data = data[: end + 1] + b', "values": ' + twice + data[end + 1:]
+        got = self.check(tmp_path / "w.json", data, splits)
+        assert got[1] == repr(tuple(2.0 * v for v in inst.function.values))
+
+    def test_bit_identical_doubles(self, tmp_path, splits):
+        values = [-0.0, 5e-324, 1.7976931348623157e308, 1.0, 2.0, 1e16, -3.0, 0.1] * 4
+        path = tmp_path / "x.json"
+        save_instance(Instance("x", 5, SetFunction(5, values), UniformSpec(1), 1), path)
+        assert repr(load_instance(path).function.values) == repr(tuple(values))
+        assert_no_children()
+        assert len(splits) == 1
+
+    def test_parent_raising_reaps_child(self, tmp_path, splits, monkeypatch):
+        # At n=15 the child's half is 128 KiB of doubles, more than a pipe
+        # holds, so the child is still writing when this process stops reading.
+        inst, _ = writer_file(tmp_path / "w.json", 15)
+        parent, piece = os.getpid(), instances._piece
+
+        def failing(data):
+            if os.getpid() == parent:
+                raise RuntimeError("parent half")
+            return piece(data)
+
+        monkeypatch.setattr(instances, "_piece", failing)
+        with pytest.raises(RuntimeError, match="parent half"):
+            load_instance(tmp_path / "w.json")
+        assert_no_children()
+        monkeypatch.setattr(instances, "_piece", piece)
+        assert load_instance(tmp_path / "w.json") == inst
+        assert_no_children()
+        assert len(splits) == 2
+
+    def test_child_flushes_nothing(self, tmp_path):
+        # stdout into a pipe is block-buffered, so "held split" is still in
+        # the buffer at the fork; a child that flushed it would print it twice.
+        writer_file(tmp_path / "w.json", 4)
+        script = (
+            "import sys\n"
+            "from matroid_greedy import instances\n"
+            "instances._SPLIT_BYTES = 1\n"
+            "split = instances._read_split\n"
+            "def counting(*args):\n"
+            "    print('split', end=' ')\n"
+            "    return split(*args)\n"
+            "instances._read_split = counting\n"
+            "print('held', end=' ')\n"
+            "print(len(instances.load_instance(sys.argv[1]).function.values))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(instances.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "w.json")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "held split 16\n"
+
+    def test_child_dying_mid_send(self, tmp_path, splits, monkeypatch):
+        # A child that stops after part of its values, as if killed, exits
+        # non-zero; its part is dropped and that half parsed here.
+        inst, data = writer_file(tmp_path / "w.json", 4)
+
+        def dying(fd, pos, w):
+            end = data.index(b"]", pos)
+            os.write(w, b"\1" + end.to_bytes(8, "little") + array("d", [1.0]).tobytes())
+            os._exit(1)
+
+        monkeypatch.setattr(instances, "_send_half", dying)
+        assert load_instance(tmp_path / "w.json") == inst
+        assert_no_children()
+        assert len(splits) == 1
+
+    def test_load_peak_memory(self, tmp_path, splits):
+        # The serial path's bound, with the table's second half parsed in
+        # the child and sent back in blocks.
+        TestWriter.test_load_peak_memory(self, tmp_path)
+        assert_no_children()
+        assert len(splits) == 1
+
+
+class TestSerialFallback:
+    """Where a child cannot run on a core of its own, the table is parsed here in one pass."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        monkeypatch.setattr(instances, "_SPLIT_BYTES", 1)
+        monkeypatch.setattr(instances, "_read_split", mock.Mock(side_effect=instances._read_split))
+        calls = []
+        if hasattr(os, "fork"):
+            fork = os.fork
+
+            def counting():
+                calls.append(os.getpid())
+                return fork()
+
+            monkeypatch.setattr(os, "fork", counting)
+        return calls
+
+    def check(self, tmp_path, split=False):
+        inst, _ = writer_file(tmp_path / "w.json", 4)
+        assert load_instance(tmp_path / "w.json") == inst
+        assert instances._read_split.called is split
+        assert_no_children()
+
+    def test_split_when_nothing_stops_it(self, tmp_path, forks):
+        self.check(tmp_path, split=True)
+        assert len(forks) == 1
+
+    def test_another_thread(self, tmp_path, forks):
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, args=(30,))
+        other.start()
+        try:
+            self.check(tmp_path)
+        finally:
+            stop.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert forks == []
+
+    def test_no_fork(self, tmp_path, forks, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        self.check(tmp_path)
+
+    def test_fork_fails(self, tmp_path, forks, monkeypatch):
+        def failing():
+            forks.append(os.getpid())
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", failing)
+        self.check(tmp_path, split=True)
+        assert len(forks) == 1
+
+    def test_one_cpu(self, tmp_path, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        self.check(tmp_path)
+        assert forks == []
