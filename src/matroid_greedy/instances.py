@@ -4,29 +4,29 @@ An instance bundles a set function (always materialized as an explicit
 table), a matroid spec, and a target cardinality. Generators are
 deterministic given their seed, and every generated instance is strictly
 increasing and feasible by construction. Files are UTF-8 JSON with two-space
-indent, sorted keys and one value per line, the layout of ``json.dumps(...,
-indent=2, sort_keys=True)``; the value table is streamed in blocks of
-``_BLOCK`` values, each one C-level join, rather than through json's
-pure-Python indenting encoder, so writing never holds the whole table as
-text. Reading streams too: a file in that layout has its table read and
-parsed in blocks of ``_READ_BYTES`` bytes, so loading never holds the whole
-file as bytes or text, and any other layout is read whole. A table of at
-least ``_SPLIT_BYTES`` (4 MiB, every file from n=18 up) has its second half
-parsed by a forked child on a second core, when the platform can fork, two
-CPUs are usable and no other thread runs; the split never changes a value
-or an error. Floats rely on Python's shortest round-trip repr, so
-load(save(x)) is exact. A file that cannot be read or written, or is not
-UTF-8 text, is a SchemaError.
+indent and sorted keys, the layout of ``json.dumps(..., indent=2,
+sort_keys=True)``. Below n = ``_PACKED_N`` (18) the value table is text, one
+value per line, each float in its shortest round-trip repr, so load(save(x))
+is exact; from there it is packed, the little-endian doubles in base64, which
+holds every bit of each value. Either table is streamed in blocks rather than
+through json's pure-Python indenting encoder, so writing never holds the
+whole table as text. Reading a text table streams too: a file in the
+writer's text layout has its table read and parsed in blocks of
+``_READ_BYTES`` bytes, so loading never holds the whole file as bytes or
+text, and any other layout, a packed file among them, is read whole. Files
+of either form load whatever their size. A file that cannot be read or
+written, or is not UTF-8 text, is a SchemaError.
 """
 
 from __future__ import annotations
 
+import binascii
 import itertools
 import json
 import os
 import random
 import re
-import threading
+import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -283,15 +283,15 @@ def _spec_from_json(obj, where: str, depth: int) -> MatroidSpec:
 
 
 def instance_to_json(inst: Instance) -> dict:
-    return _instance_obj(inst, list(inst.function.values))
+    return _instance_obj(inst, {"kind": "explicit", "values": list(inst.function.values)})
 
 
-def _instance_obj(inst: Instance, values: list) -> dict:
-    """The JSON object of ``inst`` with ``values`` as its function's table."""
+def _instance_obj(inst: Instance, function: dict) -> dict:
+    """The JSON object of ``inst`` with ``function`` as its function's object."""
     return {
         "id": inst.id,
         "n": inst.n,
-        "function": {"kind": "explicit", "values": values},
+        "function": function,
         "matroid": spec_to_json(inst.matroid_spec),
         "N": inst.cardinality,
         "seed": inst.seed,
@@ -299,6 +299,14 @@ def _instance_obj(inst: Instance, values: list) -> dict:
 
 
 def instance_from_json(obj) -> Instance:
+    """The instance of a JSON object, its table a list of numbers or packed; ``obj`` is kept."""
+    if isinstance(obj, dict) and isinstance(obj.get("function"), dict):
+        obj = {**obj, "function": dict(obj["function"])}
+    return _instance_from(obj)
+
+
+def _instance_from(obj) -> Instance:
+    """:func:`instance_from_json` on an object of the caller's, whose packed text it takes out."""
     if not isinstance(obj, dict):
         raise SchemaError("instance: expected a JSON object")
     inst_id = _expect(obj, "id", str, "instance")
@@ -308,7 +316,10 @@ def instance_from_json(obj) -> Instance:
     fn = _expect(obj, "function", dict, "instance")
     if _expect(fn, "kind", str, "instance.function") != "explicit":
         raise SchemaError("instance.function: only kind 'explicit' is supported")
-    values = _expect(fn, "values", list, "instance.function")
+    if "encoding" in fn:
+        values = _unpack(fn, n)
+    else:
+        values = _expect(fn, "values", list, "instance.function")
     # SetFunction checks the length, then each value's type, then finiteness.
     try:
         function = SetFunction(n, values)
@@ -333,33 +344,82 @@ def instance_from_json(obj) -> Instance:
     return inst
 
 
+#: The encoding of a packed table: its 2^n values as little-endian doubles,
+#: in padded base64.
+_PACKED_ENCODING = "f64le-base64"
+_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _unpack(fn: dict, n: int) -> tuple:
+    """The values of a packed function object as floats, its text taken out of ``fn``.
+
+    Where ``fn`` was the text's only holder, the text (11 MB at n=20) is freed
+    before the floats are built.
+    """
+    encoding = _expect(fn, "encoding", str, "instance.function")
+    if encoding != _PACKED_ENCODING:
+        raise SchemaError(f"instance.function: unknown encoding '{encoding}'")
+    _expect(fn, "values", str, "instance.function")
+    text = fn.pop("values")
+    if not text.isascii():
+        raise SchemaError("instance.function: values are not base64")
+    raw = text.encode("ascii")
+    del text
+    # binascii skips bytes outside the alphabet unless strict_mode is set,
+    # and Python 3.10 has no strict_mode; so the alphabet and padding are
+    # checked here, and a2b_base64 cannot fail on what passes.
+    rest = raw.translate(None, _BASE64_ALPHABET)
+    if len(raw) % 4 or rest not in (b"", b"=", b"==") or not raw.endswith(rest):
+        raise SchemaError("instance.function: values are not base64")
+    data = binascii.a2b_base64(raw)
+    del raw
+    if len(data) != 8 << n:
+        raise SchemaError(f"instance.function: need {8 << n} bytes for n={n}, got {len(data)}")
+    # "<" reads little-endian doubles on a host of either byte order.
+    return struct.unpack(f"<{1 << n}d", data)
+
+
 #: Values per block of the written table: enough that each join is one long
 #: C-level pass, few enough that a block's text stays well under a megabyte.
 _BLOCK = 1 << 14
+
+#: Tables of at least 2^_PACKED_N values are written packed: in text, that
+#: table would be 6.7 MB or more, and parsing its floats is most of a load.
+_PACKED_N = 18
 
 
 def _instance_text(inst: Instance) -> Iterator[str]:
     """The file text of ``inst`` in pieces, to be written in turn.
 
-    Together they are ``json.dumps(instance_to_json(inst), indent=2,
-    sort_keys=True) + "\\n"`` byte for byte. json skips its C encoder
-    whenever ``indent`` is set, so the table does not go through it: the rest
-    is rendered around an empty table, and the table follows in blocks of
-    ``_BLOCK`` values, each one C-level join of ``float.__repr__``, which is
-    what json writes for a finite float (a SetFunction holds no other).
-    Sorted keys put "N", an int, and then "function" first, so its table is
-    the first '"values": []' in the text; json escapes every quote inside a
-    string, so an id cannot match it. The text around the table is rendered
-    before this returns, so only it can raise, and the blocks are joined as
-    they are read.
+    Together they are ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``
+    byte for byte, where ``obj`` is ``instance_to_json(inst)`` below
+    n = ``_PACKED_N`` and, from there, the same with its function packed:
+    ``{"encoding": "f64le-base64", "kind": "explicit", "values": <str>}``.
+    json skips its C encoder whenever ``indent`` is set, so the table does
+    not go through it: the rest is rendered around an empty table, and the
+    table follows in blocks, ``_BLOCK`` values at a time as one C-level join
+    of ``float.__repr__`` (what json writes for a finite float, and a
+    SetFunction holds no other), or ``3 * _BLOCK`` values at a time as
+    base64. Sorted keys put "N", an int, and then "function" first, so its
+    table is the first '"values": []' (or '""') in the text; json escapes
+    every quote inside a string, so an id cannot match it. The text around
+    the table is rendered before this returns, so only it can raise, and the
+    blocks are made as they are read.
     """
-    text = json.dumps(_instance_obj(inst, []), indent=2, sort_keys=True)
-    head, _, tail = text.partition('"values": []')
-    # One value per line, six spaces in; the closing bracket four spaces in.
+    packed = inst.n >= _PACKED_N
+    if packed:
+        function = {"encoding": _PACKED_ENCODING, "kind": "explicit", "values": ""}
+        empty, opening, table, closing = '""', '"', _packed_text, '"'
+    else:
+        # One value per line, six spaces in; the closing bracket four spaces in.
+        function = {"kind": "explicit", "values": []}
+        empty, opening, table, closing = "[]", "[\n      ", _table_text, "\n    ]"
+    text = json.dumps(_instance_obj(inst, function), indent=2, sort_keys=True)
+    head, _, tail = text.partition('"values": ' + empty)
     return itertools.chain(
-        [head + '"values": [\n      '],
-        _table_text(inst.function.values),
-        ["\n    ]" + tail + "\n"],
+        [head + '"values": ' + opening],
+        table(inst.function.values),
+        [closing + tail + "\n"],
     )
 
 
@@ -369,6 +429,16 @@ def _table_text(values) -> Iterator[str]:
         if k:
             yield sep
         yield sep.join(map(float.__repr__, values[k:k + _BLOCK]))
+
+
+def _packed_text(values) -> Iterator[str]:
+    # 3 * _BLOCK doubles are a multiple of 3 bytes, which base64 encodes with
+    # no padding, so the blocks' strings join into the whole table's.
+    step = 3 * _BLOCK
+    for k in range(0, len(values), step):
+        block = values[k:k + step]
+        packed = struct.pack(f"<{len(block)}d", *block)
+        yield binascii.b2a_base64(packed, newline=False).decode("ascii")
 
 
 def save_instance(inst: Instance, path) -> None:
@@ -392,20 +462,10 @@ def save_instance(inst: Instance, path) -> None:
 #: size from 16 KiB to 4 MiB).
 _READ_BYTES = 1 << 16
 
-#: Bytes past the head from which a writer-layout file has the second half
-#: of its table parsed in a child process. Below it the fork and the round
-#: trip of the child's values cost about what half a parse saves: on a 2-vCPU
-#: VM (medians of 24 to 96 alternating loads in one process) the bounded n=15
-#: file (0.84 MB) loaded in 30 ms split against 21 ms serial, the n=16 one
-#: (1.7 MB) in 43 to 47 ms against 37 to 46 ms, and the n=17 one (3.4 MB) in
-#: 64 to 91 ms against 85 to 94 ms. At 4 MiB every file up to n=17 is read
-#: in one process, and the split starts at n=18 (6.7 MB).
-_SPLIT_BYTES = 4 << 20
-
-#: The head of the writer's layout, up to the value table's opening bracket,
-#: with JSON whitespace (each space in the pattern) before and between its
-#: tokens. It is matched on one read of ``_HEAD_BYTES``, whatever the block
-#: size, with room for any indent json's encoder writes.
+#: The head of the writer's text layout, up to the value table's opening
+#: bracket, with JSON whitespace (each space in the pattern) before and
+#: between its tokens. It is matched on one read of ``_HEAD_BYTES``, whatever
+#: the block size, with room for any indent json's encoder writes.
 _WRITER_HEAD = re.compile(
     rb' \{ "N" : -?[0-9]+ , "function" : \{ "kind" : "explicit" , "values" : \['.replace(
         b" ", rb"[ \t\n\r]*"
@@ -415,35 +475,18 @@ _HEAD_BYTES = 1 << 10
 
 
 def load_instance(path) -> Instance:
-    """Read the instance file at ``path``, reading the writer's layout in blocks.
+    """Read the instance file at ``path``, reading the writer's text layout in blocks.
 
-    A regular file whose head is in the writer's layout (``{"N": <int>,
-    "function": {"kind": "explicit", "values": [``, JSON whitespace allowed,
-    matched on the first ``_HEAD_BYTES`` bytes) has its value table read in
-    blocks of ``_READ_BYTES`` and parsed piece by piece: each piece is the
-    buffer up to its last comma, decoded as strict UTF-8 (a comma or bracket
-    byte is never inside a multi-byte character) and parsed as
+    A regular file whose head is in the writer's text layout (``{"N":
+    <int>, "function": {"kind": "explicit", "values": [``, JSON whitespace
+    allowed, matched on the first ``_HEAD_BYTES`` bytes) has its value table
+    read in blocks of ``_READ_BYTES`` and parsed piece by piece: each piece
+    is the buffer up to its last comma, decoded as strict UTF-8 (a comma or
+    bracket byte is never inside a multi-byte character) and parsed as
     ``json.loads("[" + piece + "]")``. The first ``]`` ends the table, and the
     text after it, with the head around an empty table, is parsed with every
     object's keys required to be distinct; the table is then put in place.
     So neither the file's bytes nor its text is ever held whole.
-
-    A table of at least ``_SPLIT_BYTES`` past the head is cut at the first
-    comma past its midpoint when ``os.fork`` exists, two CPUs are usable and
-    no other thread runs (``fork`` copies only the calling thread). This
-    process parses up to that comma while a forked child parses the rest, up
-    to the first ``]``, with the same piece loop, and sends back the offset
-    of that ``]`` and its values as doubles, which carry every bit of a
-    float (-0.0, subnormals, NaN). The child sends a refusal instead if any
-    value it parsed is not a float or any piece fails. On a refusal, or a
-    child that does not exit cleanly, this process parses that half itself;
-    a ``]`` inside this process's half ends the table there, as it does in
-    one pass. So the split changes no value and no error, and
-    ``SetFunction`` still checks every value here. On a 2-vCPU VM with
-    Python 3.11, ``run --algo both`` as a whole process (medians of five,
-    wall time and peak RSS from ``os.wait4``) took 0.33 s at n=18 (a 6.7 MB
-    bounded file) against 0.39 s in one process, and 0.75 s at n=20 (27 MB)
-    against 0.95 s, at the same 29 and 65 MB peak.
 
     This gives what ``json.loads`` of the whole text gives, because:
 
@@ -456,13 +499,16 @@ def load_instance(path) -> Instance:
       instance has (the whole-file reader then gives the error);
     * a duplicate key, where json would keep the last value, is refused.
 
-    Any other layout, a file that is not a regular file (a pipe cannot be
+    Any other layout, including every packed file (its function object opens
+    with "encoding"), a file that is not a regular file (a pipe cannot be
     read twice), and every file where ``os.pread`` is missing go to the
     whole-file reader, as does any failure on the way: ``OSError``,
     ``UnicodeDecodeError``, ``ValueError`` (which includes
     ``json.JSONDecodeError``), ``RecursionError`` or a refused piece. That
     reader parses the whole text with ``json.loads``, so it accepts any JSON
-    layout, and every error, its type and its message are its own.
+    layout, and every error, its type and its message are its own. A packed
+    table is 8·2^n bytes in base64, 11 MB of text at n=20, and is decoded to
+    floats at C speed with nothing left to parse.
     """
     try:
         obj = _read_blocks(path)
@@ -470,7 +516,7 @@ def load_instance(path) -> Instance:
         obj = None
     if obj is None:
         return _load_whole(path)
-    return instance_from_json(obj)
+    return _instance_from(obj)
 
 
 def _read_blocks(path):
@@ -483,7 +529,7 @@ def _read_blocks(path):
         if match is None:
             return None
         table = []
-        end = _read_table(fd, match.end(), table)
+        end = _parse(fd, match.end(), table)
         if end is None:
             return None
         tail = _read_from(fd, end + 1).decode("utf-8")
@@ -503,140 +549,24 @@ def _read_from(fd: int, pos: int) -> bytes:
     return b"".join(parts)
 
 
-def _read_table(fd: int, start: int, table: list) -> int | None:
-    """Parse the table that opens at ``start`` onto ``table``: the offset of its ']', or None."""
-    size = os.fstat(fd).st_size
-    if (
-        size - start >= _SPLIT_BYTES
-        and hasattr(os, "fork")
-        and _usable_cpus() >= 2
-        # fork copies only the calling thread, whatever locks the others hold.
-        and threading.active_count() == 1
-    ):
-        cut = _find_comma(fd, start + (size - start) // 2)
-        if cut is not None:
-            return _read_split(fd, start, cut, table)
-    return _parse(fd, start, table)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _find_comma(fd: int, pos: int) -> int | None:
-    while block := os.pread(fd, _READ_BYTES, pos):
-        comma = block.find(b",")
-        if comma >= 0:
-            return pos + comma
-        pos += len(block)
-    return None
-
-
-def _read_split(fd: int, start: int, cut: int, table: list) -> int | None:
-    """:func:`_read_table` with the table split at the comma at ``cut``.
-
-    This process parses up to ``cut`` while a forked child parses from past it
-    to the first ']' and sends its values back as doubles. If this half holds
-    that ']', the table ended here and the child's half is not part of it; if
-    the child refuses its half, or does not exit cleanly, this process parses
-    that half itself. The child is reaped on every path, after the pipe's
-    read end is closed, so a child blocked on a write ends with a broken pipe.
-    """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return _parse(fd, start, table)
-    if pid == 0:
-        os.close(r)
-        _send_half(fd, cut + 1, w)
-    os.close(w)
-    try:
-        with open(r, "rb") as pipe:
-            end = _parse(fd, start, table, cut)
-            if end != cut:
-                return end
-            mark = len(table)
-            end = _receive_half(pipe, table)
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if end is None or status != 0:
-        del table[mark:]
-        return _parse(fd, cut + 1, table)
-    return end
-
-
-def _send_half(fd: int, pos: int, w: int):
-    """In the child: parse the table from ``pos`` and send it over ``w``; never returns.
-
-    The message is one byte, 1 and then the ']' offset as 8 little-endian
-    bytes and the values as doubles if every value parsed is a float, else 0.
-    The child ends with ``os._exit``, so it runs no exit handler and flushes
-    none of the buffers it shares with its parent.
-    """
-    code = 1
-    try:
-        # Imported here, so that a process that never splits a table does
-        # not map the extension module (about 0.14 MB of RSS).
-        from array import array
-
-        values = []
-        try:
-            end = _parse(fd, pos, values)
-        except Exception:
-            # A refusal: the parent parses this half again and meets the
-            # error itself.
-            end = None
-        with open(w, "wb") as pipe:
-            if end is not None and set(map(type, values)) == {float}:
-                pipe.write(b"\1" + end.to_bytes(8, "little"))
-                pipe.write(array("d", values))
-            else:
-                pipe.write(b"\0")
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _receive_half(pipe, table: list) -> int | None:
-    """Extend ``table`` by the child's values: the ']' offset it sent, or None on a refusal."""
-    head = pipe.read(9)
-    if head[:1] != b"\1":
-        return None
-    from array import array
-
-    # Whole doubles per read, so no value is split between two reads.
-    size = max(8, _READ_BYTES - _READ_BYTES % 8)
-    while chunk := pipe.read(size):
-        table += array("d", chunk)
-    return int.from_bytes(head[1:], "little")
-
-
-def _parse(fd: int, pos: int, table: list, stop: int | None = None) -> int | None:
+def _parse(fd: int, pos: int, table: list) -> int | None:
     """Parse table values from offset ``pos`` onto ``table``, in pieces.
 
-    It stops at the first ']' or, given ``stop``, at the comma there, and
-    returns the offset it stopped at; it returns None if a piece is refused
-    or the file ends first. Each piece is the bytes up to the last comma of a
-    ``_READ_BYTES`` block, or up to where it stops.
+    It returns the offset of the first ']', or None if a piece is refused or
+    the file ends first. Each piece is the bytes up to the last comma of a
+    ``_READ_BYTES`` block, or up to the ']'.
     """
     buf = b""
     # Before ``new``, buf holds neither a comma nor a "]", so only the bytes
     # of each block are searched.
     while True:
         new = len(buf)
-        size = _READ_BYTES if stop is None else min(_READ_BYTES, stop - pos)
-        block = os.pread(fd, size, pos)
+        block = os.pread(fd, _READ_BYTES, pos)
         pos += len(block)
         buf += block
         end = buf.find(b"]", new)
-        done = end >= 0 or pos == stop
-        if done:
-            upto = end if end >= 0 else len(buf)
+        if end >= 0:
+            upto = end
         elif not block:
             return None
         else:
@@ -649,7 +579,7 @@ def _parse(fd: int, pos: int, table: list, stop: int | None = None) -> int | Non
         if not piece:
             return None
         table += piece
-        if done:
+        if end >= 0:
             return pos - len(buf) + upto
         buf = buf[upto + 1:]
 
@@ -682,6 +612,7 @@ def _load_whole(path) -> Instance:
         raise SchemaError(f"{path}: cannot parse JSON ({exc})") from exc
     except RecursionError as exc:
         raise SchemaError(f"{path}: JSON nests too deeply to parse") from exc
-    # The text is dead once parsed; free it before the table is built.
+    # The text is dead once parsed; free it before the table is built. The
+    # object is this reader's own, so a packed table's text goes too.
     del text
-    return instance_from_json(obj)
+    return _instance_from(obj)

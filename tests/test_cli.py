@@ -30,6 +30,7 @@ from matroid_greedy.instances import (
     gen_bounded_marginal,
     gen_modular,
     instance_to_json,
+    load_instance,
     random_instance,
     save_instance,
 )
@@ -342,6 +343,16 @@ class TestLoaderRejections:
                 t3_doc(function={"kind": "table", "values": [0.0] * 8}),
                 "only kind 'explicit' is supported",
                 id="function-kind",
+            ),
+            pytest.param(
+                t3_doc(function={"encoding": "f64le-base64", "kind": "explicit", "values": "A!=="}),
+                "instance.function: values are not base64",
+                id="packed-not-base64",
+            ),
+            pytest.param(
+                t3_doc(function={"encoding": "hex", "kind": "explicit", "values": "00"}),
+                "instance.function: unknown encoding 'hex'",
+                id="packed-encoding",
             ),
             pytest.param(t3_doc(N=0), "N must be >= 1, got 0", id="N-0"),
             pytest.param(t3_doc(seed="7"), "seed must be an int or null", id="seed-str"),
@@ -832,6 +843,17 @@ class TestGen:
         code, _, _ = run_cli(capsys, *argv, "--out", str(path))
         assert code == 0
         assert path.read_bytes() == out.encode("utf-8")
+
+    def test_stdout_equals_out_file_packed_from_n18(self, capsys, tmp_path):
+        argv = ["gen", "--kind", "bounded", "--n", "18", "--seed", "3"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "gen.json"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode("utf-8")
+        assert json.loads(out)["function"]["encoding"] == "f64le-base64"
+        assert load_instance(path).function == gen_bounded_marginal(18, 1.0, 2.0, 3)
 
     def test_closed_stdout_exits_1_without_traceback(self):
         # 2^15 values are far more text than a pipe buffers, so the writer is

@@ -1,12 +1,12 @@
+import base64
+import copy
 import json
+import math
 import os
 import random
-import subprocess
-import sys
+import struct
 import threading
 import tracemalloc
-from array import array
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -348,7 +348,7 @@ WRITER_SPECS = {
 
 
 class TestWriter:
-    """save_instance writes exactly the bytes of json's indenting encoder."""
+    """Below n=18, save_instance writes exactly the bytes of json's indenting encoder."""
 
     def check(self, inst, tmp_path):
         path = tmp_path / "inst.json"
@@ -447,6 +447,190 @@ class TestWriter:
         finally:
             tracemalloc.stop()
         assert peak < 3_300_000
+
+
+def b64_doubles(values):
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def packed_text(inst):
+    """The packed file text of ``inst``, from json's own indenting encoder and base64."""
+    obj = instance_to_json(inst)
+    table = b64_doubles(inst.function.values)
+    obj["function"] = {"encoding": "f64le-base64", "kind": "explicit", "values": table}
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+#: Signed zeros, both ends of the subnormals and of the normals, and both
+#: signs of the largest double.
+EXTREMES = [
+    -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 0.0,
+]
+
+
+@pytest.fixture
+def packed_from_1(monkeypatch):
+    """Every table written packed, in blocks of 3 * 4 doubles."""
+    monkeypatch.setattr(instances, "_PACKED_N", 1)
+    monkeypatch.setattr(instances, "_BLOCK", 4)
+
+
+@pytest.mark.usefixtures("packed_from_1")
+class TestPacked:
+    """A packed file holds the bytes json and base64 give, and loads as its text form does."""
+
+    def check(self, inst, tmp_path):
+        packed, text = tmp_path / "packed.json", tmp_path / "text.json"
+        save_instance(inst, packed)
+        assert packed.read_bytes() == packed_text(inst).encode("utf-8")
+        text.write_text(reference_text(inst), encoding="utf-8")
+        loaded = load_instance(packed)
+        assert loaded == inst
+        assert repr(loaded.function.values) == repr(load_instance(text).function.values)
+
+    @pytest.mark.parametrize("kind", WRITER_SPECS)
+    def test_every_spec_kind(self, tmp_path, kind):
+        f = SetFunction(3, EXTREMES)
+        self.check(Instance(kind, 3, f, WRITER_SPECS[kind], 1, seed=3), tmp_path)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_block_boundaries(self, tmp_path, n):
+        # 2, 4, 8, 16 and 32 values against blocks of 12: below one block,
+        # and across one and two block edges.
+        values = (EXTREMES * 4)[: 1 << n]
+        self.check(Instance("blocks", n, SetFunction(n, values), UniformSpec(1), 1), tmp_path)
+
+    def test_id_that_reads_as_an_empty_table(self, tmp_path):
+        inst = Instance('"values": ""', 2, SetFunction(2, EXTREMES[:4]), UniformSpec(1), 1)
+        self.check(inst, tmp_path)
+
+    def test_from_json_keeps_its_object(self):
+        obj = packed_t3()
+        before = copy.deepcopy(obj)
+        assert instance_from_json(obj) == canonical_t3()
+        assert obj == before
+
+    def test_text_freed_before_the_floats(self, tmp_path):
+        # The n=16 packed file is 0.7 MB, and its table 2 MB of floats and
+        # tuple: 2.6 MB at peak, and 3.3 MB if the base64 text were kept
+        # until the floats were built.
+        path = tmp_path / "p16.json"
+        save_instance(Instance("p16", 16, gen_modular(16, range(1, 17)), UniformSpec(8), 8), path)
+        tracemalloc.start()
+        try:
+            load_instance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_900_000
+
+
+def test_written_packed_from_n18(tmp_path):
+    inst = Instance("p18", 18, gen_bounded_marginal(18, 1.0, 2.5, seed=18), UniformSpec(9), 9)
+    path = tmp_path / "p18.json"
+    save_instance(inst, path)
+    assert path.read_bytes() == packed_text(inst).encode("utf-8")
+    assert load_instance(path) == inst
+    below = Instance("m17", 17, gen_modular(17, range(1, 18)), UniformSpec(1), 1)
+    assert next(instances._instance_text(below)).endswith('"values": [\n      ')
+
+
+def packed_t3(**function):
+    """The object of the packed T3 file, with ``function``'s fields replaced."""
+    obj = json.loads(packed_text(canonical_t3()))
+    obj["function"].update(function)
+    return obj
+
+
+T3_TABLE = packed_t3()["function"]["values"]
+
+
+def t3_table_with(char):
+    """The T3 packed table with its 41st character replaced by ``char``."""
+    return T3_TABLE[:40] + char + T3_TABLE[41:]
+
+
+class TestPackedRejections:
+    """A malformed packed table is a SchemaError naming instance.function."""
+
+    @pytest.mark.parametrize(
+        "function,message",
+        [
+            pytest.param({"values": [0.0] * 8}, "field 'values' has wrong type list", id="list"),
+            pytest.param({"values": None}, "field 'values' has wrong type NoneType", id="null"),
+            pytest.param({"values": 64}, "field 'values' has wrong type int", id="int"),
+            pytest.param({"encoding": "f64be-base64"}, "unknown encoding 'f64be-base64'", id="enc"),
+            pytest.param({"encoding": 1}, "field 'encoding' has wrong type int", id="encoding-int"),
+            pytest.param({"kind": "packed"}, "only kind 'explicit' is supported", id="kind"),
+            pytest.param({"values": t3_table_with("!")}, "not base64", id="char"),
+            pytest.param({"values": t3_table_with("\n")}, "not base64", id="newline"),
+            pytest.param({"values": t3_table_with("\u00e9")}, "not base64", id="non-ascii"),
+            pytest.param({"values": t3_table_with("=")}, "not base64", id="inner-pad"),
+            pytest.param({"values": T3_TABLE[:-2]}, "not base64", id="unpadded"),
+            pytest.param({"values": T3_TABLE[:-1]}, "not base64", id="half-padded"),
+            pytest.param({"values": T3_TABLE[:-3] + "==="}, "not base64", id="three-pads"),
+            pytest.param({"values": T3_TABLE + "AAAA"}, "not base64", id="after-padding"),
+            pytest.param({"values": "-_" + T3_TABLE[2:]}, "not base64", id="urlsafe"),
+            pytest.param({"values": ""}, "need 64 bytes for n=3, got 0", id="empty"),
+            pytest.param({"values": b64_doubles([0.0] * 7)}, "need 64 bytes for n=3, got 56$", id="56"),
+            pytest.param({"values": b64_doubles([0.0] * 9)}, "got 72$", id="72"),
+            pytest.param({"values": base64.b64encode(bytes(63)).decode()}, "got 63", id="63"),
+            pytest.param({"values": b64_doubles([0, 1, math.nan, 2, 1, 2, 2, 3])}, "finite", id="nan"),
+            pytest.param({"values": b64_doubles([0, 1, 1, 2, 1, 2, 2, -math.inf])}, "finite", id="inf"),
+        ],
+    )
+    def test_schema_error(self, tmp_path, function, message):
+        obj = packed_t3(**function)
+        with pytest.raises(SchemaError, match="^instance.function: .*" + message):
+            instance_from_json(obj)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj, indent=2, sort_keys=True), encoding="utf-8")
+        with pytest.raises(SchemaError, match=message):
+            load_instance(path)
+
+    def test_missing_values(self):
+        obj = packed_t3()
+        del obj["function"]["values"]
+        with pytest.raises(SchemaError, match="^instance.function: missing field 'values'$"):
+            instance_from_json(obj)
+
+
+@st.composite
+def mutated_packed_table(draw):
+    """The T3 packed table with one character replaced, inserted or deleted, or cut short."""
+    table = T3_TABLE
+    at = draw(st.integers(0, len(table) - 1))
+    char = draw(st.sampled_from(list("AB/+=-_ \n\u00e9")) | st.characters())
+    op = draw(st.sampled_from(["replace", "insert", "delete", "truncate"]))
+    if op == "replace":
+        return table[:at] + char + table[at + 1:]
+    if op == "insert":
+        return table[:at] + char + table[at:]
+    if op == "delete":
+        return table[:at] + table[at + 1:]
+    return table[:at]
+
+
+class TestPackedFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mutated_packed_table())
+    def test_loads_what_strict_base64_gives(self, mutation_dir, table):
+        path = mutation_dir / "packed.json"
+        path.write_text(json.dumps(packed_t3(values=table)), encoding="utf-8")
+        got = outcome(load_instance, path)
+        try:
+            data = base64.b64decode(table, validate=True)
+        except ValueError:
+            data = None
+        if data is None or len(data) != 64:
+            assert got[0] is SchemaError
+            return
+        values = struct.unpack("<8d", data)
+        if all(map(math.isfinite, values)):
+            assert got[1] == repr(values)
+        else:
+            assert got[0] is SchemaError and "finite" in got[1]
 
 
 def writer_file(path, n, seed=0):
@@ -624,261 +808,3 @@ class TestBlockReaderFuzz:
     @given(mutated_writer_bytes(), st.sampled_from(BLOCK_SIZES + [64, 1 << 16]))
     def test_same_outcome_as_whole_file(self, mutation_dir, data, size):
         check_mutation(mutation_dir, data, size)
-
-
-@pytest.fixture(scope="class")
-def split_everywhere():
-    with mock.patch.object(instances, "_SPLIT_BYTES", 1):
-        yield
-
-
-@pytest.mark.usefixtures("split_everywhere")
-class TestSplitBlockReader(TestBlockReader):
-    """The block reader's cases with every table split between this process and a child."""
-
-
-class TestSplitBlockReaderFuzz:
-    """The mutation fuzz with every table split between this process and a child."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(mutated_writer_bytes(), st.sampled_from(BLOCK_SIZES + [64, 1 << 16]))
-    def test_same_outcome_as_whole_file(self, mutation_dir, data, size):
-        with mock.patch.object(instances, "_SPLIT_BYTES", 1):
-            check_mutation(mutation_dir, data, size)
-        assert_no_children()
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def table_commas(data):
-    start, end = table_span(data)
-    return [i for i in range(start, end) if data[i] == ord(",")]
-
-
-@pytest.fixture
-def splits(monkeypatch):
-    """The cut of every split load, with every table split."""
-    monkeypatch.setattr(instances, "_SPLIT_BYTES", 1)
-    cuts = []
-    split = instances._read_split
-
-    def recording(fd, start, cut, table):
-        cuts.append(cut)
-        return split(fd, start, cut, table)
-
-    monkeypatch.setattr(instances, "_read_split", recording)
-    return cuts
-
-
-class TestSplit:
-    """A table split at a chosen comma gives what the whole-file reader gives."""
-
-    def check(self, path, data, splits):
-        path.write_bytes(data)
-        got = outcome(load_instance, path)
-        assert_no_children()
-        assert got == outcome(instances._load_whole, path)
-        assert len(splits) == 1
-        return got
-
-    def split_after(self, data, k):
-        """``data`` with whitespace after the table's comma ``k``, and the comma it is cut at.
-
-        The whitespace is twice the length of ``data``, so the table's
-        midpoint falls in it and the cut is the first comma after it.
-        """
-        at = table_commas(data)[k] + 1
-        data = data[:at] + b" " * (2 * len(data)) + data[at:]
-        return data, data.index(b",", at)
-
-    def test_cut_at_last_comma(self, tmp_path, splits):
-        inst, data = writer_file(tmp_path / "w.json", 3)
-        data, cut = self.split_after(data, -2)
-        assert self.check(tmp_path / "w.json", data, splits)[0] == inst
-        # The child's half is the last value alone.
-        assert splits == [cut] and b"," not in data[cut + 1 : data.index(b"]", cut)]
-
-    def test_cut_right_before_bracket(self, tmp_path, splits):
-        _, data = writer_file(tmp_path / "w.json", 3)
-        data = data.replace(b"\n    ]", b",\n    ]")
-        data, cut = self.split_after(data, -2)
-        assert data[cut + 1:].lstrip().startswith(b"]")
-        assert self.check(tmp_path / "w.json", data, splits)[0] is SchemaError
-        assert splits == [cut]
-
-    def test_bracket_string_in_parent_half(self, tmp_path, splits):
-        _, data = writer_file(tmp_path / "w.json", 3)
-        data, _ = self.split_after(data, 3)
-        data = data.replace(b"[\n      0.0,", b'[\n      "a,]b",')
-        got = self.check(tmp_path / "w.json", data, splits)
-        assert got[0] is SchemaError and "values[0] is not a number" in got[1]
-
-    @pytest.mark.parametrize(
-        "value",
-        [b"3", b"true", b'"x"', b"7" * 5000, b"NaN", b"1e400", b"-0.0", b"5e-324"],
-        ids=["int", "true", "string", "5000-digits", "nan", "1e400", "-0.0", "5e-324"],
-    )
-    def test_value_in_child_half(self, tmp_path, splits, value):
-        _, data = writer_file(tmp_path / "w.json", 3)
-        commas = table_commas(data)
-        data = data[: commas[5] + 1] + b" " + value + data[commas[6]:]
-        data, cut = self.split_after(data, 2)
-        got = self.check(tmp_path / "w.json", data, splits)
-        assert splits == [cut] and cut < data.index(value, cut)
-        if value in (b"-0.0", b"5e-324"):
-            assert repr(got[0].function.values[6]) == value.decode()
-
-    def test_truncated_in_child_half(self, tmp_path, splits):
-        _, data = writer_file(tmp_path / "w.json", 3)
-        data, cut = self.split_after(data, 2)
-        assert self.check(tmp_path / "w.json", data[: cut + 12], splits)[0] is SchemaError
-
-    def test_duplicate_key_after_table(self, tmp_path, splits):
-        inst, data = writer_file(tmp_path / "w.json", 3)
-        data, cut = self.split_after(data, 2)
-        end = data.index(b"]", cut)
-        twice = json.dumps([2.0 * v for v in inst.function.values]).encode()
-        data = data[: end + 1] + b', "values": ' + twice + data[end + 1:]
-        got = self.check(tmp_path / "w.json", data, splits)
-        assert got[1] == repr(tuple(2.0 * v for v in inst.function.values))
-
-    def test_bit_identical_doubles(self, tmp_path, splits):
-        values = [-0.0, 5e-324, 1.7976931348623157e308, 1.0, 2.0, 1e16, -3.0, 0.1] * 4
-        path = tmp_path / "x.json"
-        save_instance(Instance("x", 5, SetFunction(5, values), UniformSpec(1), 1), path)
-        assert repr(load_instance(path).function.values) == repr(tuple(values))
-        assert_no_children()
-        assert len(splits) == 1
-
-    def test_parent_raising_reaps_child(self, tmp_path, splits, monkeypatch):
-        # At n=15 the child's half is 128 KiB of doubles, more than a pipe
-        # holds, so the child is still writing when this process stops reading.
-        inst, _ = writer_file(tmp_path / "w.json", 15)
-        parent, piece = os.getpid(), instances._piece
-
-        def failing(data):
-            if os.getpid() == parent:
-                raise RuntimeError("parent half")
-            return piece(data)
-
-        monkeypatch.setattr(instances, "_piece", failing)
-        with pytest.raises(RuntimeError, match="parent half"):
-            load_instance(tmp_path / "w.json")
-        assert_no_children()
-        monkeypatch.setattr(instances, "_piece", piece)
-        assert load_instance(tmp_path / "w.json") == inst
-        assert_no_children()
-        assert len(splits) == 2
-
-    def test_child_flushes_nothing(self, tmp_path):
-        # stdout into a pipe is block-buffered, so "held split" is still in
-        # the buffer at the fork; a child that flushed it would print it twice.
-        writer_file(tmp_path / "w.json", 4)
-        script = (
-            "import sys\n"
-            "from matroid_greedy import instances\n"
-            "instances._SPLIT_BYTES = 1\n"
-            "split = instances._read_split\n"
-            "def counting(*args):\n"
-            "    print('split', end=' ')\n"
-            "    return split(*args)\n"
-            "instances._read_split = counting\n"
-            "print('held', end=' ')\n"
-            "print(len(instances.load_instance(sys.argv[1]).function.values))\n"
-        )
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(Path(instances.__file__).resolve().parent.parent)
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "w.json")],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=env,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "held split 16\n"
-
-    def test_child_dying_mid_send(self, tmp_path, splits, monkeypatch):
-        # A child that stops after part of its values, as if killed, exits
-        # non-zero; its part is dropped and that half parsed here.
-        inst, data = writer_file(tmp_path / "w.json", 4)
-
-        def dying(fd, pos, w):
-            end = data.index(b"]", pos)
-            os.write(w, b"\1" + end.to_bytes(8, "little") + array("d", [1.0]).tobytes())
-            os._exit(1)
-
-        monkeypatch.setattr(instances, "_send_half", dying)
-        assert load_instance(tmp_path / "w.json") == inst
-        assert_no_children()
-        assert len(splits) == 1
-
-    def test_load_peak_memory(self, tmp_path, splits):
-        # The serial path's bound, with the table's second half parsed in
-        # the child and sent back in blocks.
-        TestWriter.test_load_peak_memory(self, tmp_path)
-        assert_no_children()
-        assert len(splits) == 1
-
-
-class TestSerialFallback:
-    """Where a child cannot run on a core of its own, the table is parsed here in one pass."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        monkeypatch.setattr(instances, "_SPLIT_BYTES", 1)
-        monkeypatch.setattr(instances, "_read_split", mock.Mock(side_effect=instances._read_split))
-        calls = []
-        if hasattr(os, "fork"):
-            fork = os.fork
-
-            def counting():
-                calls.append(os.getpid())
-                return fork()
-
-            monkeypatch.setattr(os, "fork", counting)
-        return calls
-
-    def check(self, tmp_path, split=False):
-        inst, _ = writer_file(tmp_path / "w.json", 4)
-        assert load_instance(tmp_path / "w.json") == inst
-        assert instances._read_split.called is split
-        assert_no_children()
-
-    def test_split_when_nothing_stops_it(self, tmp_path, forks):
-        self.check(tmp_path, split=True)
-        assert len(forks) == 1
-
-    def test_another_thread(self, tmp_path, forks):
-        stop = threading.Event()
-        other = threading.Thread(target=stop.wait, args=(30,))
-        other.start()
-        try:
-            self.check(tmp_path)
-        finally:
-            stop.set()
-            other.join(timeout=30)
-        assert not other.is_alive()
-        assert forks == []
-
-    def test_no_fork(self, tmp_path, forks, monkeypatch):
-        monkeypatch.delattr(os, "fork")
-        self.check(tmp_path)
-
-    def test_fork_fails(self, tmp_path, forks, monkeypatch):
-        def failing():
-            forks.append(os.getpid())
-            raise OSError("no more processes")
-
-        monkeypatch.setattr(os, "fork", failing)
-        self.check(tmp_path, split=True)
-        assert len(forks) == 1
-
-    def test_one_cpu(self, tmp_path, forks, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        self.check(tmp_path)
-        assert forks == []

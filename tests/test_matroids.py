@@ -142,8 +142,9 @@ class TestGraphicRelabeling:
         assert [sparse.rank(m) for m in range(1 << n)] == [compact.rank(m) for m in range(1 << n)]
 
     def test_endpoints_still_checked_against_vertices(self):
-        with pytest.raises(InvalidSpecError, match="missing vertex"):
-            build_matroid(GraphicSpec(100_000, [(0, 100_000)]), 1)
+        for edge in [(0, 100_000), (100_000, 0)]:
+            with pytest.raises(InvalidSpecError, match="missing vertex"):
+                build_matroid(GraphicSpec(100_000, [edge]), 1)
 
 
 class TestIndependence:

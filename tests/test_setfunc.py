@@ -116,8 +116,10 @@ class TestSetFunctionBasics:
             SetFunction(2, [0, 1, 2])
         with pytest.raises(ValueError):
             SetFunction(0, [0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^ground set size must be in 1\.\.20, got 21$"):
             SetFunction(21, [0.0] * (1 << 21))
+        # The cap itself: a table of 2^20 values builds.
+        assert len(SetFunction(20, [0.0] * (1 << 20)).values) == 1 << 20
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
     def test_rejects_non_finite_values(self, bad):
@@ -187,8 +189,10 @@ class TestMarginals:
         assert t3_function.marginal(mask_of([0, 2]), 0) == 0.0
 
     def test_marginal_element_range(self, t3_function):
-        with pytest.raises(ValueError):
-            t3_function.marginal(0, 3)
+        # The element check names the element; the mask check would name mask 8.
+        for j in (3, -1):
+            with pytest.raises(ValueError, match=rf"^element {j} out of range for n=3$"):
+                t3_function.marginal(0, j)
 
     def test_set_marginal_examples(self, t3_function):
         assert t3_function.set_marginal(0, mask_of([1, 2])) == 3.0
