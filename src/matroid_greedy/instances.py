@@ -10,11 +10,8 @@ value per line, each float in its shortest round-trip repr, so load(save(x))
 is exact; from there it is packed, the little-endian doubles in base64, which
 holds every bit of each value. Either table is streamed in blocks rather than
 through json's pure-Python indenting encoder, so writing never holds the
-whole table as text. Reading a text table streams too: a file in the
-writer's text layout has its table read and parsed in blocks of
-``_READ_BYTES`` bytes, so loading never holds the whole file as bytes or
-text, and any other layout, a packed file among them, is read whole. Files
-of either form load whatever their size. A file that cannot be read or
+whole table as text. A file is read whole, in any JSON layout, so files of
+either form load whatever their size. A file that cannot be read or
 written, or is not UTF-8 text, is a SchemaError.
 """
 
@@ -23,9 +20,7 @@ from __future__ import annotations
 import binascii
 import itertools
 import json
-import os
 import random
-import re
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -283,7 +278,14 @@ def _spec_from_json(obj, where: str, depth: int) -> MatroidSpec:
 
 
 def instance_to_json(inst: Instance) -> dict:
-    return _instance_obj(inst, {"kind": "explicit", "values": list(inst.function.values)})
+    """The JSON object of ``inst`` that its file holds, its table packed from n = ``_PACKED_N``."""
+    values = inst.function.values
+    if inst.n >= _PACKED_N:
+        table = "".join(_packed_text(values))
+        function = {"encoding": _PACKED_ENCODING, "kind": "explicit", "values": table}
+    else:
+        function = {"kind": "explicit", "values": list(values)}
+    return _instance_obj(inst, function)
 
 
 def _instance_obj(inst: Instance, function: dict) -> dict:
@@ -391,9 +393,9 @@ _PACKED_N = 18
 def _instance_text(inst: Instance) -> Iterator[str]:
     """The file text of ``inst`` in pieces, to be written in turn.
 
-    Together they are ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``
-    byte for byte, where ``obj`` is ``instance_to_json(inst)`` below
-    n = ``_PACKED_N`` and, from there, the same with its function packed:
+    Together they are ``json.dumps(instance_to_json(inst), indent=2,
+    sort_keys=True) + "\\n"`` byte for byte at every n: the table is text
+    below n = ``_PACKED_N`` and, from there, its function is packed as
     ``{"encoding": "f64le-base64", "kind": "explicit", "values": <str>}``.
     json skips its C encoder whenever ``indent`` is set, so the table does
     not go through it: the rest is rendered around an empty table, and the
@@ -456,147 +458,14 @@ def save_instance(inst: Instance, path) -> None:
         raise SchemaError(f"{path}: cannot write instance file ({exc})") from exc
 
 
-#: Bytes per read of an instance file's value table: small beside a 27 MB
-#: n=20 file, and large enough that its 400-odd pieces cost nothing next to
-#: parsing them (loading that file took the same time, within noise, at every
-#: size from 16 KiB to 4 MiB).
-_READ_BYTES = 1 << 16
-
-#: The head of the writer's text layout, up to the value table's opening
-#: bracket, with JSON whitespace (each space in the pattern) before and
-#: between its tokens. It is matched on one read of ``_HEAD_BYTES``, whatever
-#: the block size, with room for any indent json's encoder writes.
-_WRITER_HEAD = re.compile(
-    rb' \{ "N" : -?[0-9]+ , "function" : \{ "kind" : "explicit" , "values" : \['.replace(
-        b" ", rb"[ \t\n\r]*"
-    )
-)
-_HEAD_BYTES = 1 << 10
-
-
 def load_instance(path) -> Instance:
-    """Read the instance file at ``path``, reading the writer's text layout in blocks.
+    """Read and parse the instance file at ``path`` whole, in any JSON layout.
 
-    A regular file whose head is in the writer's text layout (``{"N":
-    <int>, "function": {"kind": "explicit", "values": [``, JSON whitespace
-    allowed, matched on the first ``_HEAD_BYTES`` bytes) has its value table
-    read in blocks of ``_READ_BYTES`` and parsed piece by piece: each piece
-    is the buffer up to its last comma, decoded as strict UTF-8 (a comma or
-    bracket byte is never inside a multi-byte character) and parsed as
-    ``json.loads("[" + piece + "]")``. The first ``]`` ends the table, and the
-    text after it, with the head around an empty table, is parsed with every
-    object's keys required to be distinct; the table is then put in place.
-    So neither the file's bytes nor its text is ever held whole.
-
-    This gives what ``json.loads`` of the whole text gives, because:
-
-    * a piece parses only if every comma it was cut at sits at the table's
-      top level: a cut inside a string leaves the string unterminated, and a
-      cut inside a nested array or object leaves a bracket open;
-    * the first ``]`` closes the table only if the last piece parses;
-    * a piece that parses to an empty list is refused, since it means a
-      comma with no value before or after it, or an empty table, which no
-      instance has (the whole-file reader then gives the error);
-    * a duplicate key, where json would keep the last value, is refused.
-
-    Any other layout, including every packed file (its function object opens
-    with "encoding"), a file that is not a regular file (a pipe cannot be
-    read twice), and every file where ``os.pread`` is missing go to the
-    whole-file reader, as does any failure on the way: ``OSError``,
-    ``UnicodeDecodeError``, ``ValueError`` (which includes
-    ``json.JSONDecodeError``), ``RecursionError`` or a refused piece. That
-    reader parses the whole text with ``json.loads``, so it accepts any JSON
-    layout, and every error, its type and its message are its own. A packed
-    table is 8·2^n bytes in base64, 11 MB of text at n=20, and is decoded to
-    floats at C speed with nothing left to parse.
+    The text is parsed with ``json.loads`` and freed before the table is
+    built. A text table is 27 MB at n=20; a packed one, as the writer makes
+    from n = ``_PACKED_N``, is 8·2^n bytes in base64 (11 MB at n=20) and is
+    decoded to floats at C speed with nothing left to parse.
     """
-    try:
-        obj = _read_blocks(path)
-    except (OSError, ValueError, RecursionError):
-        obj = None
-    if obj is None:
-        return _load_whole(path)
-    return _instance_from(obj)
-
-
-def _read_blocks(path):
-    """The JSON object of a writer-layout file read in blocks, or None if refused."""
-    if not (hasattr(os, "pread") and os.path.isfile(path)):
-        return None
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        match = _WRITER_HEAD.match(os.pread(fd, _HEAD_BYTES, 0))
-        if match is None:
-            return None
-        table = []
-        end = _parse(fd, match.end(), table)
-        if end is None:
-            return None
-        tail = _read_from(fd, end + 1).decode("utf-8")
-    finally:
-        os.close(fd)
-    head = match.group().decode("ascii")
-    obj = json.loads(head + "]" + tail, object_pairs_hook=_distinct_keys)
-    obj["function"]["values"] = table
-    return obj
-
-
-def _read_from(fd: int, pos: int) -> bytes:
-    parts = []
-    while block := os.pread(fd, _READ_BYTES, pos):
-        parts.append(block)
-        pos += len(block)
-    return b"".join(parts)
-
-
-def _parse(fd: int, pos: int, table: list) -> int | None:
-    """Parse table values from offset ``pos`` onto ``table``, in pieces.
-
-    It returns the offset of the first ']', or None if a piece is refused or
-    the file ends first. Each piece is the bytes up to the last comma of a
-    ``_READ_BYTES`` block, or up to the ']'.
-    """
-    buf = b""
-    # Before ``new``, buf holds neither a comma nor a "]", so only the bytes
-    # of each block are searched.
-    while True:
-        new = len(buf)
-        block = os.pread(fd, _READ_BYTES, pos)
-        pos += len(block)
-        buf += block
-        end = buf.find(b"]", new)
-        if end >= 0:
-            upto = end
-        elif not block:
-            return None
-        else:
-            upto = buf.rfind(b",", new)
-            if upto < 0:
-                continue
-        piece = _piece(buf[:upto])
-        # Empty: a comma with no value before or after it, or an empty
-        # table, which no instance has.
-        if not piece:
-            return None
-        table += piece
-        if end >= 0:
-            return pos - len(buf) + upto
-        buf = buf[upto + 1:]
-
-
-def _piece(data: bytes) -> list:
-    return json.loads("[" + data.decode("utf-8") + "]")
-
-
-def _distinct_keys(pairs):
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        raise ValueError("duplicate key")
-    return obj
-
-
-def _load_whole(path) -> Instance:
-    """Read and parse the whole file at once: any JSON layout, and every load error."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

@@ -633,11 +633,13 @@ class TestVerification:
             assert verify_reverse(inst.function, matroid, inst.cardinality).satisfied
 
     def test_precomputed_optimum_gives_same_records(self):
+        # Cardinality 0 too, whose one base is the empty set, mask 0.
         for inst in random_suite(20, 4, 8, seed=7):
-            f, matroid, k = inst.function, inst.matroid(), inst.cardinality
-            optimum = brute_force_optimum(f, matroid, k, "min")
-            assert verify_forward(f, matroid, k, optimum=optimum) == verify_forward(f, matroid, k)
-            assert verify_reverse(f, matroid, k, optimum=optimum) == verify_reverse(f, matroid, k)
+            f, matroid = inst.function, inst.matroid()
+            for k in (0, inst.cardinality):
+                optimum = brute_force_optimum(f, matroid, k, "min")
+                assert verify_forward(f, matroid, k, optimum=optimum) == verify_forward(f, matroid, k)
+                assert verify_reverse(f, matroid, k, optimum=optimum) == verify_reverse(f, matroid, k)
 
     @pytest.mark.parametrize("check", [verify_forward, verify_reverse])
     @pytest.mark.parametrize("value", [math.nan, INF, -INF])

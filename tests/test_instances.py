@@ -7,7 +7,6 @@ import random
 import struct
 import threading
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -431,23 +430,6 @@ class TestWriter:
             tracemalloc.stop()
         assert peak < 2_500_000
 
-    def test_load_peak_memory(self, tmp_path):
-        # The n=16 file is 1.7 MB, and the table it loads into about 2 MB of
-        # floats and list. Read in blocks, the whole text is never held beside
-        # them: 2.7 MB at peak, against 3.8 MB for the whole-file reader.
-        rng = random.Random(16)
-        values = [1.5 * m.bit_count() + rng.uniform(0.0, 0.25) if m else 0.0 for m in range(1 << 16)]
-        path = tmp_path / "r16.json"
-        save_instance(Instance("r16", 16, SetFunction(16, values), UniformSpec(8), 8), path)
-        assert path.stat().st_size > 1_500_000
-        tracemalloc.start()
-        try:
-            load_instance(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3_300_000
-
 
 def b64_doubles(values):
     return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
@@ -484,7 +466,9 @@ class TestPacked:
         packed, text = tmp_path / "packed.json", tmp_path / "text.json"
         save_instance(inst, packed)
         assert packed.read_bytes() == packed_text(inst).encode("utf-8")
-        text.write_text(reference_text(inst), encoding="utf-8")
+        obj = instance_to_json(inst)
+        obj["function"] = {"kind": "explicit", "values": list(inst.function.values)}
+        text.write_text(json.dumps(obj), encoding="utf-8")
         loaded = load_instance(packed)
         assert loaded == inst
         assert repr(loaded.function.values) == repr(load_instance(text).function.values)
@@ -531,6 +515,7 @@ def test_written_packed_from_n18(tmp_path):
     path = tmp_path / "p18.json"
     save_instance(inst, path)
     assert path.read_bytes() == packed_text(inst).encode("utf-8")
+    assert path.read_bytes() == reference_text(inst).encode("utf-8")
     assert load_instance(path) == inst
     below = Instance("m17", 17, gen_modular(17, range(1, 18)), UniformSpec(1), 1)
     assert next(instances._instance_text(below)).endswith('"values": [\n      ')
@@ -633,11 +618,10 @@ class TestPackedFuzz:
             assert got[0] is SchemaError and "finite" in got[1]
 
 
-def writer_file(path, n, seed=0):
-    """A valid instance saved in the writer's layout, with its file bytes."""
-    inst = Instance(f"w{n}", n, gen_bounded_marginal(n, 1.0, 2.5, seed), UniformSpec(1), 1)
-    save_instance(inst, path)
-    return inst, path.read_bytes()
+def writer_file(path, n):
+    """The bytes of a valid instance saved to ``path`` in the writer's layout."""
+    save_instance(Instance(f"w{n}", n, gen_bounded_marginal(n, 1.0, 2.5, 0), UniformSpec(1), 1), path)
+    return path.read_bytes()
 
 
 def table_span(data):
@@ -653,91 +637,6 @@ def outcome(load, path):
     except MatroidGreedyError as exc:
         return type(exc), str(exc)
     return inst, repr(inst.function.values)
-
-
-def block_obj(path):
-    """What the block reader makes of ``path``: an object, or None for the fallback."""
-    try:
-        return instances._read_blocks(path)
-    except (OSError, ValueError, RecursionError):
-        return None
-
-
-BLOCK_SIZES = [1, 2, 3, 7]
-
-
-class TestBlockReader:
-    """load_instance reads the writer's layout in blocks and gives what the whole-file reader gives."""
-
-    @pytest.mark.parametrize("size", BLOCK_SIZES)
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_matches_whole_file(self, tmp_path, monkeypatch, n, size):
-        monkeypatch.setattr(instances, "_READ_BYTES", size)
-        path = tmp_path / "w.json"
-        inst, _ = writer_file(path, n, seed=n)
-        assert block_obj(path) is not None
-        assert outcome(load_instance, path) == outcome(instances._load_whole, path)
-        assert load_instance(path) == inst
-
-    @pytest.mark.parametrize("size", BLOCK_SIZES)
-    def test_signed_zero_and_extremes(self, tmp_path, monkeypatch, size):
-        monkeypatch.setattr(instances, "_READ_BYTES", size)
-        values = [-0.0, 5e-324, 1.7976931348623157e308, 1.0, 2.0, 1e16, -3.0, 0.1]
-        path = tmp_path / "x.json"
-        save_instance(Instance("x", 3, SetFunction(3, values), UniformSpec(1), 1), path)
-        assert block_obj(path) is not None
-        assert repr(load_instance(path).function.values) == repr(tuple(values))
-
-    @pytest.mark.parametrize("size", BLOCK_SIZES)
-    @pytest.mark.parametrize(
-        "old,new",
-        [
-            pytest.param(b"[\n      0.0,", b"[,\n      0.0,", id="leading"),
-            pytest.param(b"0.0,\n", b"0.0,,\n", id="doubled"),
-            pytest.param(b"\n    ]", b",\n    ]", id="trailing"),
-        ],
-    )
-    def test_stray_comma_is_not_swallowed(self, tmp_path, monkeypatch, size, old, new):
-        # On a block edge the stray comma cuts off an empty piece; the block
-        # path must refuse it, not load the table without it.
-        monkeypatch.setattr(instances, "_READ_BYTES", size)
-        path = tmp_path / "comma.json"
-        _, data = writer_file(path, 1)
-        assert data.count(old) == 1
-        path.write_bytes(data.replace(old, new))
-        assert block_obj(path) is None
-        with pytest.raises(SchemaError, match="not valid JSON") as info:
-            load_instance(path)
-        assert outcome(instances._load_whole, path) == (SchemaError, str(info.value))
-
-    @pytest.mark.parametrize("size", BLOCK_SIZES)
-    def test_character_split_across_blocks(self, tmp_path, monkeypatch, size):
-        monkeypatch.setattr(instances, "_READ_BYTES", size)
-        path = tmp_path / "split.json"
-        _, data = writer_file(path, 2)
-        path.write_bytes(data.replace(b"[\n      0.0,", '[\n      "é",'.encode("utf-8")))
-        assert block_obj(path)["function"]["values"][0] == "é"
-        with pytest.raises(SchemaError, match=r"values\[0\] is not a number"):
-            load_instance(path)
-
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_pipe_is_read_whole(self, tmp_path):
-        # A pipe cannot be read twice, so it never takes the block path.
-        _, data = writer_file(tmp_path / "w.json", 3)
-        fifo = tmp_path / "pipe.json"
-        os.mkfifo(fifo)
-        loaded = []
-
-        def read():
-            loaded.append(load_instance(fifo))
-
-        reader = threading.Thread(target=read, daemon=True)
-        reader.start()
-        with open(fifo, "wb") as fh:
-            fh.write(data)
-        reader.join(timeout=30)
-        assert not reader.is_alive()
-        assert loaded == [load_instance(tmp_path / "w.json")]
 
 
 #: Bytes a mutation inserts: brackets, a string holding a comma and a bracket,
@@ -791,20 +690,53 @@ def mutation_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("mutated")
 
 
-def check_mutation(mutation_dir, data, size):
-    path = mutation_dir / "mutated.json"
-    path.write_bytes(data)
-    with mock.patch.object(instances, "_READ_BYTES", size):
-        obj = block_obj(path)
-        got = outcome(load_instance, path)
-    assert got == outcome(instances._load_whole, path)
-    if obj is not None:
-        # Whatever the block path accepts, json accepts whole, and alike.
-        assert repr(obj) == repr(json.loads(data.decode("utf-8")))
+class TestLoader:
+    """load_instance reads a file whole and gives what json.loads and instance_from_json give."""
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_whole(self, tmp_path):
+        data = writer_file(tmp_path / "w.json", 3)
+        fifo = tmp_path / "pipe.json"
+        os.mkfifo(fifo)
+        loaded = []
 
-class TestBlockReaderFuzz:
+        def read():
+            loaded.append(load_instance(fifo))
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert loaded == [load_instance(tmp_path / "w.json")]
+
+    def test_text_freed_before_the_table(self, tmp_path):
+        # The n=16 file is 1.7 MB, and the table it loads into about 2 MB of
+        # floats and list: 3.8 MB at peak, and 4.3 MB if the text were kept
+        # until the table was built.
+        rng = random.Random(16)
+        values = [1.5 * m.bit_count() + rng.uniform(0.0, 0.25) if m else 0.0 for m in range(1 << 16)]
+        path = tmp_path / "r16.json"
+        save_instance(Instance("r16", 16, SetFunction(16, values), UniformSpec(8), 8), path)
+        assert path.stat().st_size > 1_500_000
+        tracemalloc.start()
+        try:
+            load_instance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_050_000
+
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(mutated_writer_bytes(), st.sampled_from(BLOCK_SIZES + [64, 1 << 16]))
-    def test_same_outcome_as_whole_file(self, mutation_dir, data, size):
-        check_mutation(mutation_dir, data, size)
+    @given(mutated_writer_bytes())
+    def test_mutated_file_loads_what_json_gives(self, mutation_dir, data):
+        path = mutation_dir / "mutated.json"
+        path.write_bytes(data)
+        try:
+            expected = instance_from_json(json.loads(data.decode("utf-8")))
+        except (ValueError, RecursionError, MatroidGreedyError):
+            with pytest.raises(MatroidGreedyError):
+                load_instance(path)
+            return
+        assert outcome(load_instance, path) == (expected, repr(expected.function.values))
