@@ -22,6 +22,8 @@ import itertools
 import json
 import random
 import struct
+import sys
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -322,7 +324,8 @@ def _instance_from(obj) -> Instance:
         values = _unpack(fn, n)
     else:
         values = _expect(fn, "values", list, "instance.function")
-    # SetFunction checks the length, then each value's type, then finiteness.
+    # SetFunction checks the length, then each value's type (a packed table's
+    # array('d') holds only floats), then finiteness.
     try:
         function = SetFunction(n, values)
     except ValueError as exc:
@@ -352,11 +355,12 @@ _PACKED_ENCODING = "f64le-base64"
 _BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 
 
-def _unpack(fn: dict, n: int) -> tuple:
-    """The values of a packed function object as floats, its text taken out of ``fn``.
+def _unpack(fn: dict, n: int) -> array:
+    """The values of a packed function object as an ``array('d')``, its text taken out of ``fn``.
 
     Where ``fn`` was the text's only holder, the text (11 MB at n=20) is freed
-    before the floats are built.
+    before the doubles are decoded. The array holds C doubles only, so
+    SetFunction builds its float tuple from it without a type pass.
     """
     encoding = _expect(fn, "encoding", str, "instance.function")
     if encoding != _PACKED_ENCODING:
@@ -377,8 +381,11 @@ def _unpack(fn: dict, n: int) -> tuple:
     del raw
     if len(data) != 8 << n:
         raise SchemaError(f"instance.function: need {8 << n} bytes for n={n}, got {len(data)}")
-    # "<" reads little-endian doubles on a host of either byte order.
-    return struct.unpack(f"<{1 << n}d", data)
+    table = array("d", data)
+    # The file holds little-endian doubles; the array reads the host's order.
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table
 
 
 #: Values per block of the written table: enough that each join is one long
@@ -464,7 +471,7 @@ def load_instance(path) -> Instance:
     The text is parsed with ``json.loads`` and freed before the table is
     built. A text table is 27 MB at n=20; a packed one, as the writer makes
     from n = ``_PACKED_N``, is 8·2^n bytes in base64 (11 MB at n=20) and is
-    decoded to floats at C speed with nothing left to parse.
+    decoded into an ``array('d')`` at C speed with nothing left to parse.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")

@@ -15,6 +15,7 @@ import logging
 import math
 import sys
 import threading
+from array import array
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator
@@ -45,6 +46,9 @@ class SetFunction:
     calls and may be bumped concurrently from threads sharing one instance.
     Values must be finite real numbers. A bool or a non-number raises
     ValueError naming its index; NaN and infinities raise ValueError too.
+    An ``array('d')``, as the loader decodes a packed table into, holds only
+    floats, so it skips the type pass; its length and finiteness are still
+    checked. ``values`` is always a tuple of floats.
     """
 
     __slots__ = ("n", "values", "_eval_count", "_lock", "_monotone", "_extremes", "_ratios")
@@ -55,7 +59,12 @@ class SetFunction:
         vals = tuple(values)
         if len(vals) != 1 << n:
             raise ValueError(f"need {1 << n} values for n={n}, got {len(vals)}")
-        kinds = set(map(type, vals))
+        # An array of typecode "d" holds only C doubles, so it yields only
+        # floats; every other input takes the type pass.
+        if type(values) is array and values.typecode == "d":
+            kinds = {float}
+        else:
+            kinds = set(map(type, vals))
         # Plain ints and floats pass at once; only another type (a bool, a
         # string, a subclass) needs the pass that names the offending index.
         if not kinds <= {int, float}:

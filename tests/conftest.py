@@ -19,6 +19,13 @@ from matroid_greedy.instances import random_matroid_spec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
+#: Signed zeros, both ends of the subnormals and of the normals, and both
+#: signs of the largest double.
+EXTREMES = [
+    -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 0.0,
+]
+
 
 @pytest.fixture
 def t3():

@@ -5,6 +5,7 @@ import math
 import os
 import random
 import struct
+import sys
 import threading
 import tracemalloc
 
@@ -46,7 +47,7 @@ from matroid_greedy.instances import (
     spec_from_json,
 )
 
-from conftest import GOLDEN_DIR
+from conftest import EXTREMES, GOLDEN_DIR
 
 # Frozen at first build from the seed-42 generator run, cross-checked against
 # the frozenset oracle in oracles.py.
@@ -443,14 +444,6 @@ def packed_text(inst):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-#: Signed zeros, both ends of the subnormals and of the normals, and both
-#: signs of the largest double.
-EXTREMES = [
-    -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
-    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 0.0,
-]
-
-
 @pytest.fixture
 def packed_from_1(monkeypatch):
     """Every table written packed, in blocks of 3 * 4 doubles."""
@@ -497,8 +490,8 @@ class TestPacked:
 
     def test_text_freed_before_the_floats(self, tmp_path):
         # The n=16 packed file is 0.7 MB, and its table 2 MB of floats and
-        # tuple: 2.6 MB at peak, and 3.3 MB if the base64 text were kept
-        # until the floats were built.
+        # tuple: 2.65 MB at peak, the decoded array('d') included, and 3.35 MB
+        # if the base64 text were kept until the floats were built.
         path = tmp_path / "p16.json"
         save_instance(Instance("p16", 16, gen_modular(16, range(1, 17)), UniformSpec(8), 8), path)
         tracemalloc.start()
@@ -519,6 +512,27 @@ def test_written_packed_from_n18(tmp_path):
     assert load_instance(path) == inst
     below = Instance("m17", 17, gen_modular(17, range(1, 18)), UniformSpec(1), 1)
     assert next(instances._instance_text(below)).endswith('"values": [\n      ')
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="the swap is real on this host")
+def test_big_endian_host_swaps_the_bytes(tmp_path, monkeypatch):
+    # On a big-endian host the array reads each double's bytes reversed, and
+    # the swap restores them. On a little-endian host told it is big-endian,
+    # the swap is what reverses them, so the load gives the big-endian reading
+    # of the file's bytes.
+    values = [0.0, 1.0, 2.0, 3.0, 0.5, -0.0, 5e-324, 0.1]
+    data = struct.pack("<8d", *values)
+    swapped = struct.unpack(">8d", data)
+    assert all(map(math.isfinite, swapped)) and swapped != tuple(values)
+    path = tmp_path / "big.json"
+    inst = Instance("big", 3, SetFunction(3, values), UniformSpec(1), 1)
+    path.write_text(packed_text(inst), encoding="utf-8")
+    monkeypatch.setattr(sys, "byteorder", "big")
+    loaded = load_instance(path).function.values
+    assert list(map(float.hex, loaded)) == list(map(float.hex, swapped))
+    fn = {"encoding": "f64le-base64", "values": b64_doubles(EXTREMES)}
+    table = instances._unpack(fn, 3)
+    assert table.tobytes() == struct.pack(">8d", *EXTREMES)
 
 
 def packed_t3(**function):

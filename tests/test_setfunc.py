@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import weakref
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from matroid_greedy.instances import gen_bounded_marginal, gen_modular, random_s
 from matroid_greedy.setfunc import _subset_fold, cumulative_ratio_detail
 from matroid_greedy.subsets import elements, submasks
 
-from conftest import constant_function
+from conftest import EXTREMES, constant_function
 from oracles import (
     is_submodular,
     is_supermodular,
@@ -180,6 +181,51 @@ class TestSetFunctionBasics:
         with ThreadPoolExecutor(max_workers=8) as pool:
             assert all(pool.map(hammer, range(100)))
         assert t3_function.eval_count == 8 * 100
+
+
+class TestDoubleArrayInput:
+    """An array('d') skips the type pass and is checked otherwise as any table."""
+
+    def test_same_function_as_from_a_list(self):
+        values = [float(bin(m).count("1")) for m in range(16)]
+        f = SetFunction(4, array("d", values))
+        assert f == SetFunction(4, values)
+        assert hash(f) == hash(SetFunction(4, values))
+
+    def test_values_are_the_same_floats_bit_for_bit(self):
+        f = SetFunction(3, array("d", EXTREMES))
+        assert type(f.values) is tuple
+        assert set(map(type, f.values)) == {float}
+        assert list(map(float.hex, f.values)) == list(map(float.hex, EXTREMES))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        message = r"^set-function values must be finite \(no NaN or infinity\)$"
+        with pytest.raises(ValueError, match=message):
+            SetFunction(2, array("d", [0.0, bad, 1.0, 2.0]))
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_wrong_length(self, size):
+        with pytest.raises(ValueError, match=f"^need 4 values for n=2, got {size}$"):
+            SetFunction(2, array("d", [0.0] * size))
+
+    @pytest.mark.parametrize("typecode", ["q", "f"])
+    def test_other_typecodes_take_the_type_pass(self, monkeypatch, typecode):
+        # The type pass is the one call of set() in building a SetFunction.
+        passes = []
+
+        def counted(kinds):
+            passes.append(1)
+            return set(kinds)
+
+        monkeypatch.setattr(setfunc, "set", counted, raising=False)
+        f = SetFunction(2, array(typecode, [0, 1, 2, 3]))
+        assert passes == [1]
+        assert f.values == (0.0, 1.0, 2.0, 3.0)
+        assert set(map(type, f.values)) == {float}
+        passes.clear()
+        SetFunction(2, array("d", [0, 1, 2, 3]))
+        assert passes == []
 
 
 class TestMarginals:
