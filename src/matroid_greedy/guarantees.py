@@ -268,38 +268,37 @@ def forward_greedy_ratios(f: SetFunction, matroid: Matroid, cardinality: int) ->
     return g, a
 
 
-def _kept_sets(n: int, base: int, pool: int, rest: int, size: int) -> list[int]:
-    """The distinct base - (P & pool) over the ``size``-element subsets P of
-    pool | rest, each listed once, in the order of the first P that leaves it.
-
-    ``pool`` lies in ``base`` and ``rest`` outside it. P acts only through
-    D = P & pool, and the first P in ``itertools.combinations`` order with a
-    given D is D plus the size - |D| smallest elements of ``rest``. Among
-    sets of one size, sorted element tuples ascend as bit-reversed masks
-    descend, since the smallest element where two sets differ decides both.
-    So each kept set is keyed by its first P, bit-reversed into bits
-    n..2n-1, above base - D in the low n bits, and one descending sort lists
-    the kept sets in order.
-    """
-    top = 2 * n - 1
-    outside = [1 << (top - e) for e in range(n) if rest >> e & 1]
-    # heads[j]: the key bits of the j smallest elements of rest.
-    heads = list(itertools.accumulate(outside, initial=0))
-    # An element of D adds its key bit and leaves base.
-    drops = [(1 << (top - e)) - (1 << e) for e in range(n) if pool >> e & 1]
-    keys: list[int] = []
-    for d in range(max(0, size - len(outside)), min(size, len(drops)) + 1):
-        start = base + heads[size - d]
-        keys += map(sum, itertools.combinations(drops, d), itertools.repeat(start))
-    keys.sort(reverse=True)
-    low = full_mask(n)
-    return [key & low for key in keys]
+def _kept_sets(base: int, pool: int, rest: int, size: int) -> list[int]:
+    """base - D for every D within ``pool`` that elements of ``rest`` can pad
+    to ``size``: the distinct base - (P & pool) over the ``size``-element
+    subsets P of pool | rest, each once; ``pool`` lies in ``base``."""
+    drops = [-(1 << e) for e in elements(pool)]
+    kept: list[int] = []
+    for d in range(max(0, size - rest.bit_count()), min(size, len(drops)) + 1):
+        kept += map(sum, itertools.combinations(drops, d), itertools.repeat(base))
+    return kept
 
 
 def _first_padding(kept: int, base: int, rest: int, size: int) -> int:
-    """The first P that leaves ``kept``, as in :func:`_kept_sets`."""
+    """The first P in ``itertools.combinations`` order that leaves ``kept``:
+    D = base - kept plus the size - |D| smallest elements of ``rest``."""
     dropped = base ^ kept
     return dropped | mask_of(elements(rest)[: size - dropped.bit_count()])
+
+
+def _first_tie(ratios: list[float], kepts: list[int], base: int, rest: int, size: int) -> int:
+    """Index of the first ratio at the minimum whose kept set has the least
+    first padding, as a sorted element tuple. :func:`_kept_sets` lists the D
+    of one size in ``itertools.combinations`` order, and their first paddings
+    add the same elements of ``rest``, so the kept sets of one size come in
+    that order: only the first at the minimum of each size is compared.
+    """
+    low = min(ratios)
+    firsts: dict[int, int] = {}
+    for i, x in enumerate(ratios):
+        if x == low:
+            firsts.setdefault(kepts[i].bit_count(), i)
+    return min(firsts.values(), key=lambda i: elements(_first_padding(kepts[i], base, rest, size)))
 
 
 def reverse_greedy_ratios_detail(
@@ -323,18 +322,15 @@ def reverse_greedy_ratios_detail(
     A padding P enters only through the kept set it leaves: K^(t-1) - P in
     the ratio family, so only D = P & K^(t-1) matters, and final - P in the
     curvature family, so only D = P & final does. Paddings with one D give
-    the same ratios, so a repeat never falls strictly below a minimum its
-    first occurrence already met, nor binds first: the loop over all
-    paddings ends where the loop over the first padding of each D ends.
-    That first padding, in ``itertools.combinations`` order, is D plus the
-    |P| - |D| smallest elements outside the kept set's base and the pick.
-    Each step therefore lists its distinct kept sets once, ordered by their
-    first paddings, and takes the first minimum of their ratios with
-    ``min`` and ``list.index``; the curvature family lists only its binding
-    pairs. The smallest (value, t, ...) over the steps is the first pair at
-    the family's minimum, reported at the first padding of its kept set.
-    With a finite range no ratio is nan; one can be +inf where a
-    denominator is subnormal, and it still ranks by t like any other value.
+    the same ratios, so the first padding at a minimum is the first padding
+    of its D. Each step lists its distinct kept sets once (the curvature
+    family only its binding pairs) and takes the smallest ratio; a tie goes
+    to the least first padding, as a sorted element tuple, and then, in the
+    curvature family, to the smaller element. The smallest (value, t, ...)
+    over the steps is the first pair at the family's minimum, at its own
+    ratio, so a -0.0 keeps its sign. With a finite range no ratio is nan;
+    one can be +inf where a denominator is subnormal, and it still ranks by
+    t like any other value.
     """
     _check_inputs(f, matroid, cardinality)
     _require_increasing(f)
@@ -364,13 +360,12 @@ def reverse_greedy_ratios_detail(
         if denom <= 0.0:
             continue
         rest = full & ~before & ~bit
-        kepts = _kept_sets(n, before, before & ~bit, rest, removed_total)
+        kepts = _kept_sets(before, before & ~bit, rest, removed_total)
         ratios = [(vals[k] - vals[k & ~bit]) / denom for k in kepts]
         # A cardinality of 0 leaves no padding of the final size.
         if ratios:
-            low = min(ratios)
-            kept = kepts[ratios.index(low)]
-            g_hits.append((low, (t, _first_padding(kept, before, rest, removed_total))))
+            i = _first_tie(ratios, kepts, before, rest, removed_total)
+            g_hits.append((ratios[i], (t, _first_padding(kepts[i], before, rest, removed_total))))
 
     rest = full & ~final
     finals = elements(final)
@@ -379,7 +374,7 @@ def reverse_greedy_ratios_detail(
         top = vals[before]
         # Only elements of the final set are ever r.
         gains = {r: top - vals[before & ~(1 << r)] for r in finals}
-        kepts = _kept_sets(n, final, final, rest, t - 1)
+        kepts = _kept_sets(final, final, rest, t - 1)
         binding = [
             (k, r, x) for k in kepts for r in finals
             if k >> r & 1 and (x := vals[k] - vals[k & ~(1 << r)]) > 0.0
@@ -387,9 +382,9 @@ def reverse_greedy_ratios_detail(
         if not binding:
             continue
         ratios = [gains[r] / x for _, r, x in binding]
-        low = min(ratios)
-        k, r, _ = binding[ratios.index(low)]
-        a_hits.append((low, (t, _first_padding(k, final, rest, t - 1), r)))
+        i = _first_tie(ratios, [k for k, _, _ in binding], final, rest, t - 1)
+        k, r, _ = binding[i]
+        a_hits.append((ratios[i], (t, _first_padding(k, final, rest, t - 1), r)))
 
     # With nothing binding, a ratio of 1.0 gives gamma 1 and alpha 0.
     g_low, g_wit = min(g_hits, default=(1.0, None))

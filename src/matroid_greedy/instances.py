@@ -56,6 +56,10 @@ class Instance:
     seed: int | None = None
     _matroid: Matroid | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if self.n != self.function.n:
+            raise ValueError(f"function is on n={self.function.n} but instance on n={self.n}")
+
     def matroid(self) -> Matroid:
         """The matroid of ``matroid_spec``, built and validated on the first call only."""
         if self._matroid is None:

@@ -14,7 +14,12 @@ The ``cli`` group hashes the exit code and stdout of in-process
 then one ``verify --random`` and one ``gen`` run.
 
 ``tests/test_corpus.py`` compares the digests against
-``tests/golden/corpus.json``. To rewrite that file, run::
+``tests/golden/corpus.json``. To compare them without pytest (under any
+Python the package supports), naming each group that differs, run::
+
+    python tests/corpus.py --check
+
+It exits 1 on a mismatch. To rewrite that file, run::
 
     python tests/corpus.py --pin
 
@@ -219,13 +224,29 @@ def digests() -> dict[str, dict[str, str]]:
     return result
 
 
+def changed(pinned: dict[str, dict[str, str]], got: dict[str, dict[str, str]]) -> list[str]:
+    """The "output/kind" groups whose digests differ, or that only one side has."""
+    return [
+        f"{out}/{kind}"
+        for out in sorted(pinned.keys() | got.keys())
+        for kind in sorted(pinned.get(out, {}).keys() | got.get(out, {}).keys())
+        if pinned.get(out, {}).get(kind) != got.get(out, {}).get(kind)
+    ]
+
+
 def main(argv: list[str]) -> int:
-    if argv != ["--pin"]:
-        print("usage: python tests/corpus.py --pin", file=sys.stderr)
-        return 2
-    GOLDEN.write_text(json.dumps(digests(), indent=2) + "\n")
-    print(f"wrote {GOLDEN}")
-    return 0
+    if argv == ["--pin"]:
+        GOLDEN.write_text(json.dumps(digests(), indent=2) + "\n")
+        print(f"wrote {GOLDEN}")
+        return 0
+    if argv == ["--check"]:
+        groups = changed(json.loads(GOLDEN.read_text()), digests())
+        for group in groups:
+            print(f"changed: {group}")
+        print(f"{len(groups)} corpus groups differ from {GOLDEN.name}")
+        return 1 if groups else 0
+    print("usage: python tests/corpus.py --pin | --check", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

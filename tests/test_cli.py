@@ -369,6 +369,11 @@ class TestLoaderRejections:
                 id="capacity-negative",
             ),
             pytest.param(
+                t3_doc(matroid={"kind": "partition", "blocks": [[0, 1], [2]], "capacities": [1]}),
+                "2 blocks but 1 capacities",
+                id="capacity-count",
+            ),
+            pytest.param(
                 t3_doc(matroid={"kind": "graphic", "vertices": 0, "edges": [[0, 1], [1, 2], [1, 2]]}),
                 "graph needs at least one vertex, got 0",
                 id="graphic-no-vertex",

@@ -16,6 +16,7 @@ from matroid_greedy import (
     mask_of,
     ordering_witness,
     TraceMismatchError,
+    WitnessFailureError,
     full_mask,
     reverse_greedy,
     reverse_greedy_as_forward,
@@ -30,6 +31,7 @@ from matroid_greedy.instances import (
 
 from conftest import ENUMERATION_SPECS, random_modular_instances, trace_payload
 from oracles import reference_reverse_greedy
+from test_matroids import family_matroid
 
 PART_SPLIT = PartitionSpec([[0], [1, 2]], [1, 1])
 PART_PAIRS = PartitionSpec([[0, 1], [2, 3]], [1, 1])
@@ -104,6 +106,21 @@ class TestReverseGreedy:
         assert [(r.before_step, r.element) for r in trace.rejected] == [(2, 2)]
         assert trace.final_set == mask_of([0, 2])
         assert trace.f_final == 4.0
+
+
+class TestNoMatroidRank:
+    """A rank function that is no matroid's, over the family {empty, {0, 1}}:
+    no single element is independent, so every pass runs out of candidates."""
+
+    @pytest.mark.parametrize(
+        "run,cardinality",
+        [(forward_greedy, 2), (reverse_greedy, 1), (reverse_greedy_as_forward, 1)],
+    )
+    def test_pass_runs_out_of_candidates(self, run, cardinality):
+        matroid = family_matroid(2, frozenset({0, 0b11}))
+        f = SetFunction(2, [0.0, 1.0, 1.0, 2.0])
+        with pytest.raises(InfeasibleError, match="^ran out of candidates before reaching"):
+            run(f, matroid, cardinality)
 
 
 class TestReverseAsForward:
@@ -245,6 +262,11 @@ class TestOrderingWitness:
                 assert all(a <= b for a, b in witness.per_step_check)
                 # Both reverse variants record the same sets, so their witnesses agree.
                 assert repr(ordering_witness(shrink, inst.function, base, matroid)) == repr(witness)
+
+    def test_forged_marginal_fails_dominance(self, t3_function, t3_matroid):
+        trace = with_step(forward_greedy(t3_function, t3_matroid, 2), 0, marginal=100.0)
+        with pytest.raises(WitnessFailureError, match="^dominance fails at step 1: "):
+            ordering_witness(trace, t3_function, trace.final_set, t3_matroid)
 
     def test_unknown_algorithm_rejected(self, t3_function, t3_matroid):
         trace = dataclasses.replace(forward_greedy(t3_function, t3_matroid, 2), algorithm="sideways")

@@ -470,8 +470,8 @@ def tables_and_picks(draw, max_n=8):
 
 
 class TestReverseKeptSets:
-    """The reverse family walks each step's distinct kept sets in the order
-    of their first paddings; these cases pin where that order decides."""
+    """The reverse family walks each step's distinct kept sets once and
+    breaks a tie by their first paddings; these cases pin where that decides."""
 
     def test_ratio_tie_goes_to_the_earlier_first_padding(self):
         # Step 2 keeps {0, 1, 3} and picks 1. Paddings {0, 3} and {2, 3}

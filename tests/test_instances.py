@@ -288,6 +288,11 @@ class TestPersistence:
         with pytest.raises(SchemaError, match="hereditary"):
             instance_from_json(obj)
 
+    def test_n_must_match_the_function(self):
+        # Such an instance would save a file that the loader refuses.
+        with pytest.raises(ValueError, match="^function is on n=3 but instance on n=5$"):
+            Instance("x", 5, canonical_t3().function, UniformSpec(1), 1)
+
     def test_nested_spec_round_trip(self, tmp_path):
         inst = canonical_t3()
         nested = Instance(

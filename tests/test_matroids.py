@@ -78,6 +78,10 @@ class TestBuild:
         with pytest.raises(InvalidSpecError):
             build_matroid(PartitionSpec([[0, 1], [1, 2]], [1, 1]), 3)
 
+    def test_partition_capacity_count_must_match(self):
+        with pytest.raises(InvalidSpecError, match="^2 blocks but 1 capacities$"):
+            build_matroid(PartitionSpec(((0,), (1,)), (1,)), 2)
+
     def test_partition_cover_required(self):
         with pytest.raises(InvalidSpecError):
             build_matroid(PartitionSpec([[0, 1]], [1]), 3)

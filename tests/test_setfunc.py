@@ -159,6 +159,10 @@ class TestSetFunctionBasics:
         with pytest.raises(ValueError, match="must be finite"):
             SetFunction(2, [0, 1, 2, 10**400])
 
+    def test_equality_with_other_types_is_not_implemented(self, t3_function):
+        assert t3_function.__eq__(t3_function.values) is NotImplemented
+        assert t3_function != t3_function.values
+
     def test_monotonicity_report_computed_once(self, t3_function):
         assert check_monotone(t3_function) is check_monotone(t3_function)
 
