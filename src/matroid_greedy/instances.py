@@ -364,7 +364,8 @@ def _unpack(fn: dict, n: int) -> array:
 
     Where ``fn`` was the text's only holder, the text (11 MB at n=20) is freed
     before the doubles are decoded. The array holds C doubles only, so
-    SetFunction builds its float tuple from it without a type pass.
+    SetFunction skips its type pass on it and keeps a copy of it as the
+    table; the tuple of floats is built only when a scan reads ``values``.
     """
     encoding = _expect(fn, "encoding", str, "instance.function")
     if encoding != _PACKED_ENCODING:
@@ -476,6 +477,9 @@ def load_instance(path) -> Instance:
     built. A text table is 27 MB at n=20; a packed one, as the writer makes
     from n = ``_PACKED_N``, is 8·2^n bytes in base64 (11 MB at n=20) and is
     decoded into an ``array('d')`` at C speed with nothing left to parse.
+    The function keeps that table as C doubles until a scan reads its
+    ``values``, so the greedy passes, which read O(n^2) values, never build
+    its 2^n floats.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")

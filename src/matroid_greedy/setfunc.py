@@ -48,23 +48,28 @@ class SetFunction:
     ValueError naming its index; NaN and infinities raise ValueError too.
     An ``array('d')``, as the loader decodes a packed table into, holds only
     floats, so it skips the type pass; its length and finiteness are still
-    checked. ``values`` is always a tuple of floats.
+    checked. A copy of it is kept as C doubles; ``values``, always a tuple of
+    floats, is built from that copy on its first read and then replaces it,
+    so a greedy pass, which reads O(n^2) values through calls, never builds
+    the tuple. Such a function is of a private subclass whose one addition
+    is that first read.
     """
 
-    __slots__ = ("n", "values", "_eval_count", "_lock", "_monotone", "_extremes", "_ratios")
+    __slots__ = (
+        "n", "values", "_table", "_eval_count", "_lock", "_monotone", "_extremes", "_ratios"
+    )
 
     def __init__(self, n: int, values) -> None:
         _check_table_n(n)
-        # One exact-size copy of a list; a tuple is taken as it is.
-        vals = tuple(values)
+        # A double array yields only floats; it is copied, so that a later
+        # write to the caller's array cannot reach the table. Any other input
+        # takes the type pass and becomes a tuple: one exact-size copy of a
+        # list, a tuple as it is.
+        doubles = type(values) is array and values.typecode == "d"
+        vals = values[:] if doubles else tuple(values)
         if len(vals) != 1 << n:
             raise ValueError(f"need {1 << n} values for n={n}, got {len(vals)}")
-        # An array of typecode "d" holds only C doubles, so it yields only
-        # floats; every other input takes the type pass.
-        if type(values) is array and values.typecode == "d":
-            kinds = {float}
-        else:
-            kinds = set(map(type, vals))
+        kinds = {float} if doubles else set(map(type, vals))
         # Plain ints and floats pass at once; only another type (a bool, a
         # string, a subclass) needs the pass that names the offending index.
         if not kinds <= {int, float}:
@@ -82,7 +87,14 @@ class SetFunction:
         if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
             raise ValueError("set-function values must be finite (no NaN or infinity)")
         self.n = n
-        self.values = vals
+        # Calls read the table. A double array's ``values`` stays unset, and
+        # only its function gets the class whose __getattr__ fills it: every
+        # attribute read of a class with __getattr__ takes the slow path.
+        self._table = vals
+        if doubles:
+            self.__class__ = _KeptDoubles
+        else:
+            self.values = vals
         self._eval_count = 0
         self._lock = threading.Lock()
         self._monotone: MonotonicityReport | None = None
@@ -96,11 +108,11 @@ class SetFunction:
         return self._eval_count
 
     def __call__(self, mask: int) -> float:
-        if not 0 <= mask < len(self.values):
+        if not 0 <= mask < len(self._table):
             raise ValueError(f"subset mask {mask} out of range for n={self.n}")
         with self._lock:
             self._eval_count += 1
-        return self.values[mask]
+        return self._table[mask]
 
     def marginal(self, subset: int, j: int) -> float:
         """f(S + j) - f(S); exactly 0.0 when j is already in S."""
@@ -134,6 +146,23 @@ class SetFunction:
 
     def __repr__(self) -> str:
         return f"SetFunction(n={self.n})"
+
+
+class _KeptDoubles(SetFunction):
+    """The SetFunction of an ``array('d')``: its ``values`` is built on first read."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        # Runs only when the normal lookup fails: for ``values``, only while
+        # its slot is unset. The tuple of floats is built once, on that first
+        # read, and replaces the array as the table, so the array is freed.
+        if name != "values":
+            raise AttributeError(f"'SetFunction' object has no attribute {name!r}")
+        with self._lock:
+            if type(self._table) is array:
+                self.values = self._table = tuple(self._table)
+        return self.values
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ round-trips floats and keeps the sign of zero, so a digest pins every bit.
 The ``cli`` group hashes the exit code and stdout of in-process
 ``cli.main`` runs, one digest per command: ``run``, ``ratios`` and
 ``verify`` on a few seeded instance files written by ``save_instance``,
-then one ``verify --random`` and one ``gen`` run.
+then one ``verify --random`` and one ``gen`` run, and ``run-packed``:
+``run`` on an n=18 file, which ``save_instance`` writes packed.
 
 ``tests/test_corpus.py`` compares the digests against
 ``tests/golden/corpus.json``. To compare them without pytest (under any
@@ -61,6 +62,7 @@ from matroid_greedy.guarantees import (  # noqa: E402
 )
 from matroid_greedy import cli  # noqa: E402
 from matroid_greedy.instances import (  # noqa: E402
+    _PACKED_N,
     random_instance,
     random_matroid_spec,
     save_instance,
@@ -110,6 +112,20 @@ def overflowing_table(n, rng):
     return values
 
 
+def _parity(n, rng):
+    """|S| plus w * ceil(|S & A| / 2) over five random sets A, w in {1, 2}.
+
+    An element's marginal turns on the parity of |S & A|, so ratios tie at
+    their minimum on kept sets of several sizes that do not nest, and which
+    of them the reverse family reports is decided by its tie rule.
+    """
+    terms = [(rng.randrange(1 << n), rng.choice([1, 2])) for _ in range(5)]
+    return [
+        float(mask.bit_count() + sum(w * (((mask & a).bit_count() + 1) // 2) for a, w in terms))
+        for mask in range(1 << n)
+    ]
+
+
 #: Increasing value-table makers, by table kind.
 TABLES = {
     "bounded": _bounded,
@@ -121,6 +137,7 @@ TABLES = {
     "overflow": overflowing_table,
     "capped": _capped,
     "signed-zero": _signed_zero,
+    "parity": _parity,
 }
 
 #: Library outputs, by output kind: each maps (f, matroid, cardinality, id).
@@ -195,7 +212,7 @@ def _cli_outcome(argv: list[str]) -> str:
 
 def cli_digests() -> dict[str, str]:
     """{CLI group: SHA-256 hex digest} over the seeded CLI runs."""
-    hashes = {group: hashlib.sha256() for group in [*CLI_FILE_RUNS, *CLI_RUNS]}
+    hashes = {group: hashlib.sha256() for group in [*CLI_FILE_RUNS, *CLI_RUNS, "run-packed"]}
     rng = random.Random("corpus-cli")
     with tempfile.TemporaryDirectory() as tmp:
         for index, n in enumerate(CLI_FILE_NS):
@@ -205,6 +222,13 @@ def cli_digests() -> dict[str, str]:
             for group, argv in CLI_FILE_RUNS.items():
                 line = _cli_outcome([*argv, "--instance", path])
                 hashes[group].update(f"{inst.id} {line}\n".encode())
+        # The first n that save_instance packs, so the loader hands the table
+        # to SetFunction as an array of doubles.
+        inst = random_instance(_PACKED_N, rng, "cli-packed")
+        path = str(Path(tmp) / f"{inst.id}.json")
+        save_instance(inst, path)
+        line = _cli_outcome(["run", "--algo", "both", "--instance", path])
+        hashes["run-packed"].update(f"{inst.id} {line}\n".encode())
     for group, argv in CLI_RUNS.items():
         hashes[group].update(_cli_outcome(argv).encode())
     return {group: h.hexdigest() for group, h in hashes.items()}

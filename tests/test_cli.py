@@ -37,7 +37,7 @@ from matroid_greedy.instances import (
 from matroid_greedy.matroids import ExplicitSpec, UniformSpec
 from matroid_greedy.setfunc import SetFunction
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, values_built
 
 
 @pytest.fixture
@@ -108,6 +108,18 @@ class TestRun:
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {"forward", "reverse"}
+
+    def test_packed_table_is_never_built_into_floats(self, capsys, tmp_path, monkeypatch):
+        # Both passes read O(n^2) values of a packed n=18 file; its 2^18-float
+        # tuple (8 MB with the floats) is built only where a scan reads it.
+        f = gen_bounded_marginal(18, 1.0, 2.5, seed=18)
+        path = tmp_path / "p18.json"
+        save_instance(Instance("p18", 18, f, UniformSpec(9), 9), path)
+        loaded = []
+        monkeypatch.setattr(cli, "load_instance", lambda p: loaded.append(load_instance(p)) or loaded[0])
+        code, out, _ = run_cli(capsys, "run", "--instance", str(path))
+        assert code == 0 and set(json.loads(out)) == {"forward", "reverse"}
+        assert not values_built(loaded[0].function)
 
     def test_bad_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

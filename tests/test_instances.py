@@ -494,9 +494,10 @@ class TestPacked:
         assert obj == before
 
     def test_text_freed_before_the_floats(self, tmp_path):
-        # The n=16 packed file is 0.7 MB, and its table 2 MB of floats and
-        # tuple: 2.65 MB at peak, the decoded array('d') included, and 3.35 MB
-        # if the base64 text were kept until the floats were built.
+        # The n=16 packed file is 0.7 MB of base64, decoded into a 0.5 MB
+        # array('d') that SetFunction copies and keeps; no float is built.
+        # That is 1.4 MB at peak, and 2.8 MB if the base64 text were kept
+        # until the doubles were decoded.
         path = tmp_path / "p16.json"
         save_instance(Instance("p16", 16, gen_modular(16, range(1, 17)), UniformSpec(8), 8), path)
         tracemalloc.start()
@@ -505,7 +506,7 @@ class TestPacked:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2_900_000
+        assert peak < 2_000_000
 
 
 def test_written_packed_from_n18(tmp_path):

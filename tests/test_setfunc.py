@@ -29,7 +29,7 @@ from matroid_greedy.instances import gen_bounded_marginal, gen_modular, random_s
 from matroid_greedy.setfunc import _subset_fold, cumulative_ratio_detail
 from matroid_greedy.subsets import elements, submasks
 
-from conftest import EXTREMES, constant_function
+from conftest import EXTREMES, constant_function, values_built
 from oracles import (
     is_submodular,
     is_supermodular,
@@ -230,6 +230,74 @@ class TestDoubleArrayInput:
         passes.clear()
         SetFunction(2, array("d", [0, 1, 2, 3]))
         assert passes == []
+
+
+class TestKeptDoubleArray:
+    """A copy of an array('d') is the table until ``values`` is first read."""
+
+    def test_calls_return_the_same_floats_bit_for_bit(self):
+        f = SetFunction(3, array("d", EXTREMES))
+        from_list = SetFunction(3, EXTREMES)
+        assert [f(mask).hex() for mask in range(8)] == [from_list(mask).hex() for mask in range(8)]
+        assert f(0).hex() == "-0x0.0p+0"
+        assert not values_built(f)
+
+    @pytest.mark.parametrize("mask", [-1, 8])
+    def test_out_of_range_mask_raises_as_from_a_list(self, mask):
+        for f in (SetFunction(3, array("d", EXTREMES)), SetFunction(3, EXTREMES)):
+            with pytest.raises(ValueError, match=f"^subset mask {mask} out of range for n=3$"):
+                f(mask)
+
+    def test_writes_to_the_callers_array_do_not_reach_the_function(self):
+        table = array("d", EXTREMES)
+        f = SetFunction(3, table)
+        table[0] = table[7] = 1.0
+        table.append(2.0)
+        assert [f(mask).hex() for mask in range(8)] == list(map(float.hex, EXTREMES))
+        assert list(map(float.hex, f.values)) == list(map(float.hex, EXTREMES))
+
+    def test_values_is_one_tuple_built_on_the_first_read(self):
+        f = SetFunction(3, array("d", EXTREMES))
+        assert not values_built(f)
+        values = f.values
+        assert type(values) is tuple and values_built(f)
+        assert f.values is values
+        # The tuple is now the table that calls read.
+        assert all(f(mask) is values[mask] for mask in range(8))
+
+    def test_only_a_double_array_function_has_the_fallback(self):
+        # A class with __getattr__ reads every attribute the slow way.
+        assert not hasattr(type(SetFunction(3, EXTREMES)), "__getattr__")
+        assert not hasattr(type(SetFunction(3, array("q", range(8)))), "__getattr__")
+        assert hasattr(type(SetFunction(3, array("d", EXTREMES))), "__getattr__")
+
+    def test_other_missing_attributes_raise_as_usual(self):
+        f = SetFunction(3, array("d", EXTREMES))
+        with pytest.raises(AttributeError, match="^'SetFunction' object has no attribute 'table'$"):
+            f.table
+        assert not hasattr(f, "_missing") and not values_built(f)
+
+    def test_eval_count_and_values_under_threads(self):
+        f = SetFunction(12, array("d", range(1 << 12)))
+        masks = range(0, 1 << 12, 64)
+
+        def hammer(_):
+            for mask in masks:
+                f(mask)
+            values = f.values
+            for mask in masks:
+                f(mask)
+            return values
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                seen = list(pool.map(hammer, range(100), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert f.eval_count == 2 * len(masks) * 100
+        assert all(values is f.values for values in seen)
 
 
 class TestMarginals:
