@@ -21,7 +21,6 @@ import binascii
 import itertools
 import json
 import random
-import struct
 import sys
 from array import array
 from collections.abc import Iterator
@@ -290,7 +289,7 @@ def instance_to_json(inst: Instance) -> dict:
         table = "".join(_packed_text(values))
         function = {"encoding": _PACKED_ENCODING, "kind": "explicit", "values": table}
     else:
-        function = {"kind": "explicit", "values": list(values)}
+        function = {"kind": "explicit", "values": values.tolist()}
     return _instance_obj(inst, function)
 
 
@@ -364,8 +363,8 @@ def _unpack(fn: dict, n: int) -> array:
 
     Where ``fn`` was the text's only holder, the text (11 MB at n=20) is freed
     before the doubles are decoded. The array holds C doubles only, so
-    SetFunction skips its type pass on it and keeps a copy of it as the
-    table; the tuple of floats is built only when a scan reads ``values``.
+    SetFunction skips its type pass on it and keeps a copy of it as its
+    table, with no float object per value.
     """
     encoding = _expect(fn, "encoding", str, "instance.function")
     if encoding != _PACKED_ENCODING:
@@ -445,14 +444,16 @@ def _table_text(values) -> Iterator[str]:
         yield sep.join(map(float.__repr__, values[k:k + _BLOCK]))
 
 
-def _packed_text(values) -> Iterator[str]:
+def _packed_text(values: array) -> Iterator[str]:
     # 3 * _BLOCK doubles are a multiple of 3 bytes, which base64 encodes with
     # no padding, so the blocks' strings join into the whole table's.
     step = 3 * _BLOCK
     for k in range(0, len(values), step):
         block = values[k:k + step]
-        packed = struct.pack(f"<{len(block)}d", *block)
-        yield binascii.b2a_base64(packed, newline=False).decode("ascii")
+        # The file holds little-endian doubles; the array holds the host's order.
+        if sys.byteorder == "big":
+            block.byteswap()
+        yield binascii.b2a_base64(block.tobytes(), newline=False).decode("ascii")
 
 
 def save_instance(inst: Instance, path) -> None:
@@ -477,9 +478,7 @@ def load_instance(path) -> Instance:
     built. A text table is 27 MB at n=20; a packed one, as the writer makes
     from n = ``_PACKED_N``, is 8·2^n bytes in base64 (11 MB at n=20) and is
     decoded into an ``array('d')`` at C speed with nothing left to parse.
-    The function keeps that table as C doubles until a scan reads its
-    ``values``, so the greedy passes, which read O(n^2) values, never build
-    its 2^n floats.
+    The function keeps a copy of that array as its table, as C doubles.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")

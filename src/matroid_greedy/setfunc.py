@@ -18,9 +18,8 @@ import threading
 from array import array
 from bisect import bisect_right
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress, cycle
 from numbers import Real
 from operator import neg, sub
 
@@ -46,27 +45,22 @@ class SetFunction:
     calls and may be bumped concurrently from threads sharing one instance.
     Values must be finite real numbers. A bool or a non-number raises
     ValueError naming its index; NaN and infinities raise ValueError too.
-    An ``array('d')``, as the loader decodes a packed table into, holds only
-    floats, so it skips the type pass; its length and finiteness are still
-    checked. A copy of it is kept as C doubles; ``values``, always a tuple of
-    floats, is built from that copy on its first read and then replaces it,
-    so a greedy pass, which reads O(n^2) values through calls, never builds
-    the tuple. Such a function is of a private subclass whose one addition
-    is that first read.
+    The table, ``values``, is one ``array('d')`` of C doubles whatever the
+    input, converted or copied once after the checks. An ``array('d')``, as
+    the loader decodes a packed table into, holds only floats, so it skips
+    the type pass. The table is not to be written to: the scans keep their
+    results on the function.
     """
 
-    __slots__ = (
-        "n", "values", "_table", "_eval_count", "_lock", "_monotone", "_extremes", "_ratios"
-    )
+    __slots__ = ("n", "values", "_eval_count", "_lock", "_monotone", "_extremes", "_ratios")
 
     def __init__(self, n: int, values) -> None:
         _check_table_n(n)
-        # A double array yields only floats; it is copied, so that a later
-        # write to the caller's array cannot reach the table. Any other input
-        # takes the type pass and becomes a tuple: one exact-size copy of a
-        # list, a tuple as it is.
+        # A list, a tuple or a double array is checked as the caller gave it;
+        # any other iterable is first taken into a tuple. A double array
+        # yields only floats, so it skips the type pass.
         doubles = type(values) is array and values.typecode == "d"
-        vals = values[:] if doubles else tuple(values)
+        vals = values if doubles or type(values) in (list, tuple) else tuple(values)
         if len(vals) != 1 << n:
             raise ValueError(f"need {1 << n} values for n={n}, got {len(vals)}")
         kinds = {float} if doubles else set(map(type, vals))
@@ -76,25 +70,20 @@ class SetFunction:
             for i, v in enumerate(vals):
                 if isinstance(v, bool) or not isinstance(v, Real):
                     raise ValueError(f"values[{i}] is not a number")
-        # A table of floats, as the loader and the generators build, is kept.
         if kinds != {float}:
             try:
                 vals = tuple(map(float, vals))
             except OverflowError as exc:
                 raise ValueError(f"set-function values must be finite ({exc})") from exc
         # A finite sum proves every value finite; only an overflowing or
-        # non-finite sum needs the per-value pass.
+        # non-finite sum needs the per-value pass. It runs before the
+        # conversion, so only a double array sums through new float objects.
         if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
             raise ValueError("set-function values must be finite (no NaN or infinity)")
         self.n = n
-        # Calls read the table. A double array's ``values`` stays unset, and
-        # only its function gets the class whose __getattr__ fills it: every
-        # attribute read of a class with __getattr__ takes the slow path.
-        self._table = vals
-        if doubles:
-            self.__class__ = _KeptDoubles
-        else:
-            self.values = vals
+        # The one conversion, and always a copy: a later write to the
+        # caller's list or array cannot reach the table.
+        self.values = array("d", vals)
         self._eval_count = 0
         self._lock = threading.Lock()
         self._monotone: MonotonicityReport | None = None
@@ -108,11 +97,11 @@ class SetFunction:
         return self._eval_count
 
     def __call__(self, mask: int) -> float:
-        if not 0 <= mask < len(self._table):
+        if not 0 <= mask < len(self.values):
             raise ValueError(f"subset mask {mask} out of range for n={self.n}")
         with self._lock:
             self._eval_count += 1
-        return self._table[mask]
+        return self.values[mask]
 
     def marginal(self, subset: int, j: int) -> float:
         """f(S + j) - f(S); exactly 0.0 when j is already in S."""
@@ -139,30 +128,16 @@ class SetFunction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetFunction):
             return NotImplemented
-        return self.n == other.n and self.values == other.values
+        # Memoryviews of doubles compare as C doubles, so -0.0 equals 0.0 as
+        # in ``array ==``, without a float object per value.
+        return self.n == other.n and memoryview(self.values) == memoryview(other.values)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.values))
+        # The floats' tuple, so that zeros of either sign hash alike, as == has it.
+        return hash((self.n, tuple(self.values)))
 
     def __repr__(self) -> str:
         return f"SetFunction(n={self.n})"
-
-
-class _KeptDoubles(SetFunction):
-    """The SetFunction of an ``array('d')``: its ``values`` is built on first read."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        # Runs only when the normal lookup fails: for ``values``, only while
-        # its slot is unset. The tuple of floats is built once, on that first
-        # read, and replaces the array as the table, so the array is freed.
-        if name != "values":
-            raise AttributeError(f"'SetFunction' object has no attribute {name!r}")
-        with self._lock:
-            if type(self._table) is array:
-                self.values = self._table = tuple(self._table)
-        return self.values
 
 
 @dataclass(frozen=True)
@@ -265,19 +240,22 @@ class RatioScan:
     alpha_witness: tuple[int, int, int] | None
 
 
-def _marginals(vals: tuple[float, ...], j: int) -> list[float]:
+def _marginals(vals: Sequence[float], j: int) -> list[float]:
     """f(S + j) - f(S) for every S avoiding j, in ascending order of S."""
     half = 1 << j
+    step = 2 * half
     if half < 32:
-        without_j = [True] * half + [False] * half
-        return list(
-            map(sub, compress(vals, cycle(without_j[::-1])), compress(vals, cycle(without_j)))
-        )
+        # The S whose bits below j read k, one strided slice each: they land
+        # 2^j apart in the output.
+        out = [0.0] * (len(vals) // 2)
+        for k in range(half):
+            out[k::half] = map(sub, vals[k + half :: step], vals[k::step])
+        return out
     # Blocks of 2^(j+1) masks: the lower half avoids j, the upper half adds it.
-    # Slicing whole blocks beats the mask filter from 2^j = 32 on.
-    out: list[float] = []
-    for k in range(0, len(vals), 2 * half):
-        out += map(sub, vals[k + half : k + 2 * half], vals[k : k + half])
+    # Slicing whole blocks beats the strided slices from 2^j = 32 on.
+    out = []
+    for k in range(0, len(vals), step):
+        out += map(sub, vals[k + half : k + step], vals[k : k + half])
     return out
 
 
@@ -322,7 +300,7 @@ def _first_min(
 
 
 def _pairs_min(
-    vals: tuple[float, ...], n: int, first: tuple[float, int], curvature: bool
+    vals: Sequence[float], n: int, first: tuple[float, int], curvature: bool
 ) -> tuple[float | None, tuple[int, int, int] | None]:
     """First triple with R = first[1] whose ratio equals the scan minimum first[0].
 
@@ -631,7 +609,9 @@ def cumulative_ratio_detail(f: SetFunction) -> tuple[float, tuple[int, int] | No
     check_size(f.n, MAX_CUMULATIVE_N, "cumulative ratio scan")
     _check_value_range(f)
     n = f.n
-    vals = f.values
+    # The pairs read values one at a time, up to 3^n of them, and a list hands
+    # out the floats it holds; its 2^n floats (n <= 16) cost little beside.
+    vals = f.values.tolist()
     size = len(vals)
     empty = vals[0]
     first = next((m for m in range(1, size) if vals[m] - empty > 0.0), None)
@@ -691,7 +671,7 @@ def _skip_cut(best: float) -> float:
 
 
 def _subset_bounds(
-    vals: tuple[float, ...], levels: list[int], level_max: list[float]
+    vals: list[float], levels: list[int], level_max: list[float]
 ) -> list[float]:
     """theta(S) for every S, with ``levels[S]`` = |S|; see :func:`cumulative_ratio_detail`."""
     size = len(vals)
@@ -731,7 +711,7 @@ def _subset_bounds(
 
 
 def _cannot_lower(
-    vals: tuple[float, ...],
+    vals: list[float],
     small: int,
     rest: int,
     bits: list[int],

@@ -27,15 +27,6 @@ EXTREMES = [
 ]
 
 
-def values_built(f):
-    """Whether ``f.values`` holds its tuple, read from the slot without filling it."""
-    try:
-        SetFunction.values.__get__(f)
-    except AttributeError:
-        return False
-    return True
-
-
 @pytest.fixture
 def t3():
     return canonical_t3()

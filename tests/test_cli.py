@@ -4,6 +4,8 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -37,7 +39,7 @@ from matroid_greedy.instances import (
 from matroid_greedy.matroids import ExplicitSpec, UniformSpec
 from matroid_greedy.setfunc import SetFunction
 
-from conftest import GOLDEN_DIR, values_built
+from conftest import GOLDEN_DIR
 
 
 @pytest.fixture
@@ -110,16 +112,25 @@ class TestRun:
         assert set(payload) == {"forward", "reverse"}
 
     def test_packed_table_is_never_built_into_floats(self, capsys, tmp_path, monkeypatch):
-        # Both passes read O(n^2) values of a packed n=18 file; its 2^18-float
-        # tuple (8 MB with the floats) is built only where a scan reads it.
+        # Both passes read O(n^2) values of a packed n=18 file through calls.
+        # Its table stays one 2 MB array('d'), and the run peaks where the
+        # load does (5.6 MB); 2^18 float objects alone would add 6.3 MB.
         f = gen_bounded_marginal(18, 1.0, 2.5, seed=18)
         path = tmp_path / "p18.json"
         save_instance(Instance("p18", 18, f, UniformSpec(9), 9), path)
+        del f
         loaded = []
         monkeypatch.setattr(cli, "load_instance", lambda p: loaded.append(load_instance(p)) or loaded[0])
-        code, out, _ = run_cli(capsys, "run", "--instance", str(path))
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "run", "--instance", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 0 and set(json.loads(out)) == {"forward", "reverse"}
-        assert not values_built(loaded[0].function)
+        values = loaded[0].function.values
+        assert type(values) is array and values.typecode == "d"
+        assert peak < 8_000_000
 
     def test_bad_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

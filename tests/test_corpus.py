@@ -1,16 +1,13 @@
-"""Library outputs on the seeded corpus match their pinned digests, and do
-not change when a case's table comes as an array('d').
+"""Library outputs on the seeded corpus match their pinned digests.
 
 A mismatch names its (output kind, table kind) group; see ``tests/corpus.py``
 for the cases and for how to re-pin.
 """
 
 import json
-from array import array
 
 import corpus
-from corpus import GOLDEN, OUTPUTS, TABLES, _outcome, cases, changed, digests
-from matroid_greedy import SetFunction
+from corpus import GOLDEN, changed, digests
 
 
 def test_outputs_match_pinned_digests():
@@ -36,15 +33,3 @@ def test_check_names_each_changed_group(monkeypatch, capsys):
         "2 corpus groups differ from corpus.json",
     ]
 
-
-def test_double_array_tables_give_the_same_outputs():
-    # Every case builds its function from a tuple; the same table as an
-    # array('d'), as the loader decodes a packed file into, is kept as C
-    # doubles until a scan reads ``values``.
-    for kind in TABLES:
-        for case_id, n, values, matroid, cardinality in cases(kind):
-            for out, output in OUTPUTS.items():
-                args = matroid, cardinality, case_id
-                expected = _outcome(output, SetFunction(n, values), *args)
-                got = _outcome(output, SetFunction(n, array("d", values)), *args)
-                assert got == expected, f"{out}/{case_id}"

@@ -8,6 +8,7 @@ import struct
 import sys
 import threading
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,7 +69,7 @@ GOLDEN_ALPHA = 0.8611973187705939
 class TestModular:
     def test_table(self):
         f = gen_modular(3, [1, 2, 3])
-        assert f.values == (0.0, 1.0, 2.0, 3.0, 3.0, 4.0, 5.0, 6.0)
+        assert f.values.tolist() == [0.0, 1.0, 2.0, 3.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_constant_marginals(self):
         f = gen_modular(3, [1, 2, 3])
@@ -318,7 +319,9 @@ class TestPersistence:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(SchemaError) as info:
             load_instance(path)
-        assert str(info.value).startswith(f"{path}: cannot parse JSON (Exceeds the limit (4300 digits)")
+        # Python 3.10 words it "Exceeds the limit (4300) for integer string
+        # conversion", later ones "Exceeds the limit (4300 digits) ...".
+        assert str(info.value).startswith(f"{path}: cannot parse JSON (Exceeds the limit (4300")
 
     def test_empty_value_not_forced_to_zero(self):
         obj = instance_to_json(canonical_t3())
@@ -633,7 +636,7 @@ class TestPackedFuzz:
             return
         values = struct.unpack("<8d", data)
         if all(map(math.isfinite, values)):
-            assert got[1] == repr(values)
+            assert got[1] == repr(array("d", values))
         else:
             assert got[0] is SchemaError and "finite" in got[1]
 

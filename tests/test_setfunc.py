@@ -29,7 +29,7 @@ from matroid_greedy.instances import gen_bounded_marginal, gen_modular, random_s
 from matroid_greedy.setfunc import _subset_fold, cumulative_ratio_detail
 from matroid_greedy.subsets import elements, submasks
 
-from conftest import EXTREMES, constant_function, values_built
+from conftest import EXTREMES, constant_function
 from oracles import (
     is_submodular,
     is_supermodular,
@@ -142,12 +142,26 @@ class TestSetFunctionBasics:
             pass
 
         f = SetFunction(2, [0, Half(0.5), Fraction(5, 2), 2**53])
-        assert f.values == (0.0, 0.5, 2.5, 9007199254740992.0)
-        assert set(map(type, f.values)) == {float}
+        assert f.values == array("d", [0.0, 0.5, 2.5, 9007199254740992.0])
+        assert {type(f(mask)) for mask in range(4)} == {float}
 
     def test_float_tuple_kept_as_given(self):
+        # The table is the tuple's floats as C doubles, the zero's sign kept.
         values = (0.0, 1.0, -0.0, 2.0)
-        assert SetFunction(2, values).values is values
+        f = SetFunction(2, values)
+        assert list(map(float.hex, f.values)) == list(map(float.hex, values))
+        assert [f(mask).hex() for mask in range(4)] == list(map(float.hex, values))
+
+    @pytest.mark.parametrize(
+        "kind", [list, tuple, functools.partial(array, "d")], ids=["list", "tuple", "double-array"]
+    )
+    def test_signed_zeros_are_equal_and_hash_alike(self, kind):
+        # == compares the values as floats, as a tuple's == does, and the
+        # hash agrees with it.
+        negative, positive = SetFunction(1, kind([-0.0, 1.0])), SetFunction(1, kind([0.0, 1.0]))
+        assert negative == positive and hash(negative) == hash(positive)
+        assert negative(0).hex() == "-0x0.0p+0" and positive(0).hex() == "0x0.0p+0"
+        assert negative != SetFunction(1, kind([0.0, 2.0]))
 
     def test_length_checked_before_types(self):
         with pytest.raises(ValueError, match="need 4 values for n=2, got 3"):
@@ -191,15 +205,20 @@ class TestDoubleArrayInput:
     """An array('d') skips the type pass and is checked otherwise as any table."""
 
     def test_same_function_as_from_a_list(self):
-        values = [float(bin(m).count("1")) for m in range(16)]
-        f = SetFunction(4, array("d", values))
-        assert f == SetFunction(4, values)
-        assert hash(f) == hash(SetFunction(4, values))
+        # A list, a tuple, an int array and a double array of the same values
+        # give equal functions with equal hashes and the same floats.
+        counts = [m.bit_count() for m in range(16)]
+        values = list(map(float, counts))
+        from_list = SetFunction(4, values)
+        expected = [from_list(mask).hex() for mask in range(16)]
+        for table in (tuple(values), array("q", counts), array("d", values)):
+            f = SetFunction(4, table)
+            assert f == from_list and hash(f) == hash(from_list)
+            assert [f(mask).hex() for mask in range(16)] == expected
 
     def test_values_are_the_same_floats_bit_for_bit(self):
         f = SetFunction(3, array("d", EXTREMES))
-        assert type(f.values) is tuple
-        assert set(map(type, f.values)) == {float}
+        assert type(f.values) is array and f.values.typecode == "d"
         assert list(map(float.hex, f.values)) == list(map(float.hex, EXTREMES))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -225,22 +244,21 @@ class TestDoubleArrayInput:
         monkeypatch.setattr(setfunc, "set", counted, raising=False)
         f = SetFunction(2, array(typecode, [0, 1, 2, 3]))
         assert passes == [1]
-        assert f.values == (0.0, 1.0, 2.0, 3.0)
-        assert set(map(type, f.values)) == {float}
+        assert f.values == array("d", [0.0, 1.0, 2.0, 3.0])
+        assert f.values.typecode == "d"
         passes.clear()
         SetFunction(2, array("d", [0, 1, 2, 3]))
         assert passes == []
 
 
 class TestKeptDoubleArray:
-    """A copy of an array('d') is the table until ``values`` is first read."""
+    """A copy of an array('d') is the table, ``values``, that calls read."""
 
     def test_calls_return_the_same_floats_bit_for_bit(self):
         f = SetFunction(3, array("d", EXTREMES))
         from_list = SetFunction(3, EXTREMES)
         assert [f(mask).hex() for mask in range(8)] == [from_list(mask).hex() for mask in range(8)]
         assert f(0).hex() == "-0x0.0p+0"
-        assert not values_built(f)
 
     @pytest.mark.parametrize("mask", [-1, 8])
     def test_out_of_range_mask_raises_as_from_a_list(self, mask):
@@ -249,33 +267,35 @@ class TestKeptDoubleArray:
                 f(mask)
 
     def test_writes_to_the_callers_array_do_not_reach_the_function(self):
+        # A list is checked as it is given too, and copied all the same.
+        for table in (array("d", EXTREMES), list(EXTREMES)):
+            f = SetFunction(3, table)
+            table[0] = table[7] = 1.0
+            table.append(2.0)
+            assert [f(mask).hex() for mask in range(8)] == list(map(float.hex, EXTREMES))
+            assert list(map(float.hex, f.values)) == list(map(float.hex, EXTREMES))
+
+    def test_values_is_the_one_double_array_that_calls_read(self):
         table = array("d", EXTREMES)
         f = SetFunction(3, table)
-        table[0] = table[7] = 1.0
-        table.append(2.0)
-        assert [f(mask).hex() for mask in range(8)] == list(map(float.hex, EXTREMES))
-        assert list(map(float.hex, f.values)) == list(map(float.hex, EXTREMES))
-
-    def test_values_is_one_tuple_built_on_the_first_read(self):
-        f = SetFunction(3, array("d", EXTREMES))
-        assert not values_built(f)
         values = f.values
-        assert type(values) is tuple and values_built(f)
+        assert type(values) is array and values.typecode == "d" and values is not table
         assert f.values is values
-        # The tuple is now the table that calls read.
-        assert all(f(mask) is values[mask] for mask in range(8))
+        assert [f(mask).hex() for mask in range(8)] == list(map(float.hex, values))
 
-    def test_only_a_double_array_function_has_the_fallback(self):
+    def test_every_input_gives_one_class_and_one_table(self):
+        for table in (EXTREMES, tuple(EXTREMES), array("q", range(8)), array("d", EXTREMES)):
+            f = SetFunction(3, table)
+            assert type(f) is SetFunction
+            assert type(f.values) is array and f.values.typecode == "d"
         # A class with __getattr__ reads every attribute the slow way.
-        assert not hasattr(type(SetFunction(3, EXTREMES)), "__getattr__")
-        assert not hasattr(type(SetFunction(3, array("q", range(8)))), "__getattr__")
-        assert hasattr(type(SetFunction(3, array("d", EXTREMES))), "__getattr__")
+        assert not hasattr(SetFunction, "__getattr__")
 
     def test_other_missing_attributes_raise_as_usual(self):
         f = SetFunction(3, array("d", EXTREMES))
         with pytest.raises(AttributeError, match="^'SetFunction' object has no attribute 'table'$"):
             f.table
-        assert not hasattr(f, "_missing") and not values_built(f)
+        assert not hasattr(f, "_missing")
 
     def test_eval_count_and_values_under_threads(self):
         f = SetFunction(12, array("d", range(1 << 12)))
@@ -1092,7 +1112,8 @@ class TestMarginalBounds:
 class TestComplement:
     def test_t3_table(self, t3_function):
         fhat = complement_function(t3_function)
-        assert fhat.values == (-4.0, -3.0, -3.0, -1.0, -3.0, -1.0, -2.0, -0.0)
+        expected = [-4.0, -3.0, -3.0, -1.0, -3.0, -1.0, -2.0, -0.0]
+        assert list(map(float.hex, fhat.values)) == list(map(float.hex, expected))
 
     def test_t3_swapped_ratios(self, t3_function):
         fhat = complement_function(t3_function)
