@@ -8,8 +8,9 @@ element whose removal keeps a full-cardinality base reachable. The reverse
 pass is also available as a forward pass on the reflected function
 S -> -f(V \\ S) over the dual of the truncated matroid, as in the paper's
 reduction; both produce identical traces under the shared smallest-id
-tie-breaking. The reflected marginals are read from f as they are needed,
-never tabulated, so f's ``eval_count`` counts every value the reduction reads.
+tie-breaking. The reflected marginal at (R, j) is f's removal marginal
+``f.shifted_marginal(V \\ R, j)``, read as needed and never tabulated, so
+f's ``eval_count`` counts every value the reduction reads.
 
 Each run records every accepted step, every rejected candidate, and the
 intermediate sets, which is what the ordering-witness construction and the
@@ -219,25 +220,13 @@ def reverse_greedy_as_forward(f: SetFunction, matroid: Matroid, cardinality: int
     dual = matroid.truncate(cardinality).dual()
     full = full_mask(n)
     steps, rejected, removed = _greedy_kernel(
-        n, 0, n - cardinality, _reflected_marginal(f), dual.is_independent, largest=True
+        n, 0, n - cardinality, lambda removed, j: f.shifted_marginal(full ^ removed, j),
+        dual.is_independent, largest=True,
     )
     steps = tuple(GreedyStep(s.t, s.chosen, s.marginal, full ^ s.set_after) for s in steps)
     return GreedyTrace(
         REVERSE_AS_FORWARD, n, steps, rejected, full ^ removed, f(full), f(full ^ removed)
     )
-
-
-def _reflected_marginal(f: SetFunction) -> Callable[[int, int], float]:
-    """Marginal of S -> -f(V \\ S) at (S, j), for j not in S, read from f on demand.
-
-    Bit for bit the marginal of the reflected table, at two calls of f.
-    """
-    full = full_mask(f.n)
-
-    def gain(subset: int, j: int) -> float:
-        return -f(full ^ (subset | 1 << j)) - -f(full ^ subset)
-
-    return gain
 
 
 def ordering_witness(
@@ -266,20 +255,18 @@ def ordering_witness(
     if trace.algorithm == FORWARD:
         # Every set tested below has at most ``steps`` elements: no truncation.
         work_m = matroid
-        work_marginal = f.marginal
         flip = 0
     elif trace.algorithm in (REVERSE, REVERSE_AS_FORWARD):
         work_m = matroid.truncate(n - steps).dual()
-        work_marginal = _reflected_marginal(f)
         flip = full_mask(n)
     else:
         raise ValueError(f"unknown trace algorithm {trace.algorithm!r}")
     _check_trace_sets(trace)
     sets_before = [0] + [flip ^ s.set_after for s in trace.steps[:-1]]
+    if not 0 <= base < 1 << n:
+        raise ValueError(f"base mask {base} out of range for n={n}")
     if base.bit_count() != steps or not work_m.is_independent(base):
-        raise ValueError(
-            f"{elements(base)} is not a base of the matroid this trace ran on"
-        )
+        raise ValueError(f"{elements(base)} is not a base of the matroid this trace ran on")
     ordering = [0] * steps
     remaining = base
     for t in range(steps, 0, -1):
@@ -303,13 +290,13 @@ def ordering_witness(
         ordering[t - 1] = slot
         remaining &= ~(1 << slot)
     checks = []
-    for t in range(steps):
-        base_marg = work_marginal(sets_before[t], ordering[t])
+    for t, (before, slot) in enumerate(zip(sets_before, ordering)):
+        base_marg = f.shifted_marginal(flip ^ before, slot) if flip else f.marginal(before, slot)
         greedy_marg = trace.steps[t].marginal
         ok = base_marg <= greedy_marg if flip else base_marg >= greedy_marg
         if not ok:
             raise WitnessFailureError(
-                f"dominance fails at step {t + 1}: base element {ordering[t]} "
+                f"dominance fails at step {t + 1}: base element {slot} "
                 f"gives {base_marg!r} against greedy {greedy_marg!r}"
             )
         checks.append((base_marg, greedy_marg))
@@ -330,8 +317,7 @@ def brute_force_optimum(
     _check_inputs(f, matroid, cardinality)
     bases = matroid._independent_sets(cardinality, cardinality)
     values = [f.values[mask] for mask in bases]
-    with f._lock:
-        f._eval_count += len(bases)
+    f._add_evals(len(bases))
     best = min(values) if sense == "min" else max(values)
     index = values.index(best)
     return OptimumRecord(bases[index], values[index], len(bases))

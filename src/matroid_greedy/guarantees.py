@@ -11,9 +11,10 @@ its start set and compares it with that pass's closed form;
 ``verify_forward`` and ``verify_reverse`` name its two sides.
 
 Alongside them: a size-dependent alternative forward bound, a
-cardinality-constraint alternative reverse bound, strong-curvature bounds,
-the cheaper greedy-restricted ratio families for both passes, and the region
-sweep that compares the two guarantees across the (alpha, gamma) square.
+cardinality-constraint alternative reverse bound, the cheaper
+greedy-restricted ratio families for both passes, and the region sweep that
+compares the two guarantees across the (alpha, gamma) square; strong
+curvature comes from setfunc, beside the marginal extremes it reads.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ from .setfunc import (
     SetFunction,
     _check_value_range,
     _clamp_ratio,
-    _marginals,
     _require_increasing,
-    _subset_at,
     cumulative_ratio_detail,
     ratio_scan,
+    strong_curvature,
+    strong_curvature_detail,
 )
 from .subsets import elements, full_mask, mask_of
 
@@ -164,46 +165,6 @@ def bian_bound(gamma: float, alpha: float) -> float:
     if gamma == 1.0:
         return 1.0 - alpha
     return -math.expm1(-(1.0 - alpha) * (1.0 - gamma)) / (1.0 - gamma)
-
-
-def strong_curvature_detail(
-    f: SetFunction,
-) -> tuple[float, float, float, tuple[int, int, int] | None]:
-    """Strong curvature c with its witness (element, maximizing S, minimizing R).
-
-    c = 1 - min over elements j of (min marginal of j) / (max marginal of j),
-    where both extremes range over all subsets avoiding j; a far stronger
-    requirement than bounding the nested-pair families, so
-    c >= max(alpha, 1 - gamma). Also returns the induced forward bound
-    1 / (1 - c) and reverse bound 1 - c.
-
-    The extremes are the ones the marginal pass kept, whether
-    ``check_monotone`` or the ratio scan ran it, read after the input
-    checks; the first element with the smallest ratio binds, and only its
-    marginal list is built again, for the first S at each extreme.
-    """
-    _require_increasing(f)
-    _check_value_range(f)
-    extremes: list[tuple[float, float]] = f._extremes  # type: ignore[assignment]
-    # A binding ratio is at most 1, so +inf stands only for elements that bind nothing.
-    ratios = [lo / hi if hi > 0.0 else INF for lo, hi in extremes]
-    worst = min(ratios)
-    if worst == INF:
-        return 0.0, 1.0, 1.0, None
-    at = ratios.index(worst)
-    lo, hi = extremes[at]
-    # list.index keeps the first extreme in ascending S, as min and max do.
-    d = _marginals(f.values, at)
-    witness = (at, _subset_at(d.index(hi), at), _subset_at(d.index(lo), at))
-    c = 1.0 - _clamp_ratio(worst, "strong-curvature")
-    fwd = INF if c == 1.0 else 1.0 / (1.0 - c)
-    return c, fwd, 1.0 - c, witness
-
-
-def strong_curvature(f: SetFunction) -> tuple[float, float, float]:
-    """Strong curvature and its (forward, reverse) bound pair."""
-    c, fwd, rev, _ = strong_curvature_detail(f)
-    return c, fwd, rev
 
 
 def forward_greedy_ratios_detail(
@@ -433,8 +394,7 @@ def _verify(
     if optimum is None:
         opt = brute_force_optimum(f, matroid, cardinality, "min")
     else:
-        # The pass has checked f, matroid and cardinality against each other.
-        # The range test comes first: no rank oracle takes a negative mask.
+        # The pass has checked f, matroid and cardinality; the range test keeps this message.
         mask = optimum.optimum_set
         if not (0 <= mask < 1 << f.n and mask.bit_count() == cardinality
                 and matroid.is_independent(mask)):

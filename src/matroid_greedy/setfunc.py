@@ -4,9 +4,10 @@ A :class:`SetFunction` stores one real value per subset in a table indexed
 by bitmask, which makes every analysis below an explicit table sweep:
 monotonicity checks, the submodularity ratio (how close the function is to
 having diminishing marginals), the curvature (how close to increasing
-marginals), the cumulative variant of the ratio, marginal-range bounds for
-strictly increasing functions, and the reflected function S -> -f(V \\ S)
-whose ratio and curvature swap roles.
+marginals), the cumulative variant of the ratio, and marginal-range bounds
+and strong curvature from each element's extreme marginals. The reflected
+function S -> -f(V \\ S) swaps ratio and curvature; its marginal at (R, j)
+is ``shifted_marginal(V \\ R, j)``. Only this module touches a function's slots.
 """
 
 from __future__ import annotations
@@ -99,9 +100,12 @@ class SetFunction:
     def __call__(self, mask: int) -> float:
         if not 0 <= mask < len(self.values):
             raise ValueError(f"subset mask {mask} out of range for n={self.n}")
-        with self._lock:
-            self._eval_count += 1
+        self._add_evals(1)
         return self.values[mask]
+
+    def _add_evals(self, calls: int) -> None:
+        with self._lock:
+            self._eval_count += calls
 
     def marginal(self, subset: int, j: int) -> float:
         """f(S + j) - f(S); exactly 0.0 when j is already in S."""
@@ -772,6 +776,44 @@ def marginal_bounds_estimate(f: SetFunction) -> tuple[MarginalBounds, float, flo
     lo, hi = min(lows), max(highs)
     ratio = lo / hi
     return MarginalBounds(lo, hi), ratio, 1.0 - ratio
+
+
+def strong_curvature_detail(
+    f: SetFunction,
+) -> tuple[float, float, float, tuple[int, int, int] | None]:
+    """Strong curvature c with its witness (element, maximizing S, minimizing R).
+
+    c = 1 - min over elements j of (min marginal of j) / (max marginal of j),
+    where both extremes range over all subsets avoiding j; a far stronger
+    requirement than bounding the nested-pair families, so
+    c >= max(alpha, 1 - gamma). Also returns the induced forward bound
+    1 / (1 - c) and reverse bound 1 - c.
+
+    The extremes are the ones the marginal pass kept, whether
+    ``check_monotone`` or the ratio scan ran it, read after the input
+    checks; the first element with the smallest ratio binds, and only its
+    marginal list is built again, for the first S at each extreme.
+    """
+    _require_increasing(f)
+    _check_value_range(f)
+    # A binding ratio is at most 1, so +inf stands only for elements that bind nothing.
+    ratios = [lo / hi if hi > 0.0 else _INF for lo, hi in f._extremes]  # type: ignore[union-attr]
+    worst = min(ratios)
+    if worst == _INF:
+        return 0.0, 1.0, 1.0, None
+    at = ratios.index(worst)
+    lo, hi = f._extremes[at]  # type: ignore[index]
+    # list.index keeps the first extreme in ascending S, as min and max do.
+    d = _marginals(f.values, at)
+    witness = (at, _subset_at(d.index(hi), at), _subset_at(d.index(lo), at))
+    c = 1.0 - _clamp_ratio(worst, "strong-curvature")
+    fwd = _INF if c == 1.0 else 1.0 / (1.0 - c)
+    return c, fwd, 1.0 - c, witness
+
+
+def strong_curvature(f: SetFunction) -> tuple[float, float, float]:
+    """Strong curvature and its (forward, reverse) bound pair."""
+    return strong_curvature_detail(f)[:3]
 
 
 def complement_values(f: SetFunction) -> list[float]:

@@ -23,6 +23,8 @@ def mask_of(items: Iterable[int]) -> int:
 
 def elements(mask: int) -> list[int]:
     """Members of the subset in ascending order."""
+    if mask < 0:
+        raise ValueError(f"subset mask {mask} is negative")
     out = []
     while mask:
         low = mask & -mask
@@ -33,9 +35,12 @@ def elements(mask: int) -> list[int]:
 
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of mask, descending from mask itself down to 0."""
+    if mask < 0:
+        raise ValueError(f"subset mask {mask} is negative")
     sub = mask
     while True:
         yield sub
         if sub == 0:
             return
         sub = (sub - 1) & mask
+

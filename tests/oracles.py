@@ -276,6 +276,39 @@ def reference_cumulative_scan(values, n):
     return (1.0 if best is None else best), wit
 
 
+def reference_forward_greedy(values, is_independent, cardinality):
+    """Forward greedy by the direct grow-from-empty loop, reading only values and independence.
+
+    Repeatedly takes the smallest marginal f(S + j) - f(S) over the
+    never-considered elements, ties to the smallest id, and inserts it iff
+    S + j is independent (``is_independent`` takes a mask); a rejected
+    element is never reconsidered. Returns (steps, rejected, final set,
+    f(empty), f(final set)) shaped as in :func:`reference_reverse_greedy`.
+    """
+    n = len(values).bit_length() - 1
+    current = considered = 0
+    t = 1
+    steps = []
+    rejected = []
+    while current.bit_count() < cardinality:
+        best = best_val = None
+        for j in range(n):
+            if considered >> j & 1:
+                continue
+            val = values[current | 1 << j] - values[current]
+            if best is None or val < best_val:
+                best, best_val = j, val
+        bit = 1 << best
+        considered |= bit
+        if is_independent(current | bit):
+            current |= bit
+            steps.append((t, best, best_val, current))
+            t += 1
+        else:
+            rejected.append((t, best))
+    return steps, rejected, current, values[0], values[current]
+
+
 def reference_reverse_greedy(values, matroid, cardinality):
     """Reverse greedy by the direct shrink-from-V loop, reading only values and rank.
 

@@ -548,7 +548,6 @@ class TestRatios:
             return marginals(vals, j)
 
         monkeypatch.setattr(setfunc, "_marginals", counting_marginals)
-        monkeypatch.setattr(guarantees, "_marginals", counting_marginals)
         code, out, _ = run_cli(
             capsys, "ratios", "--instance", str(path), "--greedy-variants", "--strong"
         )

@@ -1,9 +1,12 @@
 import dataclasses
 import random
+import signal
 
 import pytest
 
 from matroid_greedy import (
+    ExplicitSpec,
+    GraphicSpec,
     InfeasibleError,
     Matroid,
     OptimumRecord,
@@ -12,6 +15,8 @@ from matroid_greedy import (
     UniformSpec,
     brute_force_optimum,
     build_matroid,
+    canonical_t3,
+    elements,
     forward_greedy,
     mask_of,
     ordering_witness,
@@ -20,6 +25,7 @@ from matroid_greedy import (
     full_mask,
     reverse_greedy,
     reverse_greedy_as_forward,
+    submasks,
 )
 from matroid_greedy.guarantees import reverse_greedy_ratios_detail
 from matroid_greedy.instances import (
@@ -418,3 +424,65 @@ class TestBruteForce:
             opt = brute_force_optimum(f, matroid, cardinality, "min")
             assert forward_greedy(f, matroid, cardinality).f_final == opt.optimum_value
             assert reverse_greedy(f, matroid, cardinality).f_final == opt.optimum_value
+
+
+T3 = canonical_t3()
+TRIANGLE = build_matroid(GraphicSpec(3, [(0, 1), (1, 2), (0, 2)]), 3)
+PAIRS = build_matroid(ExplicitSpec(m for m in range(8) if m.bit_count() <= 2), 3)
+UNIFORM_2 = build_matroid(UniformSpec(2), 3)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: elements(-1), "subset mask -1 is negative", id="elements"),
+        pytest.param(lambda: list(submasks(-1)), "subset mask -1 is negative", id="submasks"),
+        pytest.param(
+            lambda: T3.function.shifted_marginal(-4, 0), "subset mask -4 is negative",
+            id="shifted-marginal",
+        ),
+        pytest.param(lambda: PAIRS.rank(-1), "subset mask -1 out of range for n=3", id="explicit-rank"),
+        pytest.param(
+            lambda: PAIRS.is_independent(-1), "subset mask -1 out of range for n=3",
+            id="explicit-independent",
+        ),
+        pytest.param(lambda: TRIANGLE.rank(-1), "subset mask -1 out of range for n=3", id="graphic-rank"),
+        pytest.param(
+            lambda: TRIANGLE.is_independent(8), "subset mask 8 out of range for n=3",
+            id="graphic-independent-above",
+        ),
+        pytest.param(lambda: UNIFORM_2.rank(-1), "subset mask -1 out of range for n=3", id="uniform-rank"),
+        pytest.param(
+            lambda: UNIFORM_2.is_independent(-1), "subset mask -1 out of range for n=3",
+            id="uniform-independent",
+        ),
+        pytest.param(
+            lambda: ordering_witness(
+                forward_greedy(T3.function, UNIFORM_2, 2), T3.function, -4, UNIFORM_2
+            ),
+            "base mask -4 out of range for n=3",
+            id="witness-negative-base",
+        ),
+        pytest.param(
+            lambda: ordering_witness(
+                forward_greedy(T3.function, TRIANGLE, 2), T3.function, 9, TRIANGLE
+            ),
+            "base mask 9 out of range for n=3",
+            id="witness-base-above",
+        ),
+    ],
+)
+def test_mask_outside_the_ground_set_raises_at_once(call, message):
+    # A negative mask has endless set bits, and a loop over them never ends:
+    # the timer turns such a hang into a failure.
+    def expire(signum, frame):
+        raise TimeoutError("no answer within a second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

@@ -524,11 +524,11 @@ def test_written_packed_from_n18(tmp_path):
 
 
 @pytest.mark.skipif(sys.byteorder != "little", reason="the swap is real on this host")
-def test_big_endian_host_swaps_the_bytes(tmp_path, monkeypatch):
+def test_big_endian_host_swaps_the_bytes(tmp_path, monkeypatch, packed_from_1):
     # On a big-endian host the array reads each double's bytes reversed, and
     # the swap restores them. On a little-endian host told it is big-endian,
     # the swap is what reverses them, so the load gives the big-endian reading
-    # of the file's bytes.
+    # of the file's bytes, and the writer writes big-endian ones.
     values = [0.0, 1.0, 2.0, 3.0, 0.5, -0.0, 5e-324, 0.1]
     data = struct.pack("<8d", *values)
     swapped = struct.unpack(">8d", data)
@@ -542,6 +542,12 @@ def test_big_endian_host_swaps_the_bytes(tmp_path, monkeypatch):
     fn = {"encoding": "f64le-base64", "values": b64_doubles(EXTREMES)}
     table = instances._unpack(fn, 3)
     assert table.tobytes() == struct.pack(">8d", *EXTREMES)
+    text = "".join(instances._packed_text(array("d", EXTREMES)))
+    assert base64.b64decode(text) == struct.pack(">8d", *EXTREMES)
+    # Written and read on one host, the two swaps cancel.
+    extremes = Instance("extremes", 3, SetFunction(3, EXTREMES), UniformSpec(1), 1)
+    save_instance(extremes, path)
+    assert load_instance(path).function.values.tobytes() == extremes.function.values.tobytes()
 
 
 def packed_t3(**function):
