@@ -1,18 +1,14 @@
-"""Run the output corpus check and tier-1 under every Python from 3.10 on.
+"""Run the output corpus check and tier-1 under every Python from 3.11 on.
 
 From the repository root, with a Python 3.11 or later that has pytest and
 hypothesis::
 
     python research/pythons.py
 
-The interpreters are those under ``~/.pyenv/versions`` whose names read 3.10
-or later. None of them needs pytest: each runs with the site-packages of the
-interpreter running this script on ``PYTHONPATH``, so nothing is installed.
-Python 3.10 has neither ``ExceptionGroup`` nor ``tomllib``, which pytest and
-hypothesis take from the ``exceptiongroup`` and ``tomli`` packages there; so
-under 3.10 two stand-ins come first on the path, written to a temporary
-directory: an ``exceptiongroup`` module with the two classes they import, and
-``tomli``, a link to this interpreter's ``tomllib`` package.
+The interpreters are those under ``~/.pyenv/versions`` whose names read 3.11
+or later, the oldest that ``requires-python`` admits. None of them needs
+pytest: each runs with the site-packages of the interpreter running this
+script on ``PYTHONPATH``, so nothing is installed.
 
 Each interpreter runs ``tests/corpus.py --check`` and then tier-1 with
 criterion 4 deselected (it fails by design: see ``tests/test_acceptance.py``).
@@ -27,49 +23,24 @@ import re
 import subprocess
 import sys
 import sysconfig
-import tempfile
-import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 VERSIONS = Path.home() / ".pyenv" / "versions"
 CRITERION_4 = "tests/test_acceptance.py::test_criterion_04_dominance_grids"
 
-EXCEPTIONGROUP = '''\
-import types
-
-
-class BaseExceptionGroup(BaseException):
-    __class_getitem__ = classmethod(types.GenericAlias)
-
-    def __init__(self, message, exceptions):
-        super().__init__(message, exceptions)
-        self.message = message
-        self.exceptions = tuple(exceptions)
-
-
-class ExceptionGroup(BaseExceptionGroup, Exception):
-    pass
-'''
-
 
 def interpreters(versions: Path) -> list[tuple[tuple[int, ...], Path]]:
-    """(version, python) for each interpreter under ``versions`` from 3.10 on, oldest first."""
+    """(version, python) for each interpreter under ``versions`` from 3.11 on, oldest first."""
     found = []
     for entry in versions.iterdir():
         match = re.fullmatch(r"(\d+)\.(\d+)\.(\d+)", entry.name)
         python = entry / "bin" / "python"
         if match and python.exists():
             version = tuple(map(int, match.groups()))
-            if version >= (3, 10):
+            if version >= (3, 11):
                 found.append((version, python))
     return sorted(found)
-
-
-def stand_ins(where: Path) -> None:
-    """Write the 3.10 stand-ins for ``exceptiongroup`` and ``tomli`` into ``where``."""
-    (where / "exceptiongroup.py").write_text(EXCEPTIONGROUP, encoding="utf-8")
-    (where / "tomli").symlink_to(Path(tomllib.__file__).parent, target_is_directory=True)
 
 
 def counts(output: str) -> dict[str, int]:
@@ -78,9 +49,8 @@ def counts(output: str) -> dict[str, int]:
     return {word: int(number) for number, word in re.findall(r"(\d+) (\w+)", summary)}
 
 
-def run(python: Path, version: tuple[int, ...], lent: str, shims: Path) -> bool:
-    paths = ([str(shims)] if version < (3, 11) else []) + [str(ROOT / "src"), lent]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+def run(python: Path, version: tuple[int, ...], lent: str) -> bool:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), lent])}
     corpus = subprocess.run(
         [str(python), "tests/corpus.py", "--check"],
         cwd=ROOT, env=env, capture_output=True, text=True,
@@ -108,11 +78,9 @@ def main() -> int:
     lent = sysconfig.get_paths()["purelib"]
     found = interpreters(VERSIONS)
     if not found:
-        print(f"no Python 3.10 or later under {VERSIONS}", file=sys.stderr)
+        print(f"no Python 3.11 or later under {VERSIONS}", file=sys.stderr)
         return 1
-    with tempfile.TemporaryDirectory() as tmp:
-        stand_ins(Path(tmp))
-        results = [run(python, version, lent, Path(tmp)) for version, python in found]
+    results = [run(python, version, lent) for version, python in found]
     return 0 if all(results) else 1
 
 

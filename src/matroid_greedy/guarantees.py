@@ -438,10 +438,13 @@ def verify_forward(
     otherwise. (gamma, alpha) come from the function's memoized
     :func:`ratio_scan`; ``optimum`` may carry the minimizing brute-force
     record to skip the base enumeration. A tolerance that is not finite and
-    >= 0 raises ValueError before any scan, as do a non-finite optimum
-    value, an optimum set outside the ground set, not of ``cardinality``
-    elements, or not independent in ``matroid``, and a value that is not
-    the table's own float at that set (by ``repr``, so -0.0 is not 0.0).
+    >= 0 raises ValueError before any scan, as does a non-finite optimum
+    value. The optimum's set and value are checked later, after the ratio
+    scan and the pass have checked ``f``, ``matroid`` and ``cardinality``:
+    ValueError for a set outside the ground set, not of ``cardinality``
+    elements, or not independent in ``matroid``, and then for a value that
+    is not the table's own float at that set (by ``repr``, so -0.0 is not
+    0.0).
     """
     return _verify(f, matroid, cardinality, False, instance_id, tolerance, optimum)
 
@@ -459,7 +462,8 @@ def verify_reverse(
 
     The achieved ratio references the full set; when the optimum equals the
     full-set value the ratio is 1 if the greedy matched it and 0 otherwise.
-    (gamma, alpha) and ``optimum`` are as in ``verify_forward``.
+    (gamma, alpha), ``optimum`` and the order of the checks are as in
+    ``verify_forward``.
     """
     return _verify(f, matroid, cardinality, True, instance_id, tolerance, optimum)
 

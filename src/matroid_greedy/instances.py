@@ -355,34 +355,31 @@ def _instance_from(obj) -> Instance:
 #: The encoding of a packed table: its 2^n values as little-endian doubles,
 #: in padded base64.
 _PACKED_ENCODING = "f64le-base64"
-_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 
 
 def _unpack(fn: dict, n: int) -> array:
     """The values of a packed function object as an ``array('d')``, its text taken out of ``fn``.
 
     Where ``fn`` was the text's only holder, the text (11 MB at n=20) is freed
-    before the doubles are decoded. The array holds C doubles only, so
-    SetFunction skips its type pass on it and keeps a copy of it as its
-    table, with no float object per value.
+    once it is decoded, before the table is built. The array holds C doubles
+    only, so SetFunction skips its type pass on it and keeps a copy of it as
+    its table, with no float object per value.
     """
     encoding = _expect(fn, "encoding", str, "instance.function")
     if encoding != _PACKED_ENCODING:
         raise SchemaError(f"instance.function: unknown encoding '{encoding}'")
     _expect(fn, "values", str, "instance.function")
     text = fn.pop("values")
-    if not text.isascii():
+    # Strict mode refuses bytes outside the alphabet and misplaced padding,
+    # but before Python 3.13 it takes a whole quad followed by one "=".
+    if len(text) % 4:
         raise SchemaError("instance.function: values are not base64")
-    raw = text.encode("ascii")
+    try:
+        data = binascii.a2b_base64(text, strict_mode=True)
+    except ValueError as exc:
+        # binascii.Error is a ValueError, as is the refusal of non-ASCII text.
+        raise SchemaError("instance.function: values are not base64") from exc
     del text
-    # binascii skips bytes outside the alphabet unless strict_mode is set,
-    # and Python 3.10 has no strict_mode; so the alphabet and padding are
-    # checked here, and a2b_base64 cannot fail on what passes.
-    rest = raw.translate(None, _BASE64_ALPHABET)
-    if len(raw) % 4 or rest not in (b"", b"=", b"==") or not raw.endswith(rest):
-        raise SchemaError("instance.function: values are not base64")
-    data = binascii.a2b_base64(raw)
-    del raw
     if len(data) != 8 << n:
         raise SchemaError(f"instance.function: need {8 << n} bytes for n={n}, got {len(data)}")
     table = array("d", data)
@@ -453,7 +450,7 @@ def _packed_text(values: array) -> Iterator[str]:
         # The file holds little-endian doubles; the array holds the host's order.
         if sys.byteorder == "big":
             block.byteswap()
-        yield binascii.b2a_base64(block.tobytes(), newline=False).decode("ascii")
+        yield binascii.b2a_base64(block, newline=False).decode("ascii")
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -111,6 +111,9 @@ class SetFunction:
         """f(S + j) - f(S); exactly 0.0 when j is already in S."""
         self._check_element(j)
         if subset >> j & 1:
+            # Not evaluated, so __call__'s range test is made here.
+            if subset >> self.n:
+                raise ValueError(f"subset mask {subset} out of range for n={self.n}")
             return 0.0
         return self(subset | 1 << j) - self(subset)
 

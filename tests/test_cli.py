@@ -619,6 +619,38 @@ class TestVerify:
         assert record["n"] == 17 and 0.0 < record["gamma"] <= 1.0 and 0.0 <= record["alpha"] < 1.0
         assert record["forward"]["satisfied"] and record["reverse"]["satisfied"]
 
+    def test_infinite_bound_written_as_infinity(self, capsys, tmp_path):
+        # gamma = 0 makes the forward bound infinite, and json writes the
+        # bare token Infinity, which RFC 8259 parsers refuse. These bytes pin
+        # today's output.
+        path = tmp_path / "inf.json"
+        f = SetFunction(2, [0.0, 0.0, 0.0, 1.0])
+        save_instance(Instance("inf", 2, f, UniformSpec(1), 1), path)
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path))
+        assert (code, err) == (0, "")
+        record = {
+            "N": 1,
+            "alpha": 0.0,
+            "forward": {
+                "achieved_ratio": 1.0, "algorithm": "forward", "bound": "INF",
+                "f_empty": 0.0, "f_full": 1.0, "f_greedy": 0.0, "f_opt": 0.0, "satisfied": True,
+            },
+            "gamma": 0.0,
+            "id": "inf",
+            "n": 2,
+            "reverse": {
+                "achieved_ratio": 1.0, "algorithm": "reverse", "bound": 0.5,
+                "f_empty": 0.0, "f_full": 1.0, "f_greedy": 0.0, "f_opt": 0.0, "satisfied": True,
+            },
+        }
+        payload = {
+            "checks": 2, "failed": 0, "instances": 1, "passed": 2,
+            "records": [record], "tolerance": 1e-09,
+        }
+        expected = json.dumps(payload, indent=2, sort_keys=True).replace('"INF"', "Infinity")
+        assert out == expected + "\n"
+        assert '"bound": Infinity,' in out
+
     def test_needs_source(self, capsys):
         code, _, err = run_cli(capsys, "verify")
         assert code == 2 and err != ""

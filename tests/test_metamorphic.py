@@ -1,0 +1,167 @@
+"""Metamorphic relations of the ratio scans, checked without a reference scan.
+
+Each relation compares the library with itself on a transformed table:
+relabeling the elements, scaling the values by a power of two, and the
+reflection S -> -f(V \\ S). No oracle enumerates the pairs, so the same
+relations can run at any n the scans take; here n <= 8 keeps each example
+fast. The tables are the tie-heavy ones of ``test_setfunc`` (small-integer
+steps, modular and constant, zeros of either sign) and its bounded-marginal
+ones, drawn from a seeded rng.
+"""
+
+import math
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from matroid_greedy import SetFunction, complement_function, ratio_scan
+from matroid_greedy.setfunc import cumulative_ratio_detail
+from matroid_greedy.subsets import elements
+
+from test_setfunc import bounded_values, tie_heavy_tables
+
+#: The unit roundoff of a double.
+U = 2.0 ** -53
+
+MAX_N = 8
+
+#: Bounded-marginal tables. Their noise comes from a seeded rng, so two
+#: distinct (S, R, j) triples have equal ratios only by a chance that no
+#: example meets: these tables are tie-free below a ratio of 1.
+BOUNDED = st.builds(
+    lambda n, seed: SetFunction(n, bounded_values(n, random.Random(seed))),
+    st.integers(1, MAX_N),
+    st.integers(0, 2**32),
+)
+TABLES = st.one_of(tie_heavy_tables(max_n=MAX_N), BOUNDED)
+
+
+@st.composite
+def relabelings(draw, tables):
+    """A table and a permutation of its elements."""
+    f = draw(tables)
+    return f, draw(st.permutations(range(f.n)))
+
+
+def image(mask, perm):
+    """The mask whose elements are perm[i] for each element i of ``mask``."""
+    out = 0
+    for i in elements(mask):
+        out |= 1 << perm[i]
+    return out
+
+
+def relabeled(f, perm):
+    """S -> f(perm(S)): element i of the result is element perm[i] of f.
+
+    Each marginal of the result at (S, i) is f's at (perm(S), perm[i]), the
+    same subtraction of the same two floats, so the two functions have the
+    same ratios at corresponding triples.
+    """
+    return SetFunction(f.n, [f.values[image(mask, perm)] for mask in range(1 << f.n)])
+
+
+def mapped(witness, perm):
+    """A witness of the relabeled function as the triple of f it reads."""
+    small, big, j = witness
+    return image(small, perm), image(big, perm), perm[j]
+
+
+def hexes(scan):
+    return scan.gamma.hex(), scan.alpha.hex()
+
+
+class TestRelabeling:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(relabelings(TABLES))
+    def test_gamma_and_alpha_bit_identical(self, case):
+        f, perm = case
+        got, want = ratio_scan(relabeled(f, perm)), ratio_scan(f)
+        if any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in f.values):
+            # A -0.0 in the table can make a zero marginal, and so a zero
+            # ratio, of either sign. A zero gamma takes the sign of its first
+            # witness, and relabeling reorders the witnesses.
+            assert (got.gamma, got.alpha) == (want.gamma, want.alpha)
+        else:
+            assert hexes(got) == hexes(want)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(relabelings(BOUNDED))
+    def test_tie_free_witnesses_map(self, case):
+        # Below a ratio of 1 the minimum is off the S = R triples, whose
+        # ratios are all exactly 1, so one triple attains it in each table.
+        f, perm = case
+        got, want = ratio_scan(relabeled(f, perm)), ratio_scan(f)
+        if want.gamma < 1.0:
+            assert mapped(got.gamma_witness, perm) == want.gamma_witness
+        if want.alpha > 0.0:
+            assert mapped(got.alpha_witness, perm) == want.alpha_witness
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(relabelings(TABLES))
+    def test_cumulative_ratio_within_its_rounding(self, case):
+        # A pair's denominator is the same float under relabeling, and its
+        # numerator adds the same nonnegative marginals in another order.
+        # By the cumulative_ratio_detail docstring each such sum is within a
+        # factor 1 +- 16u of the exact one, so each ratio, after its own
+        # rounded division, and with it the minimum, moves by a factor of at
+        # most (1 + 16u) / (1 - 16u) * (1 + u) / (1 - u) < 1 + 35u.
+        f, perm = case
+        got = cumulative_ratio_detail(relabeled(f, perm))[0]
+        want = cumulative_ratio_detail(f)[0]
+        assert abs(got - want) <= 35 * U * max(got, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(TABLES, st.integers(-2, 3))
+def test_scaling_by_a_power_of_two_changes_nothing(f, k):
+    # Every value and every marginal is scaled exactly, so every ratio is
+    # the same float: the values, witnesses and zeros' signs all stay.
+    scaled = SetFunction(f.n, [math.ldexp(v, k) for v in f.values])
+    got, want = ratio_scan(scaled), ratio_scan(f)
+    assert hexes(got) == hexes(want)
+    assert (got.gamma_witness, got.alpha_witness) == (want.gamma_witness, want.alpha_witness)
+
+
+class TestComplement:
+    """Each value of the reflection is its witness's ratio, recomputed in f.
+
+    The marginal of g = complement_function(f) at (S, j) is (-a) - (-b) with
+    a = f(V - S - j) and b = f(V - S), which rounds as b - a does, signed
+    zeros included: f's removal marginal at V - S.
+    """
+
+    @staticmethod
+    def removal(f, small, j):
+        """g's marginal at (small, j), read from f as its removal marginal at V - small."""
+        rest = ((1 << f.n) - 1) ^ small
+        return f.values[rest] - f.values[rest ^ 1 << j]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(TABLES)
+    def test_gamma_and_alpha(self, f):
+        scan = ratio_scan(complement_function(f))
+        if scan.gamma_witness is None:
+            assert (scan.gamma, scan.alpha) == (1.0, 0.0)
+            return
+        small, big, j = scan.gamma_witness
+        ratio = self.removal(f, small, j) / self.removal(f, big, j)
+        assert scan.gamma.hex() == ratio.hex()
+        small, big, j = scan.alpha_witness
+        ratio = self.removal(f, big, j) / self.removal(f, small, j)
+        assert scan.alpha.hex() == (1.0 - ratio).hex()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(TABLES)
+    def test_cumulative_ratio(self, f):
+        value, witness = cumulative_ratio_detail(complement_function(f))
+        if witness is None:
+            assert value == 1.0
+            return
+        small, rest = witness
+        total = 0.0
+        for j in elements(rest):
+            total += self.removal(f, small, j)
+        outside = ((1 << f.n) - 1) ^ small
+        ratio = total / (f.values[outside] - f.values[outside ^ rest])
+        assert value.hex() == ratio.hex()

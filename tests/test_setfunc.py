@@ -332,6 +332,14 @@ class TestMarginals:
             with pytest.raises(ValueError, match=rf"^element {j} out of range for n=3$"):
                 t3_function.marginal(0, j)
 
+    @pytest.mark.parametrize("mask", [-1, 9, 15, 1 << 70 | 1])
+    def test_marginal_mask_range(self, t3_function, mask):
+        # j = 0 is in each mask, so no value is read; the mask is refused all the same.
+        before = t3_function.eval_count
+        with pytest.raises(ValueError, match=f"^subset mask {mask} out of range for n=3$"):
+            t3_function.marginal(mask, 0)
+        assert t3_function.eval_count == before
+
     def test_set_marginal_examples(self, t3_function):
         assert t3_function.set_marginal(0, mask_of([1, 2])) == 3.0
         assert t3_function.set_marginal(mask_of([2]), mask_of([0, 1])) == 3.0
