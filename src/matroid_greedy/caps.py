@@ -1,10 +1,12 @@
 """Size caps of the exhaustive operations, one table by cost class.
 
 Past its cap an operation raises GroundSetTooLargeError (CLI exit 5) before
-its own scan starts. The cumulative ratio scan, and so ``ratios``, first
-checks that the function is increasing: a non-increasing table over the cap
-raises NonMonotoneError (exit 4), after the monotonicity scan and before any
-ratio scan.
+its own scan starts. Past the table cap the input is refused instead (exit 2):
+ValueError from SetFunction and the generators, SchemaError from the loader,
+which raises SchemaError past the depth cap too. The cumulative ratio scan,
+and so ``ratios``, first checks that the function is increasing: a
+non-increasing table over its cap raises NonMonotoneError (exit 4), after the
+monotonicity scan and before any ratio scan.
 """
 
 from __future__ import annotations

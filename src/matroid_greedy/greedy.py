@@ -25,7 +25,7 @@ from typing import Callable
 from .errors import InfeasibleError, TraceMismatchError, WitnessFailureError
 from .matroids import Matroid
 from .setfunc import SetFunction
-from .subsets import elements, full_mask
+from .subsets import _check_mask, elements, full_mask
 
 FORWARD = "forward"
 REVERSE = "reverse"
@@ -263,8 +263,7 @@ def ordering_witness(
         raise ValueError(f"unknown trace algorithm {trace.algorithm!r}")
     _check_trace_sets(trace)
     sets_before = [0] + [flip ^ s.set_after for s in trace.steps[:-1]]
-    if not 0 <= base < 1 << n:
-        raise ValueError(f"base mask {base} out of range for n={n}")
+    _check_mask(base, n, "base")
     if base.bit_count() != steps or not work_m.is_independent(base):
         raise ValueError(f"{elements(base)} is not a base of the matroid this trace ran on")
     ordering = [0] * steps

@@ -17,7 +17,7 @@ from typing import Callable, Union
 
 from .caps import MAX_AXIOM_N, MAX_TABLE_N, check_size
 from .errors import InvalidSpecError
-from .subsets import elements, full_mask
+from .subsets import _check_mask, elements, full_mask
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,13 @@ class Matroid:
         self.rank_full = rank(full_mask(n))
 
     def is_independent(self, subset: int) -> bool:
-        self._check_mask(subset)
+        _check_mask(subset, self.n)
         return self._rank(subset) == subset.bit_count()
 
     def rank(self, subset: int) -> int:
         """Size of a maximal independent subset."""
-        self._check_mask(subset)
+        _check_mask(subset, self.n)
         return self._rank(subset)
-
-    def _check_mask(self, subset: int) -> None:
-        if subset >> self.n:  # 0 only for 0..2^n-1: a negative mask shifts to -1
-            raise ValueError(f"subset mask {subset} out of range for n={self.n}")
 
     def enumerate_bases(self) -> list[int]:
         """All independent sets of full rank, in ascending mask order."""

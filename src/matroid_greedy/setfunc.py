@@ -26,7 +26,7 @@ from operator import neg, sub
 
 from .caps import MAX_CUMULATIVE_N, MAX_TABLE_N, check_size
 from .errors import NonMonotoneError, NotStrictlyIncreasingError
-from .subsets import elements, submasks
+from .subsets import _check_mask, elements, submasks
 
 _log = logging.getLogger(__name__)
 
@@ -47,10 +47,9 @@ class SetFunction:
     Values must be finite real numbers. A bool or a non-number raises
     ValueError naming its index; NaN and infinities raise ValueError too.
     The table, ``values``, is one ``array('d')`` of C doubles whatever the
-    input, converted or copied once after the checks. An ``array('d')``, as
-    the loader decodes a packed table into, holds only floats, so it skips
-    the type pass. The table is not to be written to: the scans keep their
-    results on the function.
+    input, made by one conversion or copy after the type pass, which an
+    ``array('d')`` (as the loader decodes a packed table into) skips. The
+    table is not to be written to: the scans keep their results on the function.
     """
 
     __slots__ = ("n", "values", "_eval_count", "_lock", "_monotone", "_extremes", "_ratios")
@@ -58,8 +57,7 @@ class SetFunction:
     def __init__(self, n: int, values) -> None:
         _check_table_n(n)
         # A list, a tuple or a double array is checked as the caller gave it;
-        # any other iterable is first taken into a tuple. A double array
-        # yields only floats, so it skips the type pass.
+        # any other iterable is first taken into a tuple.
         doubles = type(values) is array and values.typecode == "d"
         vals = values if doubles or type(values) in (list, tuple) else tuple(values)
         if len(vals) != 1 << n:
@@ -71,20 +69,19 @@ class SetFunction:
             for i, v in enumerate(vals):
                 if isinstance(v, bool) or not isinstance(v, Real):
                     raise ValueError(f"values[{i}] is not a number")
-        if kinds != {float}:
-            try:
-                vals = tuple(map(float, vals))
-            except OverflowError as exc:
-                raise ValueError(f"set-function values must be finite ({exc})") from exc
-        # A finite sum proves every value finite; only an overflowing or
-        # non-finite sum needs the per-value pass. It runs before the
-        # conversion, so only a double array sums through new float objects.
-        if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
-            raise ValueError("set-function values must be finite (no NaN or infinity)")
-        self.n = n
         # The one conversion, and always a copy: a later write to the
         # caller's list or array cannot reach the table.
-        self.values = array("d", vals)
+        try:
+            table = array("d", vals)
+        except OverflowError as exc:
+            raise ValueError(f"set-function values must be finite ({exc})") from exc
+        # A finite sum proves every value finite; only an overflowing or non-finite
+        # sum needs the per-value pass. Non-floats are summed as their doubles.
+        checked = vals if kinds == {float} else table
+        if not math.isfinite(sum(checked)) and not all(map(math.isfinite, checked)):
+            raise ValueError("set-function values must be finite (no NaN or infinity)")
+        self.n = n
+        self.values = table
         self._eval_count = 0
         self._lock = threading.Lock()
         self._monotone: MonotonicityReport | None = None
@@ -98,8 +95,7 @@ class SetFunction:
         return self._eval_count
 
     def __call__(self, mask: int) -> float:
-        if not 0 <= mask < len(self.values):
-            raise ValueError(f"subset mask {mask} out of range for n={self.n}")
+        _check_mask(mask, self.n)
         self._add_evals(1)
         return self.values[mask]
 
@@ -110,20 +106,21 @@ class SetFunction:
     def marginal(self, subset: int, j: int) -> float:
         """f(S + j) - f(S); exactly 0.0 when j is already in S."""
         self._check_element(j)
+        _check_mask(subset, self.n)
         if subset >> j & 1:
-            # Not evaluated, so __call__'s range test is made here.
-            if subset >> self.n:
-                raise ValueError(f"subset mask {subset} out of range for n={self.n}")
             return 0.0
         return self(subset | 1 << j) - self(subset)
 
     def set_marginal(self, subset: int, other: int) -> float:
         """f(S | R) - f(S)."""
+        _check_mask(subset, self.n)
+        _check_mask(other, self.n)
         return self(subset | other) - self(subset)
 
     def shifted_marginal(self, subset: int, j: int) -> float:
         """f(S) - f(S - j), the removal counterpart of marginal; requires j in S."""
         self._check_element(j)
+        _check_mask(subset, self.n)
         if not subset >> j & 1:
             raise ValueError(f"element {j} not in subset {elements(subset)}")
         return self(subset) - self(subset & ~(1 << j))

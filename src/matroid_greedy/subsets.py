@@ -14,6 +14,12 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
+def _check_mask(mask: int, n: int, what: str = "subset") -> None:
+    """Refuse a mask outside 0..2^n-1: only those shift to 0, a negative one to -1."""
+    if mask >> n:
+        raise ValueError(f"{what} mask {mask} out of range for n={n}")
+
+
 def mask_of(items: Iterable[int]) -> int:
     mask = 0
     for e in items:

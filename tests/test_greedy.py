@@ -438,8 +438,25 @@ UNIFORM_2 = build_matroid(UniformSpec(2), 3)
         pytest.param(lambda: elements(-1), "subset mask -1 is negative", id="elements"),
         pytest.param(lambda: list(submasks(-1)), "subset mask -1 is negative", id="submasks"),
         pytest.param(
-            lambda: T3.function.shifted_marginal(-4, 0), "subset mask -4 is negative",
+            lambda: T3.function.shifted_marginal(-4, 0), "subset mask -4 out of range for n=3",
             id="shifted-marginal",
+        ),
+        # The caller's own mask is named, not the one derived from it.
+        pytest.param(
+            lambda: T3.function.marginal(8, 0), "subset mask 8 out of range for n=3",
+            id="marginal-above",
+        ),
+        pytest.param(
+            lambda: T3.function.marginal(-4, 0), "subset mask -4 out of range for n=3",
+            id="marginal-negative",
+        ),
+        pytest.param(
+            lambda: T3.function.set_marginal(1, 8), "subset mask 8 out of range for n=3",
+            id="set-marginal-above",
+        ),
+        pytest.param(
+            lambda: T3.function.set_marginal(1, -2), "subset mask -2 out of range for n=3",
+            id="set-marginal-negative",
         ),
         pytest.param(lambda: PAIRS.rank(-1), "subset mask -1 out of range for n=3", id="explicit-rank"),
         pytest.param(

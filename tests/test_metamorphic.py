@@ -6,16 +6,20 @@ reflection S -> -f(V \\ S). No oracle enumerates the pairs, so the same
 relations can run at any n the scans take; here n <= 8 keeps each example
 fast. The tables are the tie-heavy ones of ``test_setfunc`` (small-integer
 steps, modular and constant, zeros of either sign) and its bounded-marginal
-ones, drawn from a seeded rng.
+ones, drawn from a seeded rng. Two fixed-seed tables at n=17, past every
+oracle, are checked under relabeling and scaling too.
 """
 
+import functools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from matroid_greedy import SetFunction, complement_function, ratio_scan
-from matroid_greedy.setfunc import cumulative_ratio_detail
+from matroid_greedy.instances import gen_bounded_marginal, gen_explicit_random
+from matroid_greedy.setfunc import cumulative_ratio_detail, strong_curvature_detail
 from matroid_greedy.subsets import elements
 
 from test_setfunc import bounded_values, tie_heavy_tables
@@ -56,9 +60,14 @@ def relabeled(f, perm):
 
     Each marginal of the result at (S, i) is f's at (perm(S), perm[i]), the
     same subtraction of the same two floats, so the two functions have the
-    same ratios at corresponding triples.
+    same ratios at corresponding triples. Element i appends to the images of
+    the masks below 2^i their unions with perm[i]: one pass per element.
     """
-    return SetFunction(f.n, [f.values[image(mask, perm)] for mask in range(1 << f.n)])
+    images = [0]
+    for i in range(f.n):
+        bit = 1 << perm[i]
+        images += [mask | bit for mask in images]
+    return SetFunction(f.n, list(map(f.values.__getitem__, images)))
 
 
 def mapped(witness, perm):
@@ -121,6 +130,51 @@ def test_scaling_by_a_power_of_two_changes_nothing(f, k):
     got, want = ratio_scan(scaled), ratio_scan(f)
     assert hexes(got) == hexes(want)
     assert (got.gamma_witness, got.alpha_witness) == (want.gamma_witness, want.alpha_witness)
+
+
+@functools.cache
+def large(kind):
+    """A fixed-seed n=17 table: positive but for f(empty) = +0.0, so no -0.0."""
+    if kind == "bounded":
+        return gen_bounded_marginal(17, 1.0, 3.0, seed=17)
+    return gen_explicit_random(17, seed=17)
+
+
+def curvature_image(detail, perm):
+    """A strong-curvature witness of the relabeled function as the one of f it reads."""
+    j, at_max, at_min = detail[3]
+    return detail[0].hex(), (perm[j], image(at_max, perm), image(at_min, perm))
+
+
+@pytest.mark.parametrize("kind", ["bounded", "max-plus"])
+class TestAtN17:
+    """Relabeling and scaling on tables no oracle reaches, where the scans pick or fold.
+
+    Their random values make every ratio below 1 and every element's
+    curvature ratio tie-free, so each witness is one triple and must map.
+    """
+
+    def test_relabeling_maps_every_witness(self, kind):
+        f = large(kind)
+        perm = random.Random(17).sample(range(17), 17)
+        g = relabeled(f, perm)
+        got, want = ratio_scan(g), ratio_scan(f)
+        assert want.gamma < 1.0 and want.alpha > 0.0
+        assert hexes(got) == hexes(want)
+        assert mapped(got.gamma_witness, perm) == want.gamma_witness
+        assert mapped(got.alpha_witness, perm) == want.alpha_witness
+        want_c = strong_curvature_detail(f)
+        assert curvature_image(strong_curvature_detail(g), perm) == (want_c[0].hex(), want_c[3])
+
+    @pytest.mark.parametrize("k", [-3, 5])
+    def test_scaling_by_a_power_of_two_changes_nothing(self, kind, k):
+        f = large(kind)
+        scaled = SetFunction(17, [math.ldexp(v, k) for v in f.values])
+        got, want = ratio_scan(scaled), ratio_scan(f)
+        assert hexes(got) == hexes(want)
+        assert (got.gamma_witness, got.alpha_witness) == (want.gamma_witness, want.alpha_witness)
+        got_c, want_c = strong_curvature_detail(scaled), strong_curvature_detail(f)
+        assert (got_c[0].hex(), got_c[3]) == (want_c[0].hex(), want_c[3])
 
 
 class TestComplement:

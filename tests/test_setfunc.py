@@ -131,6 +131,18 @@ class TestSetFunctionBasics:
     def test_finite_values_with_overflowing_sum_accepted(self):
         f = SetFunction(2, [0.0, 1e308, 1e308, 1.5e308])
         assert f.values[3] == 1.5e308
+        # The same as ints: their exact sum fits, the sum of their doubles
+        # does not, and the per-value pass runs on the doubles.
+        ints = SetFunction(2, [0, 10**308, 10**308, 15 * 10**307])
+        assert ints.values.tobytes() == f.values.tobytes()
+
+    def test_large_int_tables_give_the_float_lists_table(self):
+        # Ints past 2^53 round to the same doubles however they arrive.
+        rng = random.Random(16)
+        ints = [rng.randrange(-(2**62), 2**62) for _ in range(1 << 16)]
+        expected = SetFunction(16, list(map(float, ints))).values.tobytes()
+        for table in (ints, array("q", ints)):
+            assert SetFunction(16, table).values.tobytes() == expected
 
     @pytest.mark.parametrize("bad", [True, "1.5", None, [1.0]])
     def test_rejects_non_numbers_by_index(self, bad):
