@@ -274,15 +274,10 @@ def ordering_witness(
         if remaining >> pick & 1:
             slot = pick
         else:
-            slot = -1
-            candidates = remaining & ~before
-            while candidates:
-                low = candidates & -candidates
-                candidates ^= low
-                if work_m.is_independent(before | low):
-                    slot = low.bit_length() - 1
+            for slot in elements(remaining & ~before):
+                if work_m.is_independent(before | 1 << slot):
                     break
-            if slot < 0:
+            else:
                 raise WitnessFailureError(
                     f"no feasible base element extends step {t} of the trace"
                 )

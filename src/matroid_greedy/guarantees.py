@@ -35,14 +35,12 @@ from .greedy import (
     brute_force_optimum,
     forward_greedy,
     reverse_greedy,
-    reverse_greedy_as_forward,
 )
 from .matroids import Matroid
 from .setfunc import (
     SetFunction,
-    _check_value_range,
     _clamp_ratio,
-    _require_increasing,
+    _require_scannable,
     cumulative_ratio_detail,
     ratio_scan,
     strong_curvature,
@@ -194,8 +192,7 @@ def forward_greedy_ratios_detail(
     nothing.
     """
     _check_inputs(f, matroid, cardinality)
-    _require_increasing(f)
-    _check_value_range(f)
+    _require_scannable(f)
     vals = f.values
     sets = matroid._independent_sets(1, cardinality)
     g_hits: list[tuple[float, tuple[int, int]]] = []
@@ -294,8 +291,7 @@ def reverse_greedy_ratios_detail(
     t like any other value.
     """
     _check_inputs(f, matroid, cardinality)
-    _require_increasing(f)
-    _check_value_range(f)
+    _require_scannable(f)
     n = f.n
     removed_total = n - cardinality
     if (
@@ -320,7 +316,7 @@ def reverse_greedy_ratios_detail(
         denom = vals[before] - vals[before & ~bit]
         if denom <= 0.0:
             continue
-        rest = full & ~before & ~bit
+        rest = full & ~before
         kepts = _kept_sets(before, before & ~bit, rest, removed_total)
         ratios = [(vals[k] - vals[k & ~bit]) / denom for k in kepts]
         # A cardinality of 0 leaves no padding of the final size.
@@ -527,7 +523,7 @@ def analyze_ratios(
     """Assemble a RatioReport plus the witnesses attaining each minimum.
 
     The greedy-restricted fields need the matroid and cardinality; the
-    reverse pair is computed ex post from a fresh reverse-as-forward run.
+    reverse pair is computed ex post from the trace of :func:`reverse_greedy`.
     Asking for them without both raises ValueError before any scan.
     """
     if include_greedy and (matroid is None or cardinality is None):
@@ -558,7 +554,7 @@ def analyze_ratios(
         witnesses["strong_c"] = wit
     if include_greedy:
         g_fg, a_fg, gw, aw = forward_greedy_ratios_detail(f, matroid, cardinality)
-        trace = reverse_greedy_as_forward(f, matroid, cardinality)
+        trace = reverse_greedy(f, matroid, cardinality)
         g_rg, a_rg, gw2, aw2 = reverse_greedy_ratios_detail(f, matroid, cardinality, trace)
         fields.update(gamma_fg=g_fg, alpha_fg=a_fg, gamma_rg=g_rg, alpha_rg=a_rg)
         witnesses.update(gamma_fg=gw, alpha_fg=aw, gamma_rg=gw2, alpha_rg=aw2)

@@ -213,7 +213,13 @@ def _require_increasing(f: SetFunction) -> None:
         )
 
 
-def _check_value_range(f: SetFunction) -> None:
+def _require_scannable(f: SetFunction, cap: int | None = None, what: str = "") -> None:
+    """The one input rule of every ratio function: f must be increasing
+    (NonMonotoneError), then within ``cap`` when one is given, then have a
+    finite f(V) - f(empty) (ValueError)."""
+    _require_increasing(f)
+    if cap is not None:
+        check_size(f.n, cap, what)
     # Every marginal of an increasing table lies in [0, f(V) - f(empty)], so a
     # finite range keeps the ratios free of inf/inf, which is what makes the
     # transforms below agree with the pair loops they replace.
@@ -394,8 +400,7 @@ _PAIR_BUDGET = 4
 
 def _ratio_scan(f: SetFunction) -> RatioScan:
     if f._monotone is not None:
-        _require_increasing(f)
-        _check_value_range(f)
+        _require_scannable(f)
     n = f.n
     vals = f.values
     walk = math.isfinite(vals[-1] - vals[0])
@@ -416,8 +421,7 @@ def _ratio_scan(f: SetFunction) -> RatioScan:
             # one marginal list and one order are alive at a time.
             del rising, falling
         del d
-    _require_increasing(f)
-    _check_value_range(f)
+    _require_scannable(f)
     g_best, g_wit = _pairs_min(vals, n, g_first, curvature=False)
     a_best, a_wit = _pairs_min(vals, n, a_first, curvature=True)
     gamma = 1.0 if g_best is None else _clamp_ratio(g_best, "submodularity-ratio")
@@ -609,9 +613,7 @@ def cumulative_ratio_detail(f: SetFunction) -> tuple[float, tuple[int, int] | No
     first binding pair of all. Ties among visited pairs go to the first
     (S, R).
     """
-    _require_increasing(f)
-    check_size(f.n, MAX_CUMULATIVE_N, "cumulative ratio scan")
-    _check_value_range(f)
+    _require_scannable(f, MAX_CUMULATIVE_N, "cumulative ratio scan")
     n = f.n
     # The pairs read values one at a time, up to 3^n of them, and a list hands
     # out the floats it holds; its 2^n floats (n <= 16) cost little beside.
@@ -769,7 +771,7 @@ def marginal_bounds_estimate(f: SetFunction) -> tuple[MarginalBounds, float, flo
             "marginal bounds need a strictly increasing function "
             f"(witness: {report.witness})"
         )
-    _check_value_range(f)
+    _require_scannable(f)
     # The scan that settled monotonicity kept each element's extremes. Every
     # marginal is positive, so the builtins meet no signed-zero ties.
     lows, highs = zip(*f._extremes)  # type: ignore[misc]
@@ -794,8 +796,7 @@ def strong_curvature_detail(
     checks; the first element with the smallest ratio binds, and only its
     marginal list is built again, for the first S at each extreme.
     """
-    _require_increasing(f)
-    _check_value_range(f)
+    _require_scannable(f)
     # A binding ratio is at most 1, so +inf stands only for elements that bind nothing.
     ratios = [lo / hi if hi > 0.0 else _INF for lo, hi in f._extremes]  # type: ignore[union-attr]
     worst = min(ratios)

@@ -757,6 +757,39 @@ class TestAnalyzeRatios:
         assert (report.gamma_rg, report.alpha_rg) == (1.0, 0.5)
         assert witnesses["gamma"] is not None and witnesses["alpha"] is not None
 
+    def test_report_is_what_its_parts_report(self):
+        # The parts run on a second build of the suite, so they share no
+        # memoized scan with the report. The reverse family gives one result
+        # on the traces of the reverse pass and of its reduction.
+        for inst, twin in zip(random_suite(16, 3, 9, seed=40), random_suite(16, 3, 9, seed=40)):
+            report, witnesses = analyze_ratios(
+                inst.function, inst.matroid(), inst.cardinality,
+                include_greedy=True, include_strong=True,
+            )
+            f, m, k = twin.function, twin.matroid(), twin.cardinality
+            scan = ratio_scan(f)
+            cumulative = cumulative_ratio_detail(f)
+            strong = strong_curvature_detail(f)
+            fg = forward_greedy_ratios_detail(f, m, k)
+            rg, rg_reduced = (
+                reverse_greedy_ratios_detail(f, m, k, run(f, m, k))
+                for run in (reverse_greedy, reverse_greedy_as_forward)
+            )
+            assert repr(rg) == repr(rg_reduced)
+            assert repr(report) == repr(guarantees.RatioReport(
+                scan.gamma, scan.alpha, cumulative[0], strong[0], *fg[:2], *rg[:2]
+            ))
+            assert repr(witnesses) == repr({
+                "gamma": scan.gamma_witness,
+                "alpha": scan.alpha_witness,
+                "gamma_cumulative": cumulative[1],
+                "strong_c": strong[3],
+                "gamma_fg": fg[2],
+                "alpha_fg": fg[3],
+                "gamma_rg": rg[2],
+                "alpha_rg": rg[3],
+            })
+
     def test_greedy_fields_need_constraint(self, t3_function):
         with pytest.raises(ValueError):
             analyze_ratios(t3_function, include_greedy=True)

@@ -7,7 +7,8 @@ relations can run at any n the scans take; here n <= 8 keeps each example
 fast. The tables are the tie-heavy ones of ``test_setfunc`` (small-integer
 steps, modular and constant, zeros of either sign) and its bounded-marginal
 ones, drawn from a seeded rng. Two fixed-seed tables at n=17, past every
-oracle, are checked under relabeling and scaling too.
+oracle, are checked under relabeling and scaling too, and under relabeling
+of the matroid with them, brute force and both greedy passes.
 """
 
 import functools
@@ -17,7 +18,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroid_greedy import SetFunction, complement_function, ratio_scan
+from matroid_greedy import (
+    GraphicSpec,
+    PartitionSpec,
+    SetFunction,
+    UniformSpec,
+    brute_force_optimum,
+    build_matroid,
+    complement_function,
+    forward_greedy,
+    ratio_scan,
+    reverse_greedy,
+)
 from matroid_greedy.instances import gen_bounded_marginal, gen_explicit_random
 from matroid_greedy.setfunc import cumulative_ratio_detail, strong_curvature_detail
 from matroid_greedy.subsets import elements
@@ -146,6 +158,37 @@ def curvature_image(detail, perm):
     return detail[0].hex(), (perm[j], image(at_max, perm), image(at_min, perm))
 
 
+#: Rank-8 specs on 17 elements: 24,310 bases of the uniform one, 2,160 of
+#: the partition one (element i in block i mod 4) and 6,653 spanning trees
+#: of a 9-cycle with 8 chords.
+SPECS_N17 = {
+    "uniform": UniformSpec(8),
+    "partition": PartitionSpec([range(b, 17, 4) for b in range(4)], [2, 2, 2, 2]),
+    "graphic": GraphicSpec(9, [(v, (v + 1) % 9) for v in range(9)] + [
+        (0, 2), (0, 4), (1, 5), (2, 6), (3, 7), (4, 8), (1, 7), (3, 6),
+    ]),
+}
+
+
+def relabeled_spec(spec, perm):
+    """The spec whose element i is element perm[i] of ``spec``, as ``relabeled`` does for f."""
+    if isinstance(spec, UniformSpec):
+        return spec
+    if isinstance(spec, PartitionSpec):
+        inv = {e: i for i, e in enumerate(perm)}
+        return PartitionSpec([sorted(inv[e] for e in b) for b in spec.blocks], spec.capacities)
+    return GraphicSpec(spec.vertices, [spec.edges[p] for p in perm])
+
+
+def trace_image(trace, perm):
+    """A trace of the relabeled instance as the picks, marginals, sets and rejections of f's."""
+    return (
+        [(s.t, perm[s.chosen], s.marginal.hex(), image(s.set_after, perm)) for s in trace.steps],
+        [(r.before_step, perm[r.element]) for r in trace.rejected],
+        image(trace.final_set, perm),
+    )
+
+
 @pytest.mark.parametrize("kind", ["bounded", "max-plus"])
 class TestAtN17:
     """Relabeling and scaling on tables no oracle reaches, where the scans pick or fold.
@@ -175,6 +218,23 @@ class TestAtN17:
         assert (got.gamma_witness, got.alpha_witness) == (want.gamma_witness, want.alpha_witness)
         got_c, want_c = strong_curvature_detail(scaled), strong_curvature_detail(f)
         assert (got_c[0].hex(), got_c[3]) == (want_c[0].hex(), want_c[3])
+
+    @pytest.mark.parametrize("spec", sorted(SPECS_N17))
+    def test_relabeling_maps_brute_force_and_both_passes(self, kind, spec):
+        # The random values leave no two bases, and no two candidates of a
+        # step, at one value, so the optimum and every pick are unique and map.
+        f = large(kind)
+        perm = random.Random(17).sample(range(17), 17)
+        g = relabeled(f, perm)
+        m = build_matroid(SPECS_N17[spec], 17)
+        m_g = build_matroid(relabeled_spec(SPECS_N17[spec], perm), 17)
+        got, want = brute_force_optimum(g, m_g, 8), brute_force_optimum(f, m, 8)
+        assert (got.optimum_value.hex(), got.bases_examined) == (
+            want.optimum_value.hex(), want.bases_examined
+        )
+        assert image(got.optimum_set, perm) == want.optimum_set
+        for run in (forward_greedy, reverse_greedy):
+            assert trace_image(run(g, m_g, 8), perm) == trace_image(run(f, m, 8), range(17))
 
 
 class TestComplement:

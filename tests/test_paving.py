@@ -13,6 +13,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroid_greedy import (
     DualSpec,
@@ -97,18 +98,18 @@ def as_frozenset(mask):
     return frozenset(e for e in range(mask.bit_length()) if mask >> e & 1)
 
 
-def test_axiom_scan_accepts_it(paving):
-    n, rank, hyperplanes, spec, matroid, family = paving
-    assert hyperplanes and matroid.rank_full == rank
+def check_axiom_scan(case):
+    n, rank, _, spec, matroid, family = case
+    assert matroid.rank_full == rank
     assert check_axioms(matroid).all_ok
     assert reference_axiom_scan(spec.independent) == (None, None)
     assert {m for m in range(1 << n) if matroid.is_independent(m)} == set(map(mask_of, family))
 
 
-def test_dual_and_truncation_match_the_references(paving):
+def check_dual_and_truncation(case):
     # The dual of a sparse paving matroid is sparse paving, with the
     # complements of the circuit-hyperplanes as its own.
-    n, rank, hyperplanes, spec, matroid, _ = paving
+    n, rank, hyperplanes, spec, matroid, _ = case
     full = full_mask(n)
     dual = sparse_paving(n, n - rank, [full ^ h for h in hyperplanes]).independent
     assert {m for m in range(1 << n) if matroid.dual().is_independent(m)} == dual
@@ -119,29 +120,49 @@ def test_dual_and_truncation_match_the_references(paving):
     )
 
 
-def test_passes_witnesses_families_and_verify_match_the_references(paving):
-    n, rank, _, _, matroid, family = paving
+def check_passes(case, f, k):
+    """The three passes and brute force at k against the references; returns
+    the forward trace, both reverse traces, the optimum and the best base."""
+    n, _, _, _, matroid, family = case
     indep = family.__contains__
     reference = SimpleNamespace(
         rank=lambda mask: naive_rank(lambda m: as_frozenset(m) in family, mask, n)
     )
+    values = f.values
+    forward = forward_greedy(f, matroid, k)
+    expected = reference_forward_greedy(values, lambda m: indep(as_frozenset(m)), k)
+    assert repr(trace_payload(forward)) == repr(expected)
+    expected = repr(reference_reverse_greedy(values, reference, k))
+    traces = [run(f, matroid, k) for run in (reverse_greedy, reverse_greedy_as_forward)]
+    assert [repr(trace_payload(t)) for t in traces] == [expected, expected]
+
+    bases = [mask_of(s) for s in family if len(s) == k]
+    best = min(sorted(bases), key=values.__getitem__)
+    opt = brute_force_optimum(f, matroid, k)
+    assert (opt.optimum_set, opt.optimum_value, opt.bases_examined) == (
+        best, values[best], len(bases)
+    )
+    return forward, traces, opt, best
+
+
+def test_axiom_scan_accepts_it(paving):
+    hyperplanes = paving[2]
+    assert hyperplanes
+    check_axiom_scan(paving)
+
+
+def test_dual_and_truncation_match_the_references(paving):
+    check_dual_and_truncation(paving)
+
+
+def test_passes_witnesses_families_and_verify_match_the_references(paving):
+    n, rank, _, _, matroid, family = paving
+    indep = family.__contains__
     full = full_mask(n)
     for f in (gen_bounded_marginal(n, 0.5, 2.0, n), gen_explicit_random(n, n)):
         values = f.values
         for k in range(rank + 1):
-            forward = forward_greedy(f, matroid, k)
-            expected = reference_forward_greedy(values, lambda m: indep(as_frozenset(m)), k)
-            assert repr(trace_payload(forward)) == repr(expected)
-            expected = repr(reference_reverse_greedy(values, reference, k))
-            traces = [run(f, matroid, k) for run in (reverse_greedy, reverse_greedy_as_forward)]
-            assert [repr(trace_payload(t)) for t in traces] == [expected, expected]
-
-            bases = [mask_of(s) for s in family if len(s) == k]
-            best = min(sorted(bases), key=values.__getitem__)
-            opt = brute_force_optimum(f, matroid, k)
-            assert (opt.optimum_set, opt.optimum_value, opt.bases_examined) == (
-                best, values[best], len(bases)
-            )
+            forward, traces, opt, best = check_passes(paving, f, k)
 
             # The witness raises unless every step dominates.
             for base in (opt.optimum_set, forward.final_set):
@@ -164,3 +185,31 @@ def test_passes_witnesses_families_and_verify_match_the_references(paving):
                     values[best], values[0], values[-1]
                 )
                 assert verify(f, matroid, k, optimum=opt) == record
+
+
+@st.composite
+def sparse_paving_cases(draw):
+    """A drawn sparse paving matroid at n = 4..8 and rank 2..n - 2, as the fixture's tuple.
+
+    Of the drawn r-sets, each is kept if it meets every kept one in fewer
+    than r - 1 elements; keeping none gives the uniform matroid.
+    """
+    n = draw(st.integers(4, 8))
+    rank = draw(st.integers(2, n - 2))
+    r_sets = st.sets(st.integers(0, n - 1), min_size=rank, max_size=rank).map(mask_of)
+    kept = []
+    for candidate in draw(st.lists(r_sets, max_size=10)):
+        if all((candidate & h).bit_count() < rank - 1 for h in kept):
+            kept.append(candidate)
+    spec = sparse_paving(n, rank, kept)
+    return n, rank, kept, spec, build_matroid(spec, n), reference_independent(spec, n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sparse_paving_cases())
+def test_drawn_sparse_paving_matroids_match_the_references(case):
+    n, rank = case[:2]
+    check_axiom_scan(case)
+    check_dual_and_truncation(case)
+    for f in (gen_bounded_marginal(n, 0.5, 2.0, n), gen_explicit_random(n, n)):
+        check_passes(case, f, rank)
