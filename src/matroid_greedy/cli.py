@@ -1,12 +1,13 @@
 """Command-line interface: run, ratios, verify, region, gen.
 
-All stdout payloads are JSON or CSV; diagnostics go to stderr. Exit codes:
-0 success, 1 verification failure, 2 input/schema problems, 3 infeasible,
-4 non-monotone function, 5 size over a cap; ``EXIT_CODES`` maps each
-error kind to its code, and an ``--out`` path that cannot be written is an
-input problem (2). ``verify --tol`` sets the relative verification
-tolerance, 1e-9 by default. Output cut off by a closed pipe (``gen ... |
-head``) ends the command with exit 1 and no traceback.
+All stdout payloads are strict JSON (no NaN or infinity token; ``verify``
+writes an infinite bound or achieved ratio as null) or CSV; diagnostics go
+to stderr. Exit codes: 0 success, 1 verification failure, 2 input/schema
+problems, 3 infeasible, 4 non-monotone function, 5 size over a cap;
+``EXIT_CODES`` maps each error kind to its code, and an ``--out`` path that
+cannot be written is an input problem (2). ``verify --tol`` sets the
+relative verification tolerance, 1e-9 by default. Output cut off by a closed
+pipe (``gen ... | head``) ends the command with exit 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -79,7 +80,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dump(payload, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    # RFC 8259 has no number for NaN or an infinity: one reaching here is a
+    # program error (ValueError), never a bare token on stdout.
+    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 def trace_to_json(trace: GreedyTrace) -> dict:
@@ -141,6 +144,11 @@ def _verify_one(inst: Instance, tolerance: float) -> dict:
             check(inst.function, matroid, inst.cardinality, tolerance=tolerance, optimum=optimum)
         )
         del record["instance_id"]
+        # An infinite bound (gamma = 0 or alpha = 1) or forward ratio (the
+        # pass misses an optimum equal to f(empty)) is written as null.
+        for key in ("achieved_ratio", "bound"):
+            if record[key] == math.inf:
+                record[key] = None
         payload[record["algorithm"]] = record
     return payload
 

@@ -328,7 +328,7 @@ def _instance_from(obj) -> Instance:
     else:
         values = _expect(fn, "values", list, "instance.function")
     # SetFunction checks the length, then each value's type (a packed table's
-    # array('d') holds only floats), then finiteness.
+    # array('d') holds only floats), then finiteness on its converted table.
     try:
         function = SetFunction(n, values)
     except ValueError as exc:
@@ -362,8 +362,9 @@ def _unpack(fn: dict, n: int) -> array:
 
     Where ``fn`` was the text's only holder, the text (11 MB at n=20) is freed
     once it is decoded, before the table is built. The array holds C doubles
-    only, so SetFunction skips its type pass on it and keeps a copy of it as
-    its table, with no float object per value.
+    only, so SetFunction skips its type pass on it, keeps a copy of it as its
+    table and checks that copy finite from each double's top byte, with no
+    float object per value.
     """
     encoding = _expect(fn, "encoding", str, "instance.function")
     if encoding != _PACKED_ENCODING:
@@ -475,7 +476,9 @@ def load_instance(path) -> Instance:
     built. A text table is 27 MB at n=20; a packed one, as the writer makes
     from n = ``_PACKED_N``, is 8·2^n bytes in base64 (11 MB at n=20) and is
     decoded into an ``array('d')`` at C speed with nothing left to parse.
-    The function keeps a copy of that array as its table, as C doubles.
+    The function keeps a copy of that array as its table, as C doubles, and
+    reads its finiteness from the doubles' top bytes; a NaN or an infinity
+    in either form is a SchemaError.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")

@@ -38,6 +38,35 @@ def _check_table_n(n: int) -> None:
         raise ValueError(f"ground set size must be in 1..{MAX_TABLE_N}, got {n}")
 
 
+# A double is non-finite only when its 11 exponent bits are all ones. Its most
+# significant byte holds the sign and the top 7 of them, so a double whose top
+# byte is neither 0x7F nor 0xFF is finite. The byte's place is read from -0.0,
+# whose only set bit is the sign, not assumed from ``sys.byteorder``.
+_TOP = array("d", [-0.0]).tobytes().index(0x80)
+# Every top byte whose low seven bits are not all ones: translate deletes them.
+_FINITE_TOP = bytes(b for b in range(256) if b & 0x7F != 0x7F)
+# Doubles per block: a block's bytes (64 KB) stay below glibc's mmap
+# threshold, so they come from the heap and are reused, and a packed n=20
+# load peaks no higher than it did with the float sum.
+_FINITE_BLOCK = 1 << 13
+
+
+def _all_finite(table: array) -> bool:
+    """Whether every double of ``table`` is finite, read from their top bytes.
+
+    A block where some top byte is 0x7F or 0xFF holds a non-finite value or a
+    finite one of magnitude at least 2^1009; only such a block is read value by
+    value. No other block makes a float object.
+    """
+    with memoryview(table) as view:
+        for k in range(0, len(view), _FINITE_BLOCK):
+            block = view[k : k + _FINITE_BLOCK]
+            tops = block.tobytes()[_TOP :: table.itemsize]
+            if tops.translate(None, _FINITE_TOP) and not all(map(math.isfinite, block)):
+                return False
+    return True
+
+
 class SetFunction:
     """Total real-valued function on all subsets of {0..n-1}.
 
@@ -48,24 +77,27 @@ class SetFunction:
     ValueError naming its index; NaN and infinities raise ValueError too.
     The table, ``values``, is one ``array('d')`` of C doubles whatever the
     input, made by one conversion or copy after the type pass, which an
-    ``array('d')`` (as the loader decodes a packed table into) skips. The
-    table is not to be written to: the scans keep their results on the function.
+    ``array('d')`` (as the loader decodes a packed table into) skips.
+    Finiteness is then read from that table's bytes for every input kind: a
+    double whose top byte (sign and top 7 exponent bits) is neither 0x7F nor
+    0xFF is finite, and only a block of 2^13 doubles holding such a byte is
+    read value by value, so no float object is made per value. The table is
+    not to be written to: the scans keep their results on the function.
     """
 
     __slots__ = ("n", "values", "_eval_count", "_lock", "_monotone", "_extremes", "_ratios")
 
     def __init__(self, n: int, values) -> None:
         _check_table_n(n)
-        # A list, a tuple or a double array is checked as the caller gave it;
-        # any other iterable is first taken into a tuple.
+        # A list, a tuple or a double array has its length and types checked
+        # as the caller gave it; any other iterable is first taken into a tuple.
         doubles = type(values) is array and values.typecode == "d"
         vals = values if doubles or type(values) in (list, tuple) else tuple(values)
         if len(vals) != 1 << n:
             raise ValueError(f"need {1 << n} values for n={n}, got {len(vals)}")
-        kinds = {float} if doubles else set(map(type, vals))
         # Plain ints and floats pass at once; only another type (a bool, a
         # string, a subclass) needs the pass that names the offending index.
-        if not kinds <= {int, float}:
+        if not doubles and not set(map(type, vals)) <= {int, float}:
             for i, v in enumerate(vals):
                 if isinstance(v, bool) or not isinstance(v, Real):
                     raise ValueError(f"values[{i}] is not a number")
@@ -75,10 +107,7 @@ class SetFunction:
             table = array("d", vals)
         except OverflowError as exc:
             raise ValueError(f"set-function values must be finite ({exc})") from exc
-        # A finite sum proves every value finite; only an overflowing or non-finite
-        # sum needs the per-value pass. Non-floats are summed as their doubles.
-        checked = vals if kinds == {float} else table
-        if not math.isfinite(sum(checked)) and not all(map(math.isfinite, checked)):
+        if not _all_finite(table):
             raise ValueError("set-function values must be finite (no NaN or infinity)")
         self.n = n
         self.values = table

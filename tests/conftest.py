@@ -70,6 +70,12 @@ def constant_function(n, level=1.0):
     return SetFunction(n, [level] * (1 << n))
 
 
+def reject_constant(token):
+    """A ``parse_constant`` for ``json.loads`` that refuses NaN and the infinities,
+    which RFC 8259 has no token for."""
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def trace_payload(trace):
     """Trace content without the algorithm label, in the shape of the reference."""
     return (

@@ -36,6 +36,7 @@ import json
 import random
 import sys
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -202,17 +203,16 @@ CLI_RUNS = {
 }
 
 
-def _cli_outcome(argv: list[str]) -> str:
+def _cli_run(argv: list[str]) -> tuple[int, str]:
     """Exit code and stdout of one in-process ``cli.main`` run."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    return f"{code} {out.getvalue()}"
+    return code, out.getvalue()
 
 
-def cli_digests() -> dict[str, str]:
-    """{CLI group: SHA-256 hex digest} over the seeded CLI runs."""
-    hashes = {group: hashlib.sha256() for group in [*CLI_FILE_RUNS, *CLI_RUNS, "run-packed"]}
+def cli_runs() -> Iterator[tuple[str, str | None, int, str]]:
+    """(group, instance id or None, exit code, stdout) of every seeded CLI run."""
     rng = random.Random("corpus-cli")
     with tempfile.TemporaryDirectory() as tmp:
         for index, n in enumerate(CLI_FILE_NS):
@@ -220,17 +220,23 @@ def cli_digests() -> dict[str, str]:
             path = str(Path(tmp) / f"{inst.id}.json")
             save_instance(inst, path)
             for group, argv in CLI_FILE_RUNS.items():
-                line = _cli_outcome([*argv, "--instance", path])
-                hashes[group].update(f"{inst.id} {line}\n".encode())
+                yield group, inst.id, *_cli_run([*argv, "--instance", path])
         # The first n that save_instance packs, so the loader hands the table
         # to SetFunction as an array of doubles.
         inst = random_instance(_PACKED_N, rng, "cli-packed")
         path = str(Path(tmp) / f"{inst.id}.json")
         save_instance(inst, path)
-        line = _cli_outcome(["run", "--algo", "both", "--instance", path])
-        hashes["run-packed"].update(f"{inst.id} {line}\n".encode())
+        yield "run-packed", inst.id, *_cli_run(["run", "--algo", "both", "--instance", path])
     for group, argv in CLI_RUNS.items():
-        hashes[group].update(_cli_outcome(argv).encode())
+        yield group, None, *_cli_run(argv)
+
+
+def cli_digests() -> dict[str, str]:
+    """{CLI group: SHA-256 hex digest} over the seeded CLI runs."""
+    hashes = {group: hashlib.sha256() for group in [*CLI_FILE_RUNS, *CLI_RUNS, "run-packed"]}
+    for group, inst_id, code, out in cli_runs():
+        line = f"{code} {out}" if inst_id is None else f"{inst_id} {code} {out}\n"
+        hashes[group].update(line.encode())
     return {group: h.hexdigest() for group, h in hashes.items()}
 
 

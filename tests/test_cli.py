@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import math
 import random
 import subprocess
 import sys
 import tracemalloc
 from array import array
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,10 +38,10 @@ from matroid_greedy.instances import (
     random_instance,
     save_instance,
 )
-from matroid_greedy.matroids import ExplicitSpec, UniformSpec
+from matroid_greedy.matroids import ExplicitSpec, UniformSpec, build_matroid
 from matroid_greedy.setfunc import SetFunction
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, reject_constant
 
 
 @pytest.fixture
@@ -619,10 +621,9 @@ class TestVerify:
         assert record["n"] == 17 and 0.0 < record["gamma"] <= 1.0 and 0.0 <= record["alpha"] < 1.0
         assert record["forward"]["satisfied"] and record["reverse"]["satisfied"]
 
-    def test_infinite_bound_written_as_infinity(self, capsys, tmp_path):
-        # gamma = 0 makes the forward bound infinite, and json writes the
-        # bare token Infinity, which RFC 8259 parsers refuse. These bytes pin
-        # today's output.
+    def test_infinite_bound_written_as_null(self, capsys, tmp_path):
+        # gamma = 0 makes the forward bound infinite. RFC 8259 has no number
+        # for it, so it is written as null; the library record keeps inf.
         path = tmp_path / "inf.json"
         f = SetFunction(2, [0.0, 0.0, 0.0, 1.0])
         save_instance(Instance("inf", 2, f, UniformSpec(1), 1), path)
@@ -632,7 +633,7 @@ class TestVerify:
             "N": 1,
             "alpha": 0.0,
             "forward": {
-                "achieved_ratio": 1.0, "algorithm": "forward", "bound": "INF",
+                "achieved_ratio": 1.0, "algorithm": "forward", "bound": None,
                 "f_empty": 0.0, "f_full": 1.0, "f_greedy": 0.0, "f_opt": 0.0, "satisfied": True,
             },
             "gamma": 0.0,
@@ -647,9 +648,31 @@ class TestVerify:
             "checks": 2, "failed": 0, "instances": 1, "passed": 2,
             "records": [record], "tolerance": 1e-09,
         }
-        expected = json.dumps(payload, indent=2, sort_keys=True).replace('"INF"', "Infinity")
-        assert out == expected + "\n"
-        assert '"bound": Infinity,' in out
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert '"bound": null,' in out
+        assert guarantees.verify_forward(f, build_matroid(UniformSpec(1), 2), 1).bound == math.inf
+
+    def test_infinite_achieved_ratio_written_as_null(self, capsys, tmp_path):
+        # The optimum {1, 2} equals f(empty), and the forward pass takes
+        # element 0 first at a tie, so its ratio divides a gain by zero.
+        path = tmp_path / "missed.json"
+        f = SetFunction(3, [0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+        save_instance(Instance("missed", 3, f, UniformSpec(2), 2), path)
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path))
+        assert (code, err) == (0, "")
+        forward = json.loads(out, parse_constant=reject_constant)["records"][0]["forward"]
+        assert (forward["achieved_ratio"], forward["bound"]) == (None, None)
+        assert (forward["f_greedy"], forward["f_opt"], forward["satisfied"]) == (1.0, 0.0, True)
+        record = guarantees.verify_forward(f, build_matroid(UniformSpec(2), 3), 2)
+        assert (record.achieved_ratio, record.bound) == (math.inf, math.inf)
+
+    def test_non_finite_number_reaching_the_writer_exits_2(self, capsys, monkeypatch):
+        # A NaN or -inf has no null meaning: the strict writer refuses it.
+        monkeypatch.setattr(cli, "ratio_scan", lambda f: SimpleNamespace(gamma=math.nan, alpha=0.0))
+        code, out, err = run_cli(capsys, "verify", "--random", "--count", "1")
+        assert (code, out) == (2, "")
+        # Python 3.13 adds the value after a colon.
+        assert err.startswith("error: Out of range float values are not JSON compliant")
 
     def test_needs_source(self, capsys):
         code, _, err = run_cli(capsys, "verify")

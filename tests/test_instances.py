@@ -619,6 +619,24 @@ class TestPackedRejections:
         with pytest.raises(SchemaError, match=message):
             load_instance(path)
 
+    def test_infinite_last_value_of_an_n18_file(self, tmp_path):
+        # The writer packs from n=18, so this is a file save_instance writes
+        # but for its last double, which sits in the table's last block.
+        values = [float(mask.bit_count()) for mask in range(1 << 18)]
+        inst = Instance("p18", 18, SetFunction(18, values), UniformSpec(9), 9)
+        path = tmp_path / "p18.json"
+        save_instance(inst, path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        assert obj["function"]["encoding"] == "f64le-base64"
+        values[-1] = math.inf
+        obj["function"]["values"] = b64_doubles(values)
+        path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        message = r"^instance.function: set-function values must be finite \(no NaN or infinity\)$"
+        with pytest.raises(SchemaError, match=message):
+            load_instance(path)
+        with pytest.raises(SchemaError, match=message):
+            instance_from_json(obj)
+
     def test_missing_values(self):
         obj = packed_t3()
         del obj["function"]["values"]

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import struct
 import sys
 import weakref
 from array import array
@@ -261,6 +262,98 @@ class TestDoubleArrayInput:
         passes.clear()
         SetFunction(2, array("d", [0, 1, 2, 3]))
         assert passes == []
+
+
+def double_from_bits(bits):
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+NON_FINITE_MESSAGE = r"^set-function values must be finite \(no NaN or infinity\)$"
+
+#: Doubles at the edges of the top-byte rule: NaN payloads of either sign,
+#: the infinities, signed zeros, subnormals, and finite values whose top
+#: byte is 0x7F or 0xFF, like the non-finite ones.
+EDGE_DOUBLES = [
+    math.nan, -math.nan, double_from_bits(0x7FF0_0000_0000_0001),
+    double_from_bits(0xFFF8_0000_DEAD_BEEF), double_from_bits(0x7FF7_FFFF_FFFF_FFFF),
+    math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, sys.float_info.min,
+    sys.float_info.max, -sys.float_info.max, 2.0**1009, -(2.0**1009), -1.7e308,
+    2.0**1008, 1e300,
+]
+
+
+class TestFiniteTopBytes:
+    """A table is finite exactly when each double's exponent bits are not all ones."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.floats()
+                | st.sampled_from(EDGE_DOUBLES)
+                | st.integers(0, 2**64 - 1).map(double_from_bits),
+                min_size=1 << n,
+                max_size=1 << n,
+            )
+        )
+    )
+    def test_accepts_exactly_the_finite_arrays(self, values):
+        n = len(values).bit_length() - 1
+        for table in (array("d", values), values):
+            if all(map(math.isfinite, values)):
+                f = SetFunction(n, table)
+                assert f.values.tobytes() == array("d", values).tobytes()
+            else:
+                with pytest.raises(ValueError, match=NON_FINITE_MESSAGE):
+                    SetFunction(n, table)
+
+    @pytest.mark.parametrize("value", EDGE_DOUBLES)
+    def test_each_edge_double_alone(self, value):
+        table = array("d", [0.0, value])
+        if math.isfinite(value):
+            assert SetFunction(1, table).values[1] == value
+        else:
+            with pytest.raises(ValueError, match=NON_FINITE_MESSAGE):
+                SetFunction(1, table)
+
+    @pytest.mark.parametrize(
+        "at,bad", [(1 << 16, math.nan), ((1 << 17) - 1, -math.inf)], ids=["nan-block-start", "inf-last"]
+    )
+    def test_non_finite_value_past_the_first_block(self, at, bad):
+        # 2^16 is the first double of a block, 2^17 - 1 the last of the last.
+        assert (1 << 16) % setfunc._FINITE_BLOCK == 0
+        values = [float(i) for i in range(1 << 17)]
+        values[at] = bad
+        for table in (values, tuple(values), array("d", values)):
+            with pytest.raises(ValueError, match=NON_FINITE_MESSAGE):
+                SetFunction(17, table)
+
+    def test_only_a_block_with_a_high_top_byte_is_read_value_by_value(self, monkeypatch):
+        calls = []
+        isfinite = math.isfinite
+
+        def counted(x):
+            calls.append(1)
+            return isfinite(x)
+
+        monkeypatch.setattr(math, "isfinite", counted)
+        values = array("d", range(1 << 17))
+        SetFunction(17, values)
+        assert calls == []
+        # 2^1009 is finite, but its top byte is 0x7F: its block, and only
+        # its block, is read value by value, and the table is accepted.
+        values[(1 << 16) + 5] = 2.0**1009
+        assert SetFunction(17, values).values[(1 << 16) + 5] == 2.0**1009
+        assert len(calls) == setfunc._FINITE_BLOCK
+        calls.clear()
+        values[3] = math.inf
+        with pytest.raises(ValueError, match=NON_FINITE_MESSAGE):
+            SetFunction(17, values)
+        assert len(calls) == 4
+
+    def test_top_byte_is_the_sign_byte(self):
+        assert array("d", [-0.0]).tobytes()[setfunc._TOP] == 0x80
+        assert array("d", [math.inf]).tobytes()[setfunc._TOP] == 0x7F
 
 
 class TestKeptDoubleArray:
