@@ -140,36 +140,31 @@ def _greedy_kernel(
 ) -> tuple[tuple[GreedyStep, ...], tuple[Rejection, ...], int]:
     """Toggle ``moves`` elements of the working set, best gain first.
 
-    Each while-iteration takes the smallest (with ``largest``, the largest)
-    ``gain(current, j)`` over all never-considered elements, ties to the
-    smallest id, and toggles it if ``feasible(current ^ bit)``: an insertion
-    when the pass starts empty, a removal when it starts full. An infeasible
-    pick is recorded as a rejection and never reconsidered.
+    Each step lists ``gain(current, j)`` over the still-open candidates in
+    ascending id, pops the first ``min`` (with ``largest``, ``max``) and
+    toggles it if ``feasible(current ^ bit)``: an insertion when the pass
+    starts empty, a removal when it starts full. An infeasible pick is
+    recorded as a rejection and never reconsidered. Ties go to the smallest
+    id, zero sign included; a gain, a difference of finite values, is never
+    NaN, so ``index`` finds it.
     """
     current = start
-    considered = 0
-    t = 1
+    candidates = list(range(n))
+    pick = max if largest else min
     steps: list[GreedyStep] = []
     rejected: list[Rejection] = []
-    while t <= moves:
-        best = -1
-        best_val = 0.0
-        for j in range(n):
-            if considered >> j & 1:
-                continue
-            val = gain(current, j)
-            if best < 0 or (val > best_val if largest else val < best_val):
-                best, best_val = j, val
-        if best < 0:
+    while len(steps) < moves:
+        if not candidates:
             raise InfeasibleError("ran out of candidates before reaching the cardinality")
+        gains = [gain(current, j) for j in candidates]
+        best_val = pick(gains)
+        best = candidates.pop(gains.index(best_val))
         bit = 1 << best
-        considered |= bit
         if feasible(current ^ bit):
             current ^= bit
-            steps.append(GreedyStep(t, best, best_val, current))
-            t += 1
+            steps.append(GreedyStep(len(steps) + 1, best, best_val, current))
         else:
-            rejected.append(Rejection(t, best))
+            rejected.append(Rejection(len(steps) + 1, best))
     return tuple(steps), tuple(rejected), current
 
 

@@ -31,6 +31,8 @@ from .subsets import _check_mask, elements, submasks
 _log = logging.getLogger(__name__)
 
 _INF = float("inf")
+# The one lock, taken by ``_add_evals`` for every function: ``+=`` is not atomic.
+_COUNT_LOCK = threading.Lock()
 
 
 def _check_table_n(n: int) -> None:
@@ -72,7 +74,9 @@ class SetFunction:
 
     Evaluation is pure: the table is frozen at construction and every call
     returns the same float for the same mask. ``eval_count`` tracks oracle
-    calls and may be bumped concurrently from threads sharing one instance.
+    calls; threads may share an instance, as one module lock keeps counts
+    exact, and ``copy.deepcopy`` and ``pickle`` keep the table, the count and
+    the memoized scans.
     Values must be finite real numbers. A bool or a non-number raises
     ValueError naming its index; NaN and infinities raise ValueError too.
     The table, ``values``, is one ``array('d')`` of C doubles whatever the
@@ -85,7 +89,7 @@ class SetFunction:
     not to be written to: the scans keep their results on the function.
     """
 
-    __slots__ = ("n", "values", "_eval_count", "_lock", "_monotone", "_extremes", "_ratios")
+    __slots__ = ("n", "values", "_eval_count", "_monotone", "_extremes", "_ratios")
 
     def __init__(self, n: int, values) -> None:
         _check_table_n(n)
@@ -112,7 +116,6 @@ class SetFunction:
         self.n = n
         self.values = table
         self._eval_count = 0
-        self._lock = threading.Lock()
         self._monotone: MonotonicityReport | None = None
         # (min, max) of each element's marginals, kept by the marginal pass
         # that settles monotonicity, since that pass builds every list.
@@ -129,7 +132,7 @@ class SetFunction:
         return self.values[mask]
 
     def _add_evals(self, calls: int) -> None:
-        with self._lock:
+        with _COUNT_LOCK:
             self._eval_count += calls
 
     def marginal(self, subset: int, j: int) -> float:

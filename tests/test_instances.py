@@ -202,6 +202,16 @@ class TestPersistence:
         loaded = load_instance(path)
         assert loaded == inst
 
+    def test_loaded_instance_deep_copies(self, tmp_path):
+        inst = Instance("nested", 6, gen_bounded_marginal(6, 1.0, 3.0, seed=4), nested_spec(2), 2)
+        path = tmp_path / "nested.json"
+        save_instance(inst, path)
+        loaded = load_instance(path)
+        rank = loaded.matroid().rank_full
+        twin = copy.deepcopy(loaded)
+        assert twin == loaded == inst and twin.function is not loaded.function
+        assert twin.matroid().rank_full == rank
+
     def test_round_trip_random(self, tmp_path):
         for inst in random_suite(5, 4, 6, seed=11):
             path = tmp_path / f"{inst.id}.json"

@@ -1,5 +1,7 @@
+import copy
 import functools
 import math
+import pickle
 import random
 import struct
 import sys
@@ -212,6 +214,43 @@ class TestSetFunctionBasics:
         with ThreadPoolExecutor(max_workers=8) as pool:
             assert all(pool.map(hammer, range(100)))
         assert t3_function.eval_count == 8 * 100
+
+    def test_two_functions_count_exactly_under_threads(self):
+        # Eight threads call each function at once, sixteen in all, switching
+        # as often as the interpreter allows, so a lost update would show.
+        functions = (gen_bounded_marginal(3, 1.0, 3.0, seed=1), gen_modular(3, [1, 2, 3]))
+
+        def hammer(k):
+            f = functions[k % 2]
+            for mask in range(8):
+                f(mask)
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                assert all(pool.map(hammer, range(2000), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [f.eval_count for f in functions] == [8 * 1000, 8 * 1000]
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_keep_table_count_and_scans(self, clone):
+        f = gen_bounded_marginal(6, 1.0, 3.0, seed=5)
+        scan = ratio_scan(f)
+        f(3)
+        f.marginal(1, 2)
+        twin = clone(f)
+        assert twin == f and twin.values.tobytes() == f.values.tobytes()
+        assert twin.eval_count == f.eval_count == 3
+        assert ratio_scan(twin) == scan
+        twin(0)
+        assert (f.eval_count, twin.eval_count) == (3, 4)
 
 
 class TestDoubleArrayInput:
