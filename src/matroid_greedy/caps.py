@@ -20,8 +20,8 @@ MAX_TABLE_N = 20
 #: The cumulative submodularity ratio: 3^n disjoint (S, R) pairs.
 #: Exact bounds skip most S of bounded tables, but modular ones still cost 3^n.
 MAX_CUMULATIVE_N = 16
-#: The axiom check: all pairs of independent sets, up to 4^n; explicit
-#: families run it whenever they are built.
+#: The axiom check: |F|·n probes of the independent sets F plus one n·2^(n−1)
+#: subset fold; explicit families run it whenever they are built.
 MAX_AXIOM_N = 10
 #: The random suites: every table held at once, and a verify per instance.
 MAX_SUITE_N = 12

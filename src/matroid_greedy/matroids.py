@@ -12,11 +12,11 @@ at any wrapper depth makes one leaf rank call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse
 from typing import Callable, Union
 
 from .caps import MAX_AXIOM_N, MAX_TABLE_N, check_size
 from .errors import InvalidSpecError
+from .setfunc import _subset_fold
 from .subsets import _check_mask, elements, full_mask
 
 
@@ -162,8 +162,9 @@ def _axiom_scan(
 
     Returns (superset, missing subset) for heredity, with supersets ascending
     and their submasks descending, and (smaller, larger) for exchange, with
-    both sets ascending; None where the axiom holds. The scan costs at most
-    |F|·n membership probes plus |F|² mask ANDs, for any family:
+    both sets ascending; None where the axiom holds. With m the bit length of
+    the family's union, the scan costs at most |F|·n membership probes plus
+    one m·2^(m−1) subset fold, for any family:
 
     * Heredity tests only the one-element removals of each member. If T is a
       missing submask of the smallest member B that has one, then T lies
@@ -173,7 +174,10 @@ def _axiom_scan(
       walks the removals in descending order.
     * Exchange asks whether some element of S2∖S1 extends S1. With ``ext``
       the union of the elements b outside S1 for which S1+b is a member, that
-      is ``S2 & ext != 0``, so the larger members are filtered at C level.
+      is ``S2 & ext != 0``. So S1 fails exactly when some member larger than
+      S1 lies inside ``universe & ~ext``, and ``widest``, the size of the
+      largest member inside each mask, answers that for every S1 at once.
+      Only the first S1 that fails walks the members for its witness.
     """
     members = sorted(family)
     h_wit: tuple[int, int] | None = None
@@ -191,10 +195,13 @@ def _axiom_scan(
     universe = 0
     for m in members:
         universe |= m
-    counts = [m.bit_count() for m in members]
-    larger = {c: [m for m, k in zip(members, counts) if k > c] for c in set(counts)}
-    for s1, c1 in zip(members, counts):
-        if not larger[c1]:
+    widest = [-1] * (1 << universe.bit_length())
+    for m in members:
+        widest[m] = m.bit_count()
+    _subset_fold(widest, largest=True)
+    for s1 in members:
+        c1 = s1.bit_count()
+        if widest[universe] <= c1:
             continue
         ext = 0
         rest = universe & ~s1
@@ -203,8 +210,8 @@ def _axiom_scan(
             rest ^= low
             if s1 | low in family:
                 ext |= low
-        s2 = next(filterfalse(ext.__and__, larger[c1]), None)
-        if s2 is not None:
+        if widest[universe & ~ext] > c1:
+            s2 = next(m for m in members if m.bit_count() > c1 and not m & ext)
             return h_wit, (s1, s2)
     return h_wit, None
 

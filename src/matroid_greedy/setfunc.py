@@ -23,6 +23,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from numbers import Real
 from operator import neg, sub
+from typing import TypeVar
 
 from .caps import MAX_CUMULATIVE_N, MAX_TABLE_N, check_size
 from .errors import NonMonotoneError, NotStrictlyIncreasingError
@@ -307,12 +308,17 @@ def _subset_at(index: int, j: int) -> int:
     return (index ^ below) << 1 | below
 
 
-def _subset_fold(table: list[float], largest: bool) -> list[float]:
+_Num = TypeVar("_Num", int, float)
+
+
+def _subset_fold(table: list[_Num], largest: bool) -> list[_Num]:
     """In place, replace each entry R by the min (or max) over all submasks of R.
 
-    ``table`` has 2^m entries. Each pass folds along the top index bit and
-    then perfect-shuffles, which rotates that bit to the bottom; after m
-    passes every bit is folded and the layout is back in place. Each fold
+    ``table`` has 2^m entries: floats for the ratio scans, ints for the axiom
+    scan's member sizes. Each pass folds along the top index bit and then
+    perfect-shuffles, which rotates that bit to the bottom; after m passes,
+    m·2^(m−1) comparisons in all, every bit is folded and the layout is back
+    in place. Each fold
     keeps the tie rule of ``min(hi, lo)`` / ``max(hi, lo)``: the entry with
     the bit set wins unless the one without it is strictly smaller (larger),
     so equal zeros keep the sign the builtins would pick.

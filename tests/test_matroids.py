@@ -101,7 +101,7 @@ class TestBuild:
         assert m.rank_full == 1
 
     def test_explicit_family_over_axiom_cap(self, monkeypatch):
-        # The exchange pass costs |F|^2, so the family is refused before it.
+        # The axiom scan is capped at MAX_AXIOM_N, so the family is refused before it.
         monkeypatch.setattr(matroids, "_axiom_scan", None)
         with pytest.raises(GroundSetTooLargeError, match="explicit matroid validation"):
             build_matroid(ExplicitSpec(frozenset({0})), 11)
@@ -461,6 +461,44 @@ class TestAxiomScan:
         assert report.hereditary_ok == (h_wit is None)
         assert report.exchange_ok == (e_wit is None)
         assert report.witness == (h_wit or e_wit)
+
+    @pytest.mark.parametrize(
+        "family, expected",
+        [
+            # The set {0} is the first to fail. Its first larger member avoiding
+            # every extension is {0, 1, 2}, of size 3, ahead of {1, 3}, of size 2.
+            ([0, 0b1, 0b10, 0b111, 0b1010], ((0b111, 0b110), (0b1, 0b111))),
+            # Not hereditary: no member of size 2 avoids {0}'s extensions, so
+            # only the size-3 member {1, 2, 3} shows the violation.
+            ([0, 0b1, 0b10, 0b1110], ((0b1110, 0b1100), (0b1, 0b1110))),
+            # Only the empty set: a one-entry table.
+            ([0], (None, None)),
+            # Members on high bits only: a 2^10-entry table, mostly empty.
+            ([0, 1 << 8, 1 << 9], (None, None)),
+            ([0, 1 << 6, 1 << 8, 1 << 9, 0b11 << 8], (None, (1 << 6, 0b11 << 8))),
+            ([0, 1 << 9, 0b11 << 7], ((0b11 << 7, 1 << 8), (0, 0b11 << 7))),
+        ],
+    )
+    def test_fixed_witnesses(self, family, expected):
+        family = frozenset(family)
+        assert reference_axiom_scan(family) == expected
+        assert _axiom_scan(family) == expected
+
+    def test_matches_reference_at_n8_and_n9(self):
+        rng = random.Random(89)
+        for n in (8, 9):
+            for kind in ["forests", "closure", "damaged"] * 4:
+                if kind == "closure":
+                    tops = [rng.randrange(1 << n) for _ in range(3)]
+                    family = {s for s in range(1 << n) if any(s & ~t == 0 for t in tops)}
+                else:
+                    edges = [tuple(rng.sample(range(6), 2)) for _ in range(n)]
+                    forests = build_matroid(GraphicSpec(6, edges), n)
+                    family = {s for s in range(1 << n) if forests.is_independent(s)}
+                    if kind == "damaged":
+                        family -= set(rng.sample(sorted(family), 2))
+                family = frozenset(family)
+                assert _axiom_scan(family) == reference_axiom_scan(family), (n, kind)
 
     def test_probes_are_linear_in_family_size(self):
         # A 6-cycle with four chords: 10 edges, hundreds of forests.

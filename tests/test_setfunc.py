@@ -541,6 +541,15 @@ class TestSubsetFold:
         expected = reference_subset_fold(table, largest)
         assert len(got) == len(expected) and all(map(same_float, got, expected))
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_int_tables(self, seed):
+        # The axiom scan's table: a member's size at its mask, -1 elsewhere.
+        rng = random.Random(seed)
+        table = [rng.choice([-1, -1, 0, 1, 2, 3]) for _ in range(1 << seed % 7)]
+        got = _subset_fold(table[:], largest=True)
+        assert got == reference_subset_fold(table, largest=True)
+        assert all(type(v) is int for v in got)
+
 
 class TestRatios:
     def test_t3_values(self, t3_function):
