@@ -67,11 +67,23 @@ class TruncateSpec:
 MatroidSpec = Union[UniformSpec, PartitionSpec, GraphicSpec, ExplicitSpec, DualSpec, TruncateSpec]
 
 
+def _low_half(n: int) -> int:
+    """How many low elements of {0..n-1} vary under one fixed high part.
+
+    ``Matroid._independent_sets`` completes each high part with the low masks
+    of this many elements, and the graphic oracle keeps the forest of the
+    last high part split off at the same place.
+    """
+    return n // 2
+
+
 class Matroid:
     """Rank oracle over the ground set {0..n-1}.
 
-    Instances are immutable and freely shareable across threads; the graphic
-    union-find scratch state is per call.
+    Instances are immutable and freely shareable across threads. The graphic
+    oracle keeps the union-find forest of the last high part it saw, in one
+    slot: a kept forest is never written, every call unions into its own
+    copy, and the slot is replaced by one assignment.
     """
 
     __slots__ = ("n", "spec", "_rank", "rank_full")
@@ -98,16 +110,18 @@ class Matroid:
     def _independent_sets(self, smallest: int, largest: int) -> list[int]:
         """The independent sets of size smallest..largest, in ascending mask order.
 
-        The elements split at n // 2 into a low and a high half. A high part
-        whose rank is below its size lies in no independent set, by
-        heredity, so one rank call skips all its completions; every other
+        The elements split at ``_low_half(n)``, n // 2, into a low and a high
+        half; the graphic oracle keeps the forest of the last high part at the
+        same split, so testing a completion there unions only its low edges.
+        A high part whose rank is below its size lies in no independent set,
+        by heredity, so one rank call skips all its completions; every other
         high part that some low masks bring into the size range is completed
         by those low masks, ascending, each kept where its leaf rank equals
         its size. High parts ascend too, so the list comes out ascending.
         """
         check_size(self.n, MAX_TABLE_N, "base enumeration")
         rank = self._rank
-        half = self.n // 2
+        half = _low_half(self.n)
         # The low masks that complete a high part of each size, ascending.
         fits = [
             [low for low in range(1 << half) if smallest <= size + low.bit_count() <= largest]
@@ -275,31 +289,50 @@ def _validate_graphic(spec: GraphicSpec, n: int) -> None:
             raise InvalidSpecError(f"edge {i} = ({u}, {v}) references a missing vertex")
 
 
+def _unite(parent: list[int], edges: list[tuple[int, int]], subset: int) -> int:
+    """Union the edges of ``subset`` into the forest ``parent``; the number of merges.
+
+    Roots are found without compression: a rank call makes at most n unions,
+    so no tree is deeper than n.
+    """
+    merges = 0
+    while subset:
+        low = subset & -subset
+        subset ^= low
+        u, v = edges[low.bit_length() - 1]
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            merges += 1
+    return merges
+
+
 def _graphic_rank(spec: GraphicSpec) -> Callable[[int], int]:
     # Union-find runs over the at most 2n endpoints the edges touch, numbered
     # once here, so a call costs nothing per declared but isolated vertex.
-    # Roots are found without compression: a call makes at most n unions, so
-    # no tree is deeper than n.
+    # ``kept`` holds (high part, its forest, its merges) for the last high
+    # part seen, split as ``_independent_sets`` splits. A call with the same
+    # high part unions only its low edges into a copy of that forest; one
+    # with another high part builds and keeps that part's forest first. A
+    # kept forest is never written and the slot is replaced whole, so calls
+    # may run on any thread.
     slot: dict[int, int] = {}
     edges = [(slot.setdefault(u, len(slot)), slot.setdefault(v, len(slot))) for u, v in spec.edges]
     roots = list(range(len(slot)))
+    half = _low_half(len(edges))
+    kept = [(0, roots, 0)]
 
     def rank(subset: int) -> int:
-        parent = roots.copy()
-        merges = 0
-        rest = subset
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u, v = edges[low.bit_length() - 1]
-            while parent[u] != u:
-                u = parent[u]
-            while parent[v] != v:
-                v = parent[v]
-            if u != v:
-                parent[u] = v
-                merges += 1
-        return merges
+        high = subset >> half << half
+        memo = kept[0]
+        if memo[0] != high:
+            forest = roots.copy()
+            memo = (high, forest, _unite(forest, edges, high))
+            kept[0] = memo
+        return memo[2] + _unite(memo[1].copy(), edges, subset ^ high)
 
     return rank
 

@@ -147,6 +147,29 @@ def reference_bases(rank, n, r):
     return [m for m in range(1 << n) if m.bit_count() == r and rank(m) == r]
 
 
+def plain_graphic_rank(edges, subset):
+    """Rank of the edges of ``subset`` by a fresh union-find over a dict.
+
+    Nothing is kept between calls, so the answer cannot depend on the order
+    of earlier calls.
+    """
+    parent = {}
+
+    def root(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    merges = 0
+    for i, (u, v) in enumerate(edges):
+        if subset >> i & 1:
+            u, v = root(u), root(v)
+            if u != v:
+                parent[u] = v
+                merges += 1
+    return merges
+
+
 def _acyclic(edges):
     """Whether a list of (u, v) edges is a forest: a component search per edge.
 

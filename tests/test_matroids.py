@@ -1,5 +1,8 @@
+import copy
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,16 +21,24 @@ from matroid_greedy import (
     check_axioms,
     elements,
     full_mask,
+    gen_modular,
     mask_of,
 )
 from matroid_greedy import matroids
-from matroid_greedy.instances import MAX_SPEC_DEPTH, random_matroid_spec
+from matroid_greedy.instances import (
+    MAX_SPEC_DEPTH,
+    Instance,
+    load_instance,
+    random_matroid_spec,
+    save_instance,
+)
 from matroid_greedy.matroids import _axiom_scan, _graphic_rank
 
-from conftest import ENUMERATION_SPECS
+from conftest import ENUMERATION_SPECS, random_graph
 from oracles import (
     naive_bases,
     naive_rank,
+    plain_graphic_rank,
     reference_axiom_scan,
     reference_bases,
     reference_independent,
@@ -532,23 +543,136 @@ def reference_ranks(spec, n):
     return ranks
 
 
+def call_orders(n):
+    """Every mask of {0..n-1} in three orders that defeat the kept forest of the graphic oracle.
+
+    Descending walks each high part's completions backwards; the shuffle
+    meets a new high part on almost every call; the alternating order
+    switches between two high parts on every call.
+    """
+    half = matroids._low_half(n)
+    masks = range(1 << n)
+    shuffled = list(masks)
+    random.Random(n).shuffle(shuffled)
+    highs = masks[:: 1 << half]
+    alternating = [
+        high | low
+        for pair in zip(highs[::2], highs[1::2])
+        for low in range(1 << half)
+        for high in pair
+    ]
+    return {"descending": masks[::-1], "shuffled": shuffled, "alternating": alternating}
+
+
+def shuffled_graph(n, rng):
+    """``random_graph`` with its edges shuffled, so tree edges and chords fall in both halves."""
+    spec = random_graph(n, rng)
+    edges = list(spec.edges)
+    rng.shuffle(edges)
+    return GraphicSpec(spec.vertices, edges)
+
+
+GRAPH_SHAPES = pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        (11, [(i, i + 1) for i in range(10)]),
+        (11, [(0, i) for i in range(1, 11)]),
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4), (2, 5), (0, 2)]),
+        (4, [(0, 1), (0, 1), (1, 2), (2, 2), (2, 1), (0, 0), (2, 3), (3, 0), (3, 3), (1, 0)]),
+    ],
+    ids=["path", "star", "cycle-chords", "parallel-loops"],
+)
+
+
 class TestGraphicRankShapes:
     """Shapes the random specs rarely draw: long paths, stars, dense cycles, loops."""
 
-    @pytest.mark.parametrize(
-        "vertices, edges",
-        [
-            (11, [(i, i + 1) for i in range(10)]),
-            (11, [(0, i) for i in range(1, 11)]),
-            (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4), (2, 5), (0, 2)]),
-            (4, [(0, 1), (0, 1), (1, 2), (2, 2), (2, 1), (0, 0), (2, 3), (3, 0), (3, 3), (1, 0)]),
-        ],
-        ids=["path", "star", "cycle-chords", "parallel-loops"],
-    )
+    @GRAPH_SHAPES
     def test_every_mask_matches_reference(self, vertices, edges):
         spec = GraphicSpec(vertices, edges)
         rank = _graphic_rank(spec)
         assert [rank(s) for s in range(1 << len(edges))] == reference_ranks(spec, len(edges))
+
+    @GRAPH_SHAPES
+    def test_every_call_order_matches_reference(self, vertices, edges):
+        spec = GraphicSpec(vertices, edges)
+        expected = reference_ranks(spec, len(edges))
+        for name, order in call_orders(len(edges)).items():
+            assert sorted(order) == list(range(1 << len(edges))), name
+            rank = _graphic_rank(spec)
+            assert [rank(s) for s in order] == [expected[s] for s in order], name
+
+
+class TestKeptForest:
+    """The graphic oracle's kept forest never shows: every answer equals a fresh union-find's."""
+
+    @pytest.mark.parametrize("n", range(12, 17))
+    def test_independent_sets_match_plain_rank(self, n):
+        spec = shuffled_graph(n, random.Random(n))
+        full = full_mask(n)
+        plain = [plain_graphic_rank(spec.edges, s) for s in range(1 << n)]
+        q = plain[full] - 2
+        cases = [
+            (spec, lambda s: plain[s] == s.bit_count()),
+            (DualSpec(spec), lambda s: plain[full ^ s] == plain[full]),
+            (TruncateSpec(spec, q), lambda s: s.bit_count() <= q and plain[s] == s.bit_count()),
+        ]
+        for case, independent in cases:
+            m = build_matroid(case, n)
+            family = [s for s in range(1 << n) if independent(s)]
+            top = m.rank_full
+            assert top == max(s.bit_count() for s in family)
+            for smallest in (top, 1):
+                expected = [s for s in family if smallest <= s.bit_count()]
+                assert m._independent_sets(smallest, top) == expected
+
+    def test_shared_oracles_under_threads(self):
+        # Eight threads query one graphic oracle and its dual, which calls the
+        # same leaf, each in its own order, switching as often as the
+        # interpreter allows, so a forest written under another call would show.
+        n = 16
+        spec = shuffled_graph(n, random.Random(16))
+        graphic = build_matroid(spec, n)
+        dual = graphic.dual()
+        full = full_mask(n)
+        masks = random.Random(1).sample(range(1 << n), 2048)
+        top = plain_graphic_rank(spec.edges, full)
+        expected = {
+            s: (
+                plain_graphic_rank(spec.edges, s),
+                s.bit_count() + plain_graphic_rank(spec.edges, full ^ s) - top,
+            )
+            for s in masks
+        }
+
+        def query(seed):
+            order = masks[:]
+            random.Random(seed).shuffle(order)
+            return all((graphic.rank(s), dual.rank(s)) == expected[s] for s in order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert all(pool.map(query, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_deepcopy_of_a_loaded_instance(self, tmp_path):
+        n = 12
+        spec = shuffled_graph(n, random.Random(12))
+        path = tmp_path / "graphic.json"
+        save_instance(Instance("graphic", n, gen_modular(n, range(1, n + 1)), spec, 6), path)
+        expected = reference_bases(lambda s: plain_graphic_rank(spec.edges, s), n, 6)
+        original = load_instance(path)
+        unused = copy.deepcopy(original)
+        assert unused.matroid().enumerate_bases() == expected
+        assert original.matroid().enumerate_bases() == expected
+        used = copy.deepcopy(original)
+        # Leave the original's oracle on another high part before the copy runs.
+        original.matroid().rank(full_mask(n))
+        assert used.matroid().enumerate_bases() == expected
+        assert original.matroid().enumerate_bases() == expected
 
 
 class TestRandomSpecs:
